@@ -50,17 +50,18 @@ def factorize(n: int) -> Factorization:
 
 
 def iroot(n: int, e: int) -> int:
-    """Largest r >= 0 with r**e <= n (exact integer arithmetic)."""
+    """Largest r >= 0 with r**e <= n, by integer Newton iteration from an
+    overestimate (no floats, so n may have any size)."""
     if n < 0 or e < 1:
         raise ValueError(f"iroot needs n >= 0 and e >= 1, got ({n}, {e})")
     if n < 2 or e == 1:
         return n
-    r = int(round(n ** (1.0 / e)))
-    while r > 0 and r**e > n:
-        r -= 1
-    while (r + 1) ** e <= n:
-        r += 1
-    return r
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        nxt = ((e - 1) * r + n // r ** (e - 1)) // e
+        if nxt >= r:
+            return r
+        r = nxt
 
 
 def is_perfect_power(n: int) -> bool:

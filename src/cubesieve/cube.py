@@ -4,13 +4,19 @@ residue-class constraint checks, and maximal-dimension search.
 A cube H(a0; a1, ..., ad) is the multiset of the 2^d sums a0 + sum_{i in I}
 a_i over subsets I. Subset-sum cubes are the a0 = 0 case; there the empty
 sum 0 is exempt from set membership since only the nonzero sums live in
-[1, N]."""
+[1, N].
+
+The exact and greedy searches share one bitset core. The members up to N
+are one int with bit m set for each member m. A search state keeps `fits`,
+the bitset of offsets x such that every current sum + x is a member: it
+starts at members >> a0, and adding step a sets fits &= fits >> a. The
+admissible next steps are the set bits of `fits` at positions >= the least
+allowed step."""
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
@@ -121,7 +127,9 @@ class CubeSearchResult:
     """best_dimension is -1 with witness None when the set has no member in
     [1, limit] (no admissible base point). `exact` is False when the node
     budget ran out, in which case the result is a certified lower bound and
-    mode degrades to `greedy`."""
+    mode degrades to `greedy`. `nodes_expanded` counts members scanned as
+    candidate sums: at each state, every member from smax + low upward (the
+    current largest sum plus the least admissible step) counts one node."""
     limit: int
     descriptor: str
     mode: str
@@ -132,13 +140,38 @@ class CubeSearchResult:
     subset_sum_mode: bool
 
 
-def _valid_extension(a: int, sums_desc: list[int], member_set: set[int]) -> bool:
-    # the largest sum + a is a member by construction; check the rest,
-    # largest first (sparser high range fails fastest)
-    for s in sums_desc[1:]:
-        if s + a not in member_set:
-            return False
-    return True
+def _bitset(members: list[int]) -> int:
+    buf = bytearray(members[-1] // 8 + 1 if members else 0)
+    for m in members:
+        buf[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _candidates(bits: int, fits: int, smax: int, steps: list[int],
+                distinct: bool) -> tuple[list[tuple[int, int]], int]:
+    """The admissible next steps: set bits of `fits` at positions >= low,
+    ascending, where low is 1 for the first step and otherwise the last step
+    (plus one under `distinct`). Each comes with the number of members in
+    [smax + low, smax + a], i.e. the members a scan in ascending order passes
+    up to and including smax + a; the second value counts all members
+    >= smax + low."""
+    low = (steps[-1] + 1 if distinct else steps[-1]) if steps else 1
+    window = bits >> (smax + low)
+    rest = fits >> low
+    out = []
+    while rest:
+        k = (rest & -rest).bit_length() - 1
+        out.append((low + k, (window & ((2 << k) - 1)).bit_count()))
+        rest &= rest - 1
+    return out, window.bit_count()
+
+
+def _result(s: SetDescriptor, limit: int, best, nodes: int, exact: bool,
+            subset_sum_mode: bool, distinct: bool) -> CubeSearchResult:
+    witness = HilbertCube(best[0], best[1], distinct) if best else None
+    return CubeSearchResult(limit, s.describe(), "exact" if exact else "greedy",
+                            witness.dimension if witness else -1, witness, nodes,
+                            exact, subset_sum_mode)
 
 
 def max_dimension_exact(
@@ -157,51 +190,38 @@ def max_dimension_exact(
     (a0, steps)) whenever the search completes. Budget exhaustion is
     reported, never silent."""
     members = enumerate_members(s, limit)
-    member_set = set(members)
-    best: dict = {"d": -1, "cube": None}
-    nodes = 0
-    exhausted = False
+    bits = _bitset(members)
+    best, nodes, exhausted = None, 0, False
 
-    def extend(a0: int, sums_desc: list[int], steps: list[int]):
+    def charge(k: int) -> bool:
         nonlocal nodes, exhausted
-        if len(steps) > best["d"]:
-            best["d"] = len(steps)
-            best["cube"] = (a0, tuple(steps))
-        smax = sums_desc[0]
-        low = steps[-1] + 1 if (distinct and steps) else (steps[-1] if steps else 1)
-        for j in range(bisect_left(members, smax + low), len(members)):
+        nodes += k
+        if nodes > budget:
+            nodes, exhausted = budget + 1, True
+        return not exhausted
+
+    def extend(a0: int, smax: int, fits: int, steps: list[int]):
+        nonlocal best
+        if best is None or len(steps) > len(best[1]):
+            best = (a0, tuple(steps))
+        cands, total = _candidates(bits, fits, smax, steps, distinct)
+        charged = 0
+        for a, scanned in cands:
+            if not charge(scanned - charged):
+                return
+            charged = scanned
+            steps.append(a)
+            extend(a0, smax + a, fits & (fits >> a), steps)
+            steps.pop()
             if exhausted:
                 return
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return
-            a = members[j] - smax
-            if _valid_extension(a, sums_desc, member_set):
-                merged = sorted(sums_desc + [t + a for t in sums_desc], reverse=True)
-                steps.append(a)
-                extend(a0, merged, steps)
-                steps.pop()
+        charge(total - charged)
 
-    bases = [0] if subset_sum_mode else members
-    for a0 in bases:
+    for a0 in [0] if subset_sum_mode else members:
         if exhausted:
             break
-        extend(a0, [a0], [])
-
-    witness = None
-    if best["cube"] is not None:
-        witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
-    return CubeSearchResult(
-        limit=limit,
-        descriptor=s.describe(),
-        mode="greedy" if exhausted else "exact",
-        best_dimension=best["d"],
-        witness=witness,
-        nodes_expanded=nodes,
-        exact=not exhausted,
-        subset_sum_mode=subset_sum_mode,
-    )
+        extend(a0, a0, bits >> a0, [])
+    return _result(s, limit, best, nodes, not exhausted, subset_sum_mode, distinct)
 
 
 def max_dimension_greedy(
@@ -217,46 +237,24 @@ def max_dimension_greedy(
     Deterministic for a fixed seed. The best cube over all restarts is
     returned (first achiever wins ties)."""
     members = enumerate_members(s, limit)
-    member_set = set(members)
+    bits = _bitset(members)
     rng = random.Random(seed)
-    best: dict = {"d": -1, "cube": None}
-    nodes = 0
+    best, nodes = None, 0
     bases = [0] if subset_sum_mode else members
-    if bases:
-        for _ in range(restarts):
-            a0 = rng.choice(bases)
-            sums_desc = [a0]
-            steps: list[int] = []
-            while True:
-                smax = sums_desc[0]
-                low = steps[-1] + 1 if (distinct and steps) else (steps[-1] if steps else 1)
-                cands = []
-                for j in range(bisect_left(members, smax + low), len(members)):
-                    nodes += 1
-                    a = members[j] - smax
-                    if _valid_extension(a, sums_desc, member_set):
-                        cands.append(a)
-                if not cands:
-                    break
-                a = rng.choice(cands)
-                sums_desc = sorted(sums_desc + [t + a for t in sums_desc], reverse=True)
-                steps.append(a)
-            if len(steps) > best["d"]:
-                best["d"] = len(steps)
-                best["cube"] = (a0, tuple(steps))
-    witness = None
-    if best["cube"] is not None:
-        witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
-    return CubeSearchResult(
-        limit=limit,
-        descriptor=s.describe(),
-        mode="greedy",
-        best_dimension=best["d"],
-        witness=witness,
-        nodes_expanded=nodes,
-        exact=False,
-        subset_sum_mode=subset_sum_mode,
-    )
+    for _ in range(restarts if bases else 0):
+        a0 = rng.choice(bases)
+        smax, fits, steps = a0, bits >> a0, []
+        while True:
+            cands, total = _candidates(bits, fits, smax, steps, distinct)
+            nodes += total
+            if not cands:
+                break
+            a = rng.choice([a for a, _ in cands])
+            smax, fits = smax + a, fits & (fits >> a)
+            steps.append(a)
+        if best is None or len(steps) > len(best[1]):
+            best = (a0, tuple(steps))
+    return _result(s, limit, best, nodes, False, subset_sum_mode, distinct)
 
 
 def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:

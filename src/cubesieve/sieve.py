@@ -192,6 +192,8 @@ def optimize_cutoff(
         if values is None:
             raise ValueError("measured profiles need the underlying set")
         vals = list(values)
+        if not vals:
+            raise ValueError("cannot profile an empty set")
     if not measured:
         model = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
 

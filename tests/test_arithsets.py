@@ -55,6 +55,10 @@ def test_iroot():
         for e in (2, 3, 5, 7):
             r = iroot(n, e)
             assert r**e <= n < (r + 1) ** e
+    for n in (10**400 - 1, 10**400, 10**400 + 1):
+        for e in (2, 3, 7, 400, 1329):
+            r = iroot(n, e)
+            assert r**e <= n < (r + 1) ** e
 
 
 def test_is_perfect_power():
@@ -62,6 +66,7 @@ def test_is_perfect_power():
     powers.add(1)
     for n in range(1, 10**4 + 1):
         assert is_perfect_power(n) == (n in powers)
+    assert is_perfect_power(10**400) and not is_perfect_power(10**400 + 1)
 
 
 def test_membership_examples():

@@ -94,6 +94,9 @@ def test_verify_all_detects_injected_fault():
 def test_cli_membership(capsys):
     assert run_cli(["membership", "--set", "squareful", "--n", "72"], capsys)[:2] == (0, "true\n")
     assert run_cli(["membership", "--set", "squareful", "--n", "12"], capsys)[:2] == (0, "false\n")
+    # beyond float range: no OverflowError traceback
+    for n, answer in ((10**400, "true\n"), (10**400 + 1, "false\n")):
+        assert run_cli(["membership", "--set", "purepowers", "--n", str(n)], capsys) == (0, answer, "")
 
 
 def test_cli_enumerate(capsys, tmp_path):
@@ -302,6 +305,18 @@ def test_cli_sieve_bound_elements_file(capsys, tmp_path):
     assert code == EXIT_OK
     lines = out.splitlines()
     assert lines[0] == "y,numerator,denominator,bound" and len(lines) == 3
+
+
+def test_cli_sieve_bound_empty_elements_file(capsys, tmp_path):
+    elems = tmp_path / "empty.txt"
+    elems.write_text("")
+    for variant in ("plain", "weighted"):
+        code, out, err = run_cli(
+            ["sieve-bound", "--elements-file", str(elems), "--y", "100",
+             "--log-n", "5", "--variant", variant], capsys
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: cannot profile an empty set\n"
 
 
 def test_cli_version(capsys):

@@ -204,3 +204,5 @@ def test_optimize_cutoff_validation():
         optimize_cutoff(allp, "two_sqrt", 1.0, [20, 10])
     with pytest.raises(ValueError):
         optimize_cutoff(allp, "measured", 1.0, [10])
+    with pytest.raises(ValueError, match="cannot profile an empty set"):
+        optimize_cutoff(allp, "measured", 1.0, [10], values=[])
