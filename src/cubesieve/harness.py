@@ -32,7 +32,7 @@ from .cube import (
     verify,
 )
 from .primes import PrimeSet, parse_prime_set, primes_up_to
-from .sieve import gallagher_bound, gallagher_bound_weighted, optimize_cutoff, profile
+from .sieve import _check_log_n, gallagher_bound, gallagher_bound_weighted, optimize_cutoff, profile
 from .sunflower import (
     SetFamily,
     find_sunflower,
@@ -507,6 +507,7 @@ def cmd_sieve_bound(args) -> int:
     elif args.nu == "measured" or args.variant == "weighted":
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")
+        _check_log_n(args.log_n)
         limit = int(round(math.exp(args.log_n)))
         values = enumerate_members(parse_set_descriptor(args.set), limit)
     scan = optimize_cutoff(prime_set, args.nu, args.log_n, grid,

@@ -89,8 +89,7 @@ def inert_primes(a: int, b: int, c: int, y: int) -> list[int]:
 
     For such p, p | a*x^2+b*x*y+c*y^2 forces p^2 | a*x^2+b*x*y+c*y^2.
     p = 2 and primes dividing the discriminant are set aside."""
-    disc = validate_definite_form(a, b, c)
-    return [p for p in primes_up_to(y) if p != 2 and disc % p != 0 and legendre(disc, p) == -1]
+    return PrimeSet.inert_of_form(a, b, c).primes_up_to(y)
 
 
 class PrimeSet:
@@ -153,7 +152,7 @@ class PrimeSet:
         if self.kind == "list":
             return p in self.plist
         if self.kind == "inert":
-            return p != 2 and self._disc % p != 0 and legendre(self._disc, p) == -1
+            return p != 2 and self._disc % p != 0 and pow(self._disc, (p - 1) // 2, p) == p - 1
         return not self.inner.contains_prime(p)
 
     def primes_up_to(self, y: int) -> list[int]:

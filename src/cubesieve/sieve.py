@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -64,19 +65,6 @@ def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
     )
 
 
-def _light_profile(vals: list[int], modulus: int) -> ResidueProfile:
-    # occupancy statistics without a dense class array; for grid scans
-    p, i = _prime_power(modulus)
-    counts: dict[int, int] = {}
-    for v in vals:
-        r = v % modulus
-        counts[r] = counts.get(r, 0) + 1
-    return ResidueProfile(
-        modulus, p, i, len(counts), None, len(vals),
-        sum(c * c for c in counts.values()),
-    )
-
-
 def model_profile(modulus: int, nu: float) -> ResidueProfile:
     """Synthetic profile carrying only a class-count model value."""
     if nu <= 0:
@@ -109,10 +97,14 @@ def _check_moduli(profiles: Sequence[ResidueProfile]) -> list[ResidueProfile]:
     return profs
 
 
+def _check_log_n(log_n: float) -> None:
+    if not (math.isfinite(log_n) and log_n > 0):
+        raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
+
+
 def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBoundReport:
     """Plain larger-sieve bound from per-modulus class counts."""
-    if log_n <= 0:
-        raise ValueError(f"log N must be positive, got {log_n}")
+    _check_log_n(log_n)
     profs = _check_moduli(profiles)
     num = den = -log_n
     for r in profs:
@@ -129,8 +121,7 @@ def gallagher_bound_weighted(
     """Weighted refinement over prime moduli: the denominator uses
     sum_p log p * sum_h Z(p,h)^2 / count^2, which dominates the plain
     log p / nu term by Cauchy-Schwarz."""
-    if log_n <= 0:
-        raise ValueError(f"log N must be positive, got {log_n}")
+    _check_log_n(log_n)
     if count_b < 1:
         raise ValueError(f"profiled count must be positive, got {count_b}")
     profs = _check_moduli(profiles)
@@ -186,6 +177,7 @@ def optimize_cutoff(
         raise ValueError("y grid must be nonempty and ascending")
     if variant not in ("plain", "weighted"):
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
+    _check_log_n(log_n)
 
     measured = nu_model == "measured"
     if measured or variant == "weighted":
@@ -197,23 +189,31 @@ def optimize_cutoff(
     if not measured:
         model = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
 
-    primes = prime_set.primes_up_to(grid[-1])
-    if measured or variant == "weighted":
-        profs = [_light_profile(vals, p) for p in primes]
-    else:
-        profs = [model_profile(p, model(p)) for p in primes]
+    # sums[k]: numerator and denominator over the first k primes, summed as gallagher_bound does
+    primes = tuple(prime_set.primes_up_to(grid[-1]))
+    num = den = -log_n
+    sums = [(num, den)]
+    for p in primes:
+        lp = math.log(p)
+        if variant == "weighted":
+            counts = Counter([v % p for v in vals]).values()
+            den += lp * sum(c * c for c in counts) / (len(vals) * len(vals))
+        elif measured:
+            den += lp / len({v % p for v in vals})
+        else:
+            nu = model(p)
+            if nu <= 0:
+                raise ValueError(f"class count must be positive, got {nu}")
+            den += lp / float(nu)
+        num += lp
+        sums.append((num, den))
 
     rows = []
-    best_y = None
-    best = None
     for y in grid:
         cut = bisect_right(primes, y)
-        if variant == "weighted":
-            rep = gallagher_bound_weighted(profs[:cut], len(vals), log_n)
-        else:
-            rep = gallagher_bound(profs[:cut], log_n)
-        rows.append((y, rep))
-        if rep.bound is not None and (best is None or rep.bound < best.bound):
-            best_y, best = y, rep
-    prescribed = (20.0 / tau) ** 2 * log_n * log_n
-    return CutoffScan(tuple(rows), best_y, best, prescribed)
+        num, den = sums[cut]
+        bound = num / den if den > DENOM_TOL else None
+        rows.append((y, SieveBoundReport(log_n, num, den, bound, primes[:cut], variant)))
+    best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
+                       key=lambda row: row[1].bound, default=(None, None))
+    return CutoffScan(tuple(rows), best_y, best, (20.0 / tau) ** 2 * log_n * log_n)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +327,39 @@ def test_cli_version(capsys):
         assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "cubesieve 0.1.0" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sieve_compare", ["experiment", "sieve-compare", "--grid", "100,1000"]),
+    ("sieve_bound_squareful_plain",
+     ["sieve-bound", "--set", "squareful", "--primes", "all", "--y-grid", "10:300:10",
+      "--nu", "measured", "--log-n", "6.91", "--variant", "plain"]),
+    ("sieve_bound_squareful_weighted",
+     ["sieve-bound", "--set", "squareful", "--primes", "all", "--y-grid", "10:300:10",
+      "--nu", "measured", "--log-n", "6.91", "--variant", "weighted"]),
+    ("sieve_bound_rfull_inert",
+     ["sieve-bound", "--set", "rfull:2,inert:1,1,1", "--y-grid", "10:300:10", "--log-n", "6.91"]),
+    ("sieve_bound_inert_model",
+     ["sieve-bound", "--primes", "inert:1,1,1", "--nu", "five_ceil_sqrt",
+      "--y-grid", "100:3000:100", "--log-n", "6.91"]),
+])
+def test_cli_sieve_csv_matches_golden(name, argv, capsys):
+    # stdout frozen from the per-prefix scan that the running-sum scan replaced
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_OK and err == ""
+    assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "squareful", "--y", "100", "--log-n", "inf"], "log N must be finite, got inf"),
+    (["--primes", "all", "--nu", "two_sqrt", "--y", "100", "--log-n", "nan"],
+     "log N must be positive, got nan"),
+    (["--set", "squareful", "--y", "100", "--log-n", "-1"], "log N must be positive, got -1.0"),
+])
+def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys):
+    code, out, err = run_cli(["sieve-bound"] + argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"

@@ -101,6 +101,17 @@ def test_inert_primes_brute_crosscheck():
             assert (p in got) == (disc % p not in brute_residues(p))
 
 
+@pytest.mark.parametrize("form", [(1, 1, 1), (1, 0, 1), (1, 1, 2), (1, 0, 5), (1, 1, 6)])
+def test_inert_membership_matches_legendre(form):
+    # discriminants -3, -4, -7, -20, -23; every prime below 10^5, including
+    # 2 and the primes dividing the discriminant
+    ps = PrimeSet.inert_of_form(*form)
+    disc = validate_definite_form(*form)
+    for p in primes_up_to(10**5):
+        expected = p != 2 and disc % p != 0 and legendre(disc, p) == -1
+        assert ps.contains_prime(p) == expected, p
+
+
 def test_form_validation():
     with pytest.raises(ValueError, match="reducible"):
         validate_definite_form(1, 0, 0)

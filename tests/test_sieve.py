@@ -122,6 +122,20 @@ def test_weighted_rejects_inconsistency():
         gallagher_bound_weighted([model_profile(5, 2)], 2, 1.0)
 
 
+def test_log_n_must_be_finite_and_positive():
+    profs = [profile([1, 2], 5)]
+    allp = PrimeSet.all_primes()
+    for bad, message in [(math.inf, "finite, got inf"), (math.nan, "positive, got nan"),
+                         (-math.inf, "positive, got -inf"), (0.0, "positive, got 0.0")]:
+        with pytest.raises(ValueError, match=f"log N must be {message}"):
+            gallagher_bound(profs, bad)
+        with pytest.raises(ValueError, match=f"log N must be {message}"):
+            gallagher_bound_weighted(profs, 2, bad)
+        for nu in ("measured", "two_sqrt"):
+            with pytest.raises(ValueError, match=f"log N must be {message}"):
+                optimize_cutoff(allp, nu, bad, [10], values=[1, 4, 9])
+
+
 def test_soundness_random_instances():
     rng = random.Random(7)
     moduli = [p for p in primes_up_to(600) if p > 40]
