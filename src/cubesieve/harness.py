@@ -88,14 +88,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_csv(header: list[str], rows: list[list], path: str | None) -> str:
+def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(_fmt(v) for v in row) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    return text
+    else:
+        print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +509,16 @@ def cmd_sieve_bound(args) -> int:
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")
         _check_log_n(args.log_n)
-        limit = int(round(math.exp(args.log_n)))
+        try:
+            limit = int(round(math.exp(args.log_n)))
+        except OverflowError:
+            raise ValueError(
+                f"log N too large to enumerate up to e^(log N), got {args.log_n}") from None
         values = enumerate_members(parse_set_descriptor(args.set), limit)
     scan = optimize_cutoff(prime_set, args.nu, args.log_n, grid,
                            values=values, variant=args.variant)
     rows = [[y, rep.numerator, rep.denominator, rep.bound] for y, rep in scan.rows]
-    text = _emit_csv(["y", "numerator", "denominator", "bound"], rows, args.out)
-    if not args.out:
-        print(text, end="")
+    _emit_csv(["y", "numerator", "denominator", "bound"], rows, args.out)
     return EXIT_OK
 
 
@@ -539,10 +542,7 @@ def cmd_cube_search(args) -> int:
     row = [res.limit, res.mode, res.best_dimension,
            res.witness.describe() if res.witness else "-",
            res.nodes_expanded, int(res.exact)]
-    text = _emit_csv(["N", "mode", "dimension", "witness", "nodes", "exact"],
-                     [row], args.out)
-    if not args.out:
-        print(text, end="")
+    _emit_csv(["N", "mode", "dimension", "witness", "nodes", "exact"], [row], args.out)
     if args.mode == "exact" and not res.exact:
         print("node budget exhausted; result is a lower bound", file=sys.stderr)
         return EXIT_BUDGET
@@ -551,11 +551,8 @@ def cmd_cube_search(args) -> int:
 
 def cmd_ap_max(args) -> int:
     length, step = max_homogeneous_ap(parse_set_descriptor(args.set), args.limit)
-    text = _emit_csv(["N", "length", "step"],
-                     [[args.limit, length, step if step is not None else "-"]],
-                     args.out)
-    if not args.out:
-        print(text, end="")
+    _emit_csv(["N", "length", "step"],
+              [[args.limit, length, step if step is not None else "-"]], args.out)
     return EXIT_OK
 
 
@@ -605,12 +602,6 @@ def cmd_experiment(args) -> int:
         for key, cast in _CONFIG_CASTS.items():
             if getattr(args, key, None) is None and key in loaded:
                 setattr(args, key, cast(loaded[key]))
-    # flags win over config; these are the post-merge defaults
-    budget = args.budget if args.budget is not None else 10**8
-    seed = args.seed if args.seed is not None else 0
-    r = args.r if args.r is not None else 2
-    primes = args.primes if args.primes is not None else "all"
-    tau = args.tau if args.tau is not None else 1.0
 
     if args.name == "verify-all":
         report = run_verify_all(witness_fault_hook=None)
@@ -619,16 +610,17 @@ def cmd_experiment(args) -> int:
 
     if args.grid is None:
         raise ValueError("experiment needs --grid (or grid= in the config file)")
+    # a field that neither a flag nor the config file sets keeps its default
+    given = {"budget": args.budget, "seed": args.seed, "r": args.r,
+             "primes_spec": args.primes, "tau": args.tau}
     cfg = ExperimentConfig(
-        experiment=args.name, n_grid=tuple(_ints(args.grid)), budget=budget,
-        seed=seed, output_path=args.out, r=r, primes_spec=primes, tau=tau,
+        experiment=args.name, n_grid=tuple(_ints(args.grid)), output_path=args.out,
+        **{k: v for k, v in given.items() if v is not None},
     )
     runner = {"f2": run_f2_scan, "f1": run_f1_scan, "f4": run_f4_scan,
               "sieve-compare": run_sieve_compare}[args.name]
     header, rows = runner(cfg)
-    text = _emit_csv(header, rows, cfg.output_path)
-    if not cfg.output_path:
-        print(text, end="")
+    _emit_csv(header, rows, cfg.output_path)
     return EXIT_OK
 
 

@@ -3,8 +3,10 @@ lift-zero construction (sum divisible by p but not by q), minimal covering
 subset size, sumsets, and exhaustive small-prime verification.
 
 Witnesses index into the input sequence, so repeated residues are handled
-without ambiguity. All finders are deterministic: the reachability DP scans
-elements left to right and freezes each residue's witness at first reach."""
+without ambiguity. All finders are deterministic and share one reachability
+DP: it scans elements left to right and freezes each state's witness at
+first reach, a finder returns the least witness over its admissible target
+states, and the DP stops once all of them are reached."""
 
 from __future__ import annotations
 
@@ -125,45 +127,52 @@ class SubsetWitness:
         return True
 
 
-def _first_reach_dp(values: Sequence[int], q: int, stop_at: int | None = None):
-    """Reachability of nonempty-subset sums over Z_q with parent tracking.
+def _least_witness(
+    values: Sequence[int], q: int, targets: Sequence[int]
+) -> tuple[tuple[int, ...], int] | None:
+    """Least witness over the target states of Z_q, as (indices, state).
 
-    parent[s] = (element index i, previous state or -1 for the singleton
-    subset {i}); each state keeps the witness frozen at its first reach.
-    Returns (reached flags, parents, first-reach order list)."""
-    reached = [False] * q
+    A first-reach reachability DP over nonempty-subset sums: element i
+    first reaches its singleton {i}, then each state reached before i plus
+    values[i], in first-reach order. parent[s] = (element index i, previous
+    state or -1 for the singleton) is frozen at first reach, so a state's
+    witness never changes afterwards and the scan stops once every target
+    is reached. Returns None when no target is reachable."""
+    is_target = bytearray(q)
+    for t in targets:
+        is_target[t] = 1
+    left = sum(is_target)
+    reached = bytearray(q)
     parent: list[tuple[int, int] | None] = [None] * q
     order: list[int] = []
     for i, v in enumerate(values):
         v %= q
         base = len(order)
         if not reached[v]:
-            reached[v] = True
+            reached[v] = 1
             parent[v] = (i, -1)
             order.append(v)
+            left -= is_target[v]
         for k in range(base):
             t = order[k] + v
             if t >= q:
                 t -= q
             if not reached[t]:
-                reached[t] = True
+                reached[t] = 1
                 parent[t] = (i, order[k])
                 order.append(t)
-        if len(order) == q or (stop_at is not None and reached[stop_at]):
+                left -= is_target[t]
+        if not left:
             break
-    return reached, parent, order
 
+    def witness(s: int) -> tuple[int, ...]:
+        idx = []
+        while s != -1:
+            i, s = parent[s]
+            idx.append(i)
+        return tuple(reversed(idx))
 
-def _witness_indices(parent, state: int) -> tuple[int, ...]:
-    idx = []
-    s = state
-    while True:
-        i, prev = parent[s]
-        idx.append(i)
-        if prev == -1:
-            break
-        s = prev
-    return tuple(reversed(idx))
+    return min(((witness(s), s) for s in targets if reached[s]), default=None)
 
 
 def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitness | None:
@@ -176,10 +185,9 @@ def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitne
         raise ValueError(f"{p} is not prime")
     target %= p
     vals = [e % p for e in elements]
-    reached, parent, _ = _first_reach_dp(vals, p, stop_at=target)
-    if reached[target]:
-        idx = _witness_indices(parent, target)
-        return SubsetWitness(p, idx, target, ((p, "==", target),))
+    found = _least_witness(vals, p, (target,))
+    if found:
+        return SubsetWitness(p, *found, ((p, "==", target),))
     distinct = len(set(vals))
     if distinct * distinct > 4 * p:
         raise CounterexampleError(
@@ -233,14 +241,9 @@ def find_lift_zero(b: ResidueMultiset, distinct_mod_p: bool = False) -> SubsetWi
     p, q, m = mod.p, mod.q, mod.m
     if distinct_mod_p and b.distinct_mod_p() != len(b.elements):
         raise ValueError("elements are not distinct mod p")
-    reached, parent, _ = _first_reach_dp(b.elements, q)
-    candidates = [
-        _witness_indices(parent, s) for s in range(p, q, p) if reached[s]
-    ]
-    if candidates:
-        idx = min(candidates)
-        s = sum(b.elements[i] for i in idx) % q
-        return SubsetWitness(q, idx, s, ((p, "==", 0), (q, "!=", 0)))
+    found = _least_witness(b.elements, q, range(p, q, p))
+    if found:
+        return SubsetWitness(q, *found, ((p, "==", 0), (q, "!=", 0)))
     hypotheses = (
         b.distinct_mod_p() > 4 * ceil_two_sqrt(p)
         and any(e % m != 0 for e in b.elements)
@@ -273,17 +276,10 @@ def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> Subset
     facts = ((p, "==", (-a0) % p), (q, "!=", (-a0) % q))
 
     if strategy == "direct":
-        reached, parent, _ = _first_reach_dp(b.elements, q)
         bad = (-a0) % q
-        candidates = [
-            _witness_indices(parent, s)
-            for s in range((-a0) % p, q, p)
-            if s != bad and reached[s]
-        ]
-        if candidates:
-            idx = min(candidates)
-            s = sum(b.elements[i] for i in idx) % q
-            return SubsetWitness(q, idx, s, facts)
+        found = _least_witness(b.elements, q, [s for s in range((-a0) % p, q, p) if s != bad])
+        if found:
+            return SubsetWitness(q, *found, facts)
         if b.distinct_mod_p() >= 5 * ceil_two_sqrt(p) + 2:
             raise CounterexampleError(
                 f"shifted lift-zero hypotheses hold (|B mod {p}| = "

@@ -358,6 +358,10 @@ def test_cli_sieve_csv_matches_golden(name, argv, capsys):
     (["--primes", "all", "--nu", "two_sqrt", "--y", "100", "--log-n", "nan"],
      "log N must be positive, got nan"),
     (["--set", "squareful", "--y", "100", "--log-n", "-1"], "log N must be positive, got -1.0"),
+    (["--set", "squareful", "--y", "100", "--log-n", "710"],
+     "log N too large to enumerate up to e^(log N), got 710.0"),
+    (["--set", "squareful", "--y", "100", "--log-n", "1e6"],
+     "log N too large to enumerate up to e^(log N), got 1000000.0"),
 ])
 def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys):
     code, out, err = run_cli(["sieve-bound"] + argv, capsys)
