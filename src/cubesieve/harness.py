@@ -467,11 +467,7 @@ def cmd_membership(args) -> int:
 
 def cmd_enumerate(args) -> int:
     members = enumerate_members(parse_set_descriptor(args.set), args.limit)
-    if args.out:
-        _emit_csv(["n"], [[m] for m in members], args.out)
-    else:
-        for m in members:
-            print(m)
+    _emit_csv(["n"], [[m] for m in members], args.out)
     return EXIT_OK
 
 

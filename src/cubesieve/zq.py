@@ -6,16 +6,26 @@ Witnesses index into the input sequence, so repeated residues are handled
 without ambiguity. All finders are deterministic and share one reachability
 DP: it scans elements left to right and freezes each state's witness at
 first reach, a finder returns the least witness over its admissible target
-states, and the DP stops once all of them are reached."""
+states, and the DP stops once all of them are reached. The DP holds the
+reached states as one q-bit int, so each element adds all its new states
+with one rotate. A state's witness follows from the step that first
+reached it, so the DP keeps only those steps: a table of 4 bytes per state
+for the states reached in sparse steps, and at most 64 snapshots of the
+reached set (q/8 bytes each) for the dense steps, at most 12 bytes per
+state of Z_q together. Moduli above 10**7 are refused before anything is
+allocated."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 from .primes import is_prime
+
+_MAX_Q = 10**7  # largest modulus the reachability DP accepts
 
 
 class CounterexampleError(RuntimeError):
@@ -127,6 +137,11 @@ class SubsetWitness:
         return True
 
 
+def _rotate(mask: int, v: int, q: int, full: int) -> int:
+    """The q-bit `mask` rotated up by v (0 <= v < q): bit s moves to s + v mod q."""
+    return ((mask << v) | (mask >> (q - v))) & full
+
+
 def _least_witness(
     values: Sequence[int], q: int, targets: Sequence[int]
 ) -> tuple[tuple[int, ...], int] | None:
@@ -134,45 +149,68 @@ def _least_witness(
 
     A first-reach reachability DP over nonempty-subset sums: element i
     first reaches its singleton {i}, then each state reached before i plus
-    values[i], in first-reach order. parent[s] = (element index i, previous
-    state or -1 for the singleton) is frozen at first reach, so a state's
-    witness never changes afterwards and the scan stops once every target
-    is reached. Returns None when no target is reachable."""
-    is_target = bytearray(q)
+    values[i]. The reached states are one q-bit int R, so element i reaches
+    new = (rotate(R, v_i) | 1 << v_i) & ~R at once. A state t first reached
+    at element i has exactly one predecessor: none when t == v_i (the
+    singleton wins), otherwise t - v_i, reached before i. So a witness,
+    frozen at first reach, needs only each state's first-reach step: a step
+    with fewer than q/64 new states writes them into an int32 table, a
+    denser one keeps a bytes snapshot of R (at most 64 of these, found by
+    bisection). Memory is O(q) bytes: 4q for the table and at most 8q for
+    the snapshots. The scan stops once every target is reached. Returns
+    None when no target is reachable; refuses q above 10**7 up front."""
+    if q > _MAX_Q:
+        raise ValueError(
+            f"modulus q = {q} is too large for the reachability DP (max 10**7)")
+    nbytes = (q + 7) // 8
+    tbits = bytearray(nbytes)
     for t in targets:
-        is_target[t] = 1
-    left = sum(is_target)
-    reached = bytearray(q)
-    parent: list[tuple[int, int] | None] = [None] * q
-    order: list[int] = []
+        tbits[t >> 3] |= 1 << (t & 7)
+    tmask = int.from_bytes(tbits, "little")
+    left = tmask.bit_count()
+    full = (1 << q) - 1
+    first = memoryview(bytearray(b"\xff") * (4 * q)).cast("i")  # int32, all -1
+    snaps: list[bytes] = []
+    snap_steps: list[int] = []
+    reached = 0
     for i, v in enumerate(values):
-        v %= q
-        base = len(order)
-        if not reached[v]:
-            reached[v] = 1
-            parent[v] = (i, -1)
-            order.append(v)
-            left -= is_target[v]
-        for k in range(base):
-            t = order[k] + v
-            if t >= q:
-                t -= q
-            if not reached[t]:
-                reached[t] = 1
-                parent[t] = (i, order[k])
-                order.append(t)
-                left -= is_target[t]
         if not left:
             break
+        v %= q
+        new = (_rotate(reached, v, q, full) | 1 << v) & ~reached
+        reached |= new
+        if new.bit_count() * 64 < q:
+            bits = format(new, "b")
+            top = len(bits) - 1
+            j = bits.find("1")
+            while j >= 0:
+                first[top - j] = i
+                j = bits.find("1", j + 1)
+        else:
+            snaps.append(reached.to_bytes(nbytes, "little"))
+            snap_steps.append(i)
+        left -= (new & tmask).bit_count()
 
     def witness(s: int) -> tuple[int, ...]:
         idx = []
-        while s != -1:
-            i, s = parent[s]
+        last = len(values)
+        while True:
+            i = first[s]
+            if i < 0:  # reached in a dense step: the first snapshot holding s
+                byte, bit = s >> 3, 1 << (s & 7)
+                i = snap_steps[bisect_left(snaps, True, key=lambda b: b[byte] & bit > 0)]
+            if i >= last:  # steps fall along a chain; a faulty table would loop here
+                raise RuntimeError(f"first-reach chain of state {s} does not descend")
+            last = i
             idx.append(i)
-        return tuple(reversed(idx))
+            v = values[i] % q
+            if s == v:
+                return tuple(reversed(idx))
+            s = (s - v) % q
 
-    return min(((witness(s), s) for s in targets if reached[s]), default=None)
+    final = reached.to_bytes(nbytes, "little")
+    return min(((witness(s), s) for s in targets if final[s >> 3] >> (s & 7) & 1),
+               default=None)
 
 
 def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitness | None:
@@ -217,11 +255,7 @@ def minimal_cover_k(p: int) -> int:
         if size > best:
             best = size
         for e in range(start, p):
-            if e:
-                rot = ((mask << e) | (mask >> (p - e))) & full
-            else:
-                rot = mask
-            nm = mask | rot | (1 << e)
+            nm = mask | _rotate(mask, e, p, full) | (1 << e)
             if nm != full:
                 stack.append((e + 1, size + 1, nm))
     return best + 1

@@ -101,11 +101,14 @@ def test_cli_membership(capsys):
 
 
 def test_cli_enumerate(capsys, tmp_path):
-    code, out, _ = run_cli(["enumerate", "--set", "purepowers", "--limit", "30"], capsys)
-    assert code == EXIT_OK
-    assert [int(t) for t in out.split()] == [1, 4, 8, 9, 16, 25, 27]
-
+    argv = ["enumerate", "--set", "purepowers", "--limit", "30"]
+    assert run_cli(argv, capsys) == (EXIT_OK, "n\n1\n4\n8\n9\n16\n25\n27\n", "")
+    # --out writes the same bytes that stdout carries
     target = tmp_path / "members.csv"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (EXIT_OK, "", "")
+    assert target.read_bytes() == b"n\n1\n4\n8\n9\n16\n25\n27\n"
+
+    target = tmp_path / "squareful.csv"
     code, _, _ = run_cli(
         ["enumerate", "--set", "squareful", "--limit", "50", "--out", str(target)], capsys
     )
@@ -125,6 +128,16 @@ def test_cli_olson_witness(capsys):
         ["olson", "--p", "7", "--elements", "1,2,3", "--target", "0"], capsys
     )
     assert code == EXIT_OK and out.strip() == "NOTFOUND"
+
+
+def test_cli_olson_refuses_huge_modulus(capsys):
+    # refused before the DP allocates anything, with one error line
+    code, out, err = run_cli(
+        ["olson", "--p", "1000000007", "--elements", "1,2", "--target", "5"], capsys
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: modulus q = 1000000007 is too large for the "
+                   "reachability DP (max 10**7)\n")
 
 
 def test_cli_liftzero_and_schwarzwald(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from cubesieve.zq import (
     subset_sum_find,
     sumset_mod_p,
     verify_olson_exhaustive,
+    _least_witness,
 )
 
 
@@ -314,6 +316,41 @@ def test_theorem_instance_generator_respects_hypotheses():
         b = random_lift_instance(rng, p, m)
         assert b.distinct_mod_p() > 4 * ceil_two_sqrt(p)
         assert any(e % m for e in b.elements)
+
+
+# --- the reachability DP's memory bound --------------------------------------
+
+def _peak_mib(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_dp_memory_long_sparse_run():
+    # 3000 steps of one new state each: the first-reach table, no snapshots
+    found, peak = _peak_mib(lambda: _least_witness([1] * 3000, 200003, (200002,)))
+    assert found is None
+    assert peak < 8
+
+
+def test_dp_memory_shifted_instance():
+    from cubesieve.harness import random_shift_instance
+
+    b, a0 = random_shift_instance(random.Random(0), 71, 3)  # q = 357911
+    w, peak = _peak_mib(lambda: schwarzwald(b, a0, "direct"))
+    assert w is not None and w.validate(b.elements)
+    assert peak < 8
+
+
+def test_dp_refuses_huge_modulus():
+    with pytest.raises(ValueError, match=r"q = 10000001 is too large .* \(max 10\*\*7\)"):
+        _least_witness([1, 2], 10**7 + 1, (5,))
+    with pytest.raises(ValueError, match="too large for the reachability DP"):
+        subset_sum_find([1, 2], 5, 1000000007)
+    assert _least_witness([1, 2], 10**7, (3,)) == ((0, 1), 3)
 
 
 # --- sumsets, Cauchy-Davenport ----------------------------------------------

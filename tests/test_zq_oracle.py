@@ -4,7 +4,9 @@ implementation (function bodies unchanged, docstrings dropped). That code
 ran the first-reach DP to the end, or up to a single `stop_at` target, and
 took the least witness over the reached admissible states. Each finder must
 give the same whole result as its reference: the SubsetWitness, None, or the
-type and message of the raised error."""
+type and message of the raised error. The core itself, a bitset DP that
+keeps only each state's first-reach step, must return what the reference
+per-state DP freezes for the same targets."""
 
 import random
 from typing import Sequence
@@ -274,6 +276,43 @@ def test_schwarzwald_matches_reference(data):
     b = ResidueMultiset(Modulus(p, m), elements)
     for strategy in ("direct", "paper", "other"):
         _same(zq.schwarzwald, schwarzwald, b, a0, strategy)
+
+
+def _least_witness(values, q, targets):
+    # the full DP freezes the same witnesses as an early-stopped one
+    reached, parent, _ = _first_reach_dp(values, q)
+    return min(((_witness_indices(parent, s), s) for s in targets if reached[s]),
+               default=None)
+
+
+@st.composite
+def run_lists(draw, q: int):
+    """Runs of one residue each: long runs of a small residue or zero reach
+    a few states per element (the sparse first-reach table), arbitrary
+    residues soon reach q/64 or more at once (the snapshots)."""
+    values = []
+    for _ in range(draw(st.integers(0, 6))):
+        r = draw(st.one_of(st.integers(0, 5), st.integers(0, q - 1), st.integers(-q, 2 * q)))
+        values += [r] * draw(st.sampled_from((1, 1, 2, 3, 8, 40)))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_least_witness_matches_reference(data):
+    q = data.draw(st.one_of(st.integers(1, 70), st.integers(64, 5000)))
+    kind = data.draw(st.sampled_from(("runs", "runs", "random", "equal")))
+    if kind == "runs":
+        values = data.draw(run_lists(q))
+    elif kind == "random":
+        values = data.draw(st.lists(st.integers(0, q - 1), max_size=24))
+    else:
+        values = [data.draw(st.integers(0, q - 1))] * data.draw(st.integers(0, 60))
+    targets = data.draw(st.one_of(
+        st.lists(st.integers(0, q - 1), max_size=8),
+        st.builds(lambda a, d: range(a % d, q, d), st.integers(0, q), st.integers(1, 97)),
+    ))
+    assert zq._least_witness(values, q, targets) == _least_witness(values, q, targets)
 
 
 # ---------------------------------------------------------------------------
