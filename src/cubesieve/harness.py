@@ -32,7 +32,14 @@ from .cube import (
     verify,
 )
 from .primes import PrimeSet, parse_prime_set, primes_up_to
-from .sieve import _check_log_n, gallagher_bound, gallagher_bound_weighted, optimize_cutoff, profile
+from .sieve import (
+    _check_log_n,
+    gallagher_bound,
+    gallagher_bound_weighted,
+    optimize_cutoff,
+    prescribed_cutoff,
+    profile,
+)
 from .sunflower import (
     SetFamily,
     find_sunflower,
@@ -178,7 +185,7 @@ def run_sieve_compare(cfg: ExperimentConfig):
         squares = [a * a for a in range(1, math.isqrt(n) + 1)]
         truth = len(squares)
         log_n = math.log(n)
-        y_star = max(4, int(round((20.0 / cfg.tau) ** 2 * log_n * log_n)))
+        y_star = max(4, int(round(prescribed_cutoff(cfg.tau, log_n))))
         grid = sorted({max(4, y_star // k) for k in (16, 8, 4, 2)} | {y_star})
         scan = optimize_cutoff(all_primes, "measured", log_n, grid, values=squares,
                                tau=cfg.tau)
@@ -252,15 +259,13 @@ def _check(report: VerifyAllReport, name: str, fn) -> None:
     report.checks.append(CheckOutcome(name, ok, detail))
 
 
-def run_verify_all(cfg: ExperimentConfig | None = None,
-                   witness_fault_hook=None) -> VerifyAllReport:
+def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
     """Run every module's verification suite at caps small enough for an
     interactive run; the acceptance tests run the full-size versions.
 
     `witness_fault_hook` corrupts witnesses before re-validation and exists
     so the harness can prove it detects invalid witnesses."""
-    seed = cfg.seed if cfg else 0
-    rng = random.Random(seed)
+    rng = random.Random(0)
     rep = VerifyAllReport()
 
     def olson_exhaustive():
@@ -485,6 +490,8 @@ def cmd_liftzero(args) -> int:
 
 
 def cmd_schwarzwald(args) -> int:
+    if args.ell < 2:
+        raise ValueError(f"modulus must be p^ell with ell > 1, got p={args.p}, ell={args.ell}")
     mod = Modulus(args.p, args.p ** (args.ell - 1))
     b = ResidueMultiset(mod, tuple(_ints(args.elements)))
     w = schwarzwald(b, args.a0, strategy=args.strategy)
@@ -600,7 +607,7 @@ def cmd_experiment(args) -> int:
                 setattr(args, key, cast(loaded[key]))
 
     if args.name == "verify-all":
-        report = run_verify_all(witness_fault_hook=None)
+        report = run_verify_all()
         print("\n".join(report.lines()))
         return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 

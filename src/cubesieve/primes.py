@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -84,39 +85,28 @@ def validate_definite_form(a: int, b: int, c: int) -> int:
     return disc
 
 
-def inert_primes(a: int, b: int, c: int, y: int) -> list[int]:
-    """Odd primes p <= y, coprime to the discriminant, with (disc/p) = -1.
-
-    For such p, p | a*x^2+b*x*y+c*y^2 forces p^2 | a*x^2+b*x*y+c*y^2.
-    p = 2 and primes dividing the discriminant are set aside."""
-    return PrimeSet.inert_of_form(a, b, c).primes_up_to(y)
-
-
 class PrimeSet:
-    """A (possibly infinite) set of primes with a lazily grown enumeration cache.
+    """A (possibly infinite) set of primes: one membership test for numbers
+    already known to be prime, the spec it is described by, and a lazily
+    grown enumeration cache.
 
-    Kinds: all primes; primes p = a (mod q); an explicit finite list; the
-    inert primes of a positive definite form; or the complement of another
-    prime set. Caches are rebuilt on demand when a query exceeds the cached
-    limit, then read-only."""
+    Each constructor builds one kind: all primes; primes p = a (mod q); an
+    explicit finite list, which is enumerated without sieving; the inert
+    primes of a positive definite form; or the complement of another prime
+    set. Caches are rebuilt on demand when a query exceeds the cached limit,
+    then read-only."""
 
-    def __init__(self, kind: str, *, a: int = 0, q: int = 0,
-                 plist: tuple[int, ...] = (),
-                 form: tuple[int, int, int] | None = None,
-                 inner: "PrimeSet | None" = None):
-        self.kind = kind
-        self.a = a
-        self.q = q
-        self.plist = plist
-        self.form = form
-        self.inner = inner
-        self._disc = validate_definite_form(*form) if form is not None else 0
-        self._cache: list[int] = []
-        self._cache_limit = -1
+    def __init__(self, spec: str, contains_prime: Callable[[int], bool],
+                 members: tuple[int, ...] | None = None):
+        self.spec = spec
+        self.contains_prime = contains_prime
+        # an explicit list is its own enumeration, complete at every y
+        self._cache = list(members or ())
+        self._cache_limit = -1 if members is None else math.inf
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
-        return cls("all")
+        return cls("all", lambda p: True)
 
     @classmethod
     def residue_class(cls, a: int, q: int) -> "PrimeSet":
@@ -125,7 +115,7 @@ class PrimeSet:
         a %= q
         if math.gcd(a, q) != 1:
             raise ValueError(f"residue class {a} mod {q} is not reduced: gcd != 1")
-        return cls("class", a=a, q=q)
+        return cls(f"class:{a},{q}", lambda p: p % q == a)
 
     @classmethod
     def explicit(cls, primes) -> "PrimeSet":
@@ -133,48 +123,31 @@ class PrimeSet:
         for p in plist:
             if not is_prime(p):
                 raise ValueError(f"explicit prime list contains composite {p}")
-        return cls("list", plist=plist)
+        return cls("list:" + ",".join(str(p) for p in plist), frozenset(plist).__contains__, plist)
 
     @classmethod
     def inert_of_form(cls, a: int, b: int, c: int) -> "PrimeSet":
-        return cls("inert", form=(a, b, c))
+        """Odd primes p, coprime to the discriminant, with (disc/p) = -1.
+
+        For such p, p | a*x^2+b*x*y+c*y^2 forces p^2 | a*x^2+b*x*y+c*y^2.
+        p = 2 and primes dividing the discriminant are set aside."""
+        disc = validate_definite_form(a, b, c)
+        return cls(f"inert:{a},{b},{c}",
+                   lambda p: p != 2 and disc % p != 0 and pow(disc, (p - 1) // 2, p) == p - 1)
 
     @classmethod
     def complement(cls, inner: "PrimeSet") -> "PrimeSet":
-        return cls("complement", inner=inner)
-
-    def contains_prime(self, p: int) -> bool:
-        """Membership for a number already known to be prime."""
-        if self.kind == "all":
-            return True
-        if self.kind == "class":
-            return p % self.q == self.a
-        if self.kind == "list":
-            return p in self.plist
-        if self.kind == "inert":
-            return p != 2 and self._disc % p != 0 and pow(self._disc, (p - 1) // 2, p) == p - 1
-        return not self.inner.contains_prime(p)
+        return cls("complement:" + inner.spec, lambda p: not inner.contains_prime(p))
 
     def primes_up_to(self, y: int) -> list[int]:
         """Members of the set that are <= y, ascending."""
         if y > self._cache_limit:
-            if self.kind == "list":
-                self._cache = list(self.plist)
-            else:
-                self._cache = [p for p in primes_up_to(y) if self.contains_prime(p)]
-            self._cache_limit = max(y, self.plist[-1] if self.plist else y)
+            self._cache = [p for p in primes_up_to(y) if self.contains_prime(p)]
+            self._cache_limit = y
         return self._cache[: bisect_right(self._cache, y)]
 
     def describe(self) -> str:
-        if self.kind == "all":
-            return "all"
-        if self.kind == "class":
-            return f"class:{self.a},{self.q}"
-        if self.kind == "list":
-            return "list:" + ",".join(str(p) for p in self.plist)
-        if self.kind == "inert":
-            return "inert:{},{},{}".format(*self.form)
-        return "complement:" + self.inner.describe()
+        return self.spec
 
     def __repr__(self) -> str:
         return f"PrimeSet({self.describe()!r})"

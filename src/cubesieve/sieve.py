@@ -7,7 +7,10 @@ classes modulo each chosen prime power, that its count up to N is at most
 
 whenever the denominator is positive (the numerator's log p is the log of
 the prime base, not of the prime power). The weighted variant replaces
-1/nu with the normalized second moment of the occupancy counts."""
+1/nu with the normalized second moment sum_h Z(h)^2 / |A|^2 of the
+occupancy counts. Both are one running sum of per-prime terms from -log N,
+which `gallagher_bound`, `gallagher_bound_weighted` and `optimize_cutoff`
+all evaluate through `_bounds`."""
 
 from __future__ import annotations
 
@@ -24,30 +27,18 @@ from .zq import ceil_two_sqrt
 DENOM_TOL = 1e-9
 
 
-def _prime_power(modulus: int) -> tuple[int, int]:
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    factors = factorize(modulus).factors
-    if len(factors) != 1:
-        raise ValueError(f"{modulus} is not a prime power")
-    return factors[0]
-
-
 @dataclass(frozen=True)
 class ResidueProfile:
     """Occupied residue classes of a multiset modulo a prime power.
 
-    `counts` holds the occupancy of each class (None for synthetic profiles
-    built from a class-count model), `nu` the number of occupied classes,
-    `size` the number of profiled integers, `sumsq` the second moment
-    sum_h Z(h)^2 of the occupancies."""
+    `nu` is the number of occupied classes, `sumsq` the second moment
+    sum_h Z(h)^2 of the occupancies and `size` the number of profiled
+    integers. The modulus is prime exactly when `modulus == prime`."""
     modulus: int
     prime: int
-    exponent: int
-    nu: float
-    counts: tuple[int, ...] | None
+    nu: int
+    sumsq: int
     size: int
-    sumsq: int | None = None
 
 
 def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
@@ -55,22 +46,15 @@ def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
     vals = list(values)
     if not vals:
         raise ValueError("cannot profile an empty set")
-    p, i = _prime_power(modulus)
-    counts = [0] * modulus
-    for v in vals:
-        counts[v % modulus] += 1
-    nu = sum(1 for c in counts if c)
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    factors = factorize(modulus).factors
+    if len(factors) != 1:
+        raise ValueError(f"{modulus} is not a prime power")
+    counts = Counter(v % modulus for v in vals).values()
     return ResidueProfile(
-        modulus, p, i, nu, tuple(counts), len(vals), sum(c * c for c in counts)
+        modulus, factors[0][0], len(counts), sum(c * c for c in counts), len(vals)
     )
-
-
-def model_profile(modulus: int, nu: float) -> ResidueProfile:
-    """Synthetic profile carrying only a class-count model value."""
-    if nu <= 0:
-        raise ValueError(f"class count must be positive, got {nu}")
-    p, i = _prime_power(modulus)
-    return ResidueProfile(modulus, p, i, float(nu), None, 0)
 
 
 @dataclass(frozen=True)
@@ -102,17 +86,47 @@ def _check_log_n(log_n: float) -> None:
         raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
 
 
+def prescribed_cutoff(tau: float, log_n: float) -> float:
+    """The cutoff y = (20/tau)^2 (log N)^2 that the paper prescribes."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    return (20.0 / tau) ** 2 * log_n * log_n
+
+
+def _plain_term(p: int, nu: float) -> tuple[float, float]:
+    lp = math.log(p)
+    return lp, lp / nu
+
+
+def _weighted_term(p: int, sumsq: int, size: int) -> tuple[float, float]:
+    lp = math.log(p)
+    return lp, lp * sumsq / size**2
+
+
+def _bounds(log_n: float, terms: Iterable[tuple[float, float]], moduli: Sequence[int],
+            cuts: Iterable[int], variant: str) -> list[SieveBoundReport]:
+    """The bound over the first k moduli for each k in `cuts`. Numerator and
+    denominator start at -log N and add the per-prime terms in order."""
+    num = den = -log_n
+    sums = [(num, den)]
+    for dnum, dden in terms:
+        num += dnum
+        den += dden
+        sums.append((num, den))
+    reports = []
+    for k in cuts:
+        num, den = sums[k]
+        bound = num / den if den > DENOM_TOL else None
+        reports.append(SieveBoundReport(log_n, num, den, bound, tuple(moduli[:k]), variant))
+    return reports
+
+
 def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBoundReport:
     """Plain larger-sieve bound from per-modulus class counts."""
     _check_log_n(log_n)
     profs = _check_moduli(profiles)
-    num = den = -log_n
-    for r in profs:
-        lp = math.log(r.prime)
-        num += lp
-        den += lp / r.nu
-    bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "plain")
+    terms = (_plain_term(r.prime, r.nu) for r in profs)
+    return _bounds(log_n, terms, [r.modulus for r in profs], [len(profs)], "plain")[0]
 
 
 def gallagher_bound_weighted(
@@ -125,21 +139,15 @@ def gallagher_bound_weighted(
     if count_b < 1:
         raise ValueError(f"profiled count must be positive, got {count_b}")
     profs = _check_moduli(profiles)
-    num = den = -log_n
     for r in profs:
-        if r.exponent != 1:
+        if r.modulus != r.prime:
             raise ValueError(f"weighted variant needs prime moduli, got {r.modulus}")
-        if r.sumsq is None:
-            raise ValueError(f"weighted variant needs measured counts at {r.modulus}")
-        if r.size != count_b or (r.counts is not None and sum(r.counts) != count_b):
+        if r.size != count_b:
             raise ValueError(
                 f"profile at {r.modulus} covers {r.size} integers, expected {count_b}"
             )
-        lp = math.log(r.prime)
-        num += lp
-        den += lp * r.sumsq / (count_b * count_b)
-    bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "weighted")
+    terms = (_weighted_term(r.prime, r.sumsq, count_b) for r in profs)
+    return _bounds(log_n, terms, [r.modulus for r in profs], [len(profs)], "weighted")[0]
 
 
 NU_MODELS: dict[str, Callable[[int], float]] = {
@@ -178,6 +186,7 @@ def optimize_cutoff(
     if variant not in ("plain", "weighted"):
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
     _check_log_n(log_n)
+    prescribed = prescribed_cutoff(tau, log_n)
 
     measured = nu_model == "measured"
     if measured or variant == "weighted":
@@ -189,31 +198,23 @@ def optimize_cutoff(
     if not measured:
         model = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
 
-    # sums[k]: numerator and denominator over the first k primes, summed as gallagher_bound does
     primes = tuple(prime_set.primes_up_to(grid[-1]))
-    num = den = -log_n
-    sums = [(num, den)]
-    for p in primes:
-        lp = math.log(p)
-        if variant == "weighted":
-            counts = Counter([v % p for v in vals]).values()
-            den += lp * sum(c * c for c in counts) / (len(vals) * len(vals))
-        elif measured:
-            den += lp / len({v % p for v in vals})
-        else:
-            nu = model(p)
-            if nu <= 0:
-                raise ValueError(f"class count must be positive, got {nu}")
-            den += lp / float(nu)
-        num += lp
-        sums.append((num, den))
 
-    rows = []
-    for y in grid:
-        cut = bisect_right(primes, y)
-        num, den = sums[cut]
-        bound = num / den if den > DENOM_TOL else None
-        rows.append((y, SieveBoundReport(log_n, num, den, bound, primes[:cut], variant)))
+    def terms():
+        for p in primes:
+            if variant == "weighted":
+                counts = Counter([v % p for v in vals]).values()
+                yield _weighted_term(p, sum(c * c for c in counts), len(vals))
+            elif measured:
+                yield _plain_term(p, len({v % p for v in vals}))
+            else:
+                nu = model(p)
+                if nu <= 0:
+                    raise ValueError(f"class count must be positive, got {nu}")
+                yield _plain_term(p, float(nu))
+
+    cuts = [bisect_right(primes, y) for y in grid]
+    rows = tuple(zip(grid, _bounds(log_n, terms(), primes, cuts, variant)))
     best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
                        key=lambda row: row[1].bound, default=(None, None))
-    return CutoffScan(tuple(rows), best_y, best, (20.0 / tau) ** 2 * log_n * log_n)
+    return CutoffScan(rows, best_y, best, prescribed)

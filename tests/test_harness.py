@@ -163,6 +163,16 @@ def test_cli_schwarzwald_precondition_is_usage_error(capsys):
     assert code == EXIT_USAGE and "A1" in err
 
 
+@pytest.mark.parametrize("ell", ["1", "0", "-3"])
+def test_cli_schwarzwald_refuses_small_ell(ell, capsys):
+    # ell < 1 used to reach Modulus with the float cofactor 7 ** (ell - 1)
+    code, out, err = run_cli(
+        ["schwarzwald", "--p", "7", "--ell", ell, "--a0", "0", "--elements", "1,2,3"], capsys
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: modulus must be p^ell with ell > 1, got p=7, ell={ell}\n"
+
+
 def test_cli_cube_verify(capsys):
     code, out, _ = run_cli(
         ["cube-verify", "--a0", "1", "--steps", "7,24", "--set", "squareful",
@@ -380,3 +390,11 @@ def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys):
     code, out, err = run_cli(["sieve-bound"] + argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tau, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
+                                        ("inf", "inf")])
+def test_cli_sieve_compare_rejects_bad_tau(tau, shown, capsys):
+    code, out, err = run_cli(["experiment", "sieve-compare", "--grid", "2", "--tau", tau], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: tau must be finite and positive, got {shown}\n"

@@ -7,7 +7,6 @@ from cubesieve.primes import (
     DensityReport,
     PrimeSet,
     density,
-    inert_primes,
     is_prime,
     legendre,
     parse_prime_set,
@@ -84,16 +83,16 @@ def test_legendre_multiplicative():
 
 
 def test_inert_primes_examples():
-    assert inert_primes(1, 0, 1, 20) == [3, 7, 11, 19]
-    assert inert_primes(1, 0, 1, 2) == []
-    assert inert_primes(1, 1, 1, 20) == [5, 11, 17]
+    assert PrimeSet.inert_of_form(1, 0, 1).primes_up_to(20) == [3, 7, 11, 19]
+    assert PrimeSet.inert_of_form(1, 0, 1).primes_up_to(2) == []
+    assert PrimeSet.inert_of_form(1, 1, 1).primes_up_to(20) == [5, 11, 17]
 
 
 def test_inert_primes_brute_crosscheck():
     # inert exactly when the discriminant misses every nonzero square mod p
     for a, b, c in [(1, 0, 1), (1, 1, 1), (2, 1, 3)]:
         disc = b * b - 4 * a * c
-        got = set(inert_primes(a, b, c, 100))
+        got = set(PrimeSet.inert_of_form(a, b, c).primes_up_to(100))
         for p in trial_division_primes(100):
             if p == 2 or disc % p == 0:
                 assert p not in got

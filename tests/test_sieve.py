@@ -8,7 +8,6 @@ from cubesieve.sieve import (
     NU_MODELS,
     gallagher_bound,
     gallagher_bound_weighted,
-    model_profile,
     optimize_cutoff,
     profile,
 )
@@ -16,20 +15,22 @@ from cubesieve.sieve import (
 
 def test_profile_examples():
     r = profile({1, 2, 3}, 5)
-    assert r.nu == 3 and r.counts == (0, 1, 1, 1, 0) and r.size == 3
+    assert (r.nu, r.sumsq, r.size) == (3, 3, 3)
 
+    # squares 1..100 mod 7 fall in classes 0, 1, 2, 4 with counts 1, 3, 3, 3
     squares = [a * a for a in range(1, 11)]
     r = profile(squares, 7)
-    assert r.nu == 4
-    assert {h for h, c in enumerate(r.counts) if c} == {0, 1, 2, 4}
+    assert (r.nu, r.sumsq, r.size) == (4, 28, 10)
 
     r = profile([5, 10, 15], 5)
-    assert r.nu == 1 and r.counts[0] == 3
+    assert (r.nu, r.sumsq, r.size) == (1, 9, 3)
 
 
 def test_profile_prime_power_modulus():
     r = profile([1, 9, 10], 9)
-    assert r.prime == 3 and r.exponent == 2 and r.nu == 2
+    assert (r.modulus, r.prime, r.nu) == (9, 3, 2)
+    r = profile([1, 9, 10], 3)
+    assert r.modulus == r.prime == 3
     with pytest.raises(ValueError):
         profile([1], 12)
     with pytest.raises(ValueError):
@@ -39,12 +40,14 @@ def test_profile_prime_power_modulus():
 def test_profile_invariants():
     rng = random.Random(5)
     for _ in range(50):
-        vals = [rng.randrange(1000) for _ in range(rng.randrange(1, 50))]
+        vals = [rng.randrange(-500, 1000) for _ in range(rng.randrange(1, 50))]
         mod = rng.choice([2, 3, 4, 5, 7, 9, 25, 27])
         r = profile(vals, mod)
-        assert r.nu == sum(1 for c in r.counts if c)
-        assert sum(r.counts) == len(vals) == r.size
-        assert r.sumsq == sum(c * c for c in r.counts)
+        counts = [sum(1 for v in vals if v % mod == h) for h in range(mod)]
+        assert r.nu == sum(1 for c in counts if c)
+        assert r.size == len(vals) == sum(counts)
+        assert r.sumsq == sum(c * c for c in counts)
+        assert r.modulus == mod and mod % r.prime == 0 and r.prime in (2, 3, 5, 7)
 
 
 def test_plain_bound_nu_one_is_one():
@@ -118,8 +121,6 @@ def test_weighted_rejects_inconsistency():
         gallagher_bound_weighted(profs, 3, 1.0)
     with pytest.raises(ValueError):
         gallagher_bound_weighted([profile([1, 2], 9)], 2, 1.0)
-    with pytest.raises(ValueError):
-        gallagher_bound_weighted([model_profile(5, 2)], 2, 1.0)
 
 
 def test_log_n_must_be_finite_and_positive():
@@ -220,3 +221,6 @@ def test_optimize_cutoff_validation():
         optimize_cutoff(allp, "measured", 1.0, [10])
     with pytest.raises(ValueError, match="cannot profile an empty set"):
         optimize_cutoff(allp, "measured", 1.0, [10], values=[])
+    for tau in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+            optimize_cutoff(allp, "two_sqrt", 1.0, [10], tau=tau)

@@ -1,12 +1,15 @@
-"""Differential tests: the one-pass running-sum cutoff scan in
-cubesieve.sieve.optimize_cutoff against the scan it replaced, which is kept
-below as a reference implementation (bodies unchanged, docstring dropped).
-That scan built a profile for every prime and re-evaluated gallagher_bound
-or gallagher_bound_weighted on each prefix. Both must return equal
-CutoffScans, every float compared with ==, so the CSV bytes stay the same."""
+"""Differential tests: the larger-sieve bounds and the one-pass running-sum
+cutoff scan in cubesieve.sieve against the code they replaced, which is kept
+below as a reference implementation (bodies unchanged, docstrings dropped).
+The reference builds a dense profile for every modulus, sums each bound in
+its own loop, and re-evaluates the bound on each prefix of the primes in a
+scan; it shares no summing code with cubesieve.sieve. Both must return equal
+reports and CutoffScans, every float compared with ==, so the CSV bytes stay
+the same."""
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import pytest
@@ -14,19 +17,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesieve import sieve
+from cubesieve.arithsets import factorize
 from cubesieve.primes import PrimeSet, parse_prime_set, primes_up_to
-from cubesieve.sieve import (
-    NU_MODELS,
-    CutoffScan,
-    ResidueProfile,
-    _prime_power,
-    gallagher_bound,
-    gallagher_bound_weighted,
-    model_profile,
-)
+from cubesieve.sieve import NU_MODELS, CutoffScan, SieveBoundReport
 
 # ---------------------------------------------------------------------------
 # reference implementation (a profile per prime, a bound per prefix)
+
+DENOM_TOL = 1e-9
+
+
+def _prime_power(modulus: int) -> tuple[int, int]:
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    factors = factorize(modulus).factors
+    if len(factors) != 1:
+        raise ValueError(f"{modulus} is not a prime power")
+    return factors[0]
+
+
+@dataclass(frozen=True)
+class ResidueProfile:
+    modulus: int
+    prime: int
+    exponent: int
+    nu: float
+    counts: tuple[int, ...] | None
+    size: int
+    sumsq: int | None = None
+
+
+def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
+    vals = list(values)
+    if not vals:
+        raise ValueError("cannot profile an empty set")
+    p, i = _prime_power(modulus)
+    counts = [0] * modulus
+    for v in vals:
+        counts[v % modulus] += 1
+    nu = sum(1 for c in counts if c)
+    return ResidueProfile(
+        modulus, p, i, nu, tuple(counts), len(vals), sum(c * c for c in counts)
+    )
+
+
+def model_profile(modulus: int, nu: float) -> ResidueProfile:
+    if nu <= 0:
+        raise ValueError(f"class count must be positive, got {nu}")
+    p, i = _prime_power(modulus)
+    return ResidueProfile(modulus, p, i, float(nu), None, 0)
 
 
 def _light_profile(vals: list[int], modulus: int) -> ResidueProfile:
@@ -40,6 +79,55 @@ def _light_profile(vals: list[int], modulus: int) -> ResidueProfile:
         modulus, p, i, len(counts), None, len(vals),
         sum(c * c for c in counts.values()),
     )
+
+
+def _check_moduli(profiles: Sequence[ResidueProfile]) -> list[ResidueProfile]:
+    profs = sorted(profiles, key=lambda r: r.modulus)
+    for a, b in zip(profs, profs[1:]):
+        if a.modulus == b.modulus:
+            raise ValueError(f"duplicate modulus {a.modulus}")
+    return profs
+
+
+def _check_log_n(log_n: float) -> None:
+    if not (math.isfinite(log_n) and log_n > 0):
+        raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
+
+
+def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBoundReport:
+    _check_log_n(log_n)
+    profs = _check_moduli(profiles)
+    num = den = -log_n
+    for r in profs:
+        lp = math.log(r.prime)
+        num += lp
+        den += lp / r.nu
+    bound = num / den if den > DENOM_TOL else None
+    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "plain")
+
+
+def gallagher_bound_weighted(
+    profiles: Sequence[ResidueProfile], count_b: int, log_n: float
+) -> SieveBoundReport:
+    _check_log_n(log_n)
+    if count_b < 1:
+        raise ValueError(f"profiled count must be positive, got {count_b}")
+    profs = _check_moduli(profiles)
+    num = den = -log_n
+    for r in profs:
+        if r.exponent != 1:
+            raise ValueError(f"weighted variant needs prime moduli, got {r.modulus}")
+        if r.sumsq is None:
+            raise ValueError(f"weighted variant needs measured counts at {r.modulus}")
+        if r.size != count_b or (r.counts is not None and sum(r.counts) != count_b):
+            raise ValueError(
+                f"profile at {r.modulus} covers {r.size} integers, expected {count_b}"
+            )
+        lp = math.log(r.prime)
+        num += lp
+        den += lp * r.sumsq / (count_b * count_b)
+    bound = num / den if den > DENOM_TOL else None
+    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "weighted")
 
 
 def optimize_cutoff(
@@ -97,20 +185,34 @@ _SMALL_PRIMES = primes_up_to(700)
 
 
 @st.composite
-def prime_sets(draw, depth: int = 0) -> PrimeSet:
-    kinds = ["all", "class", "inert", "list"] + (["complement"] if depth == 0 else [])
+def prime_set_recipes(draw, depth: int = 0, max_depth: int = 1) -> tuple:
+    """A PrimeSet constructor call as (name, *args); a complement holds the
+    recipe of its inner set. `build_prime_set` makes it with either class."""
+    kinds = ["all", "class", "inert", "list"] + (["complement"] if depth < max_depth else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "all":
-        return PrimeSet.all_primes()
+        return ("all_primes",)
     if kind == "class":
         q = draw(st.integers(1, 24))
         a = draw(st.integers(0, q - 1).filter(lambda a: math.gcd(a, q) == 1))
-        return PrimeSet.residue_class(a, q)
+        # the constructor reduces a mod q
+        return ("residue_class", a + q * draw(st.integers(-2, 2)), q)
     if kind == "inert":
-        return PrimeSet.inert_of_form(*draw(st.sampled_from(_FORMS)))
+        return ("inert_of_form", *draw(st.sampled_from(_FORMS)))
     if kind == "list":
-        return PrimeSet.explicit(draw(st.lists(st.sampled_from(_SMALL_PRIMES), max_size=30)))
-    return PrimeSet.complement(draw(prime_sets(depth=1)))
+        return ("explicit", draw(st.lists(st.sampled_from(_SMALL_PRIMES), max_size=30)))
+    return ("complement", draw(prime_set_recipes(depth + 1, max_depth)))
+
+
+def build_prime_set(cls, recipe: tuple):
+    name, *args = recipe
+    if name == "complement":
+        args = [build_prime_set(cls, args[0])]
+    return getattr(cls, name)(*args)
+
+
+def prime_sets() -> st.SearchStrategy:
+    return prime_set_recipes().map(lambda recipe: build_prime_set(PrimeSet, recipe))
 
 
 # an --elements-file may repeat values and hold zero or negative numbers
@@ -148,6 +250,37 @@ def test_scan_weighted_matches_reference(ps, vals, grid, log_n, nu_model):
 @given(prime_sets(), _models, _grids, _log_ns, _taus)
 def test_scan_model_matches_reference(ps, model, grid, log_n, tau):
     _both(ps, model, log_n, grid, tau=tau)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+_moduli = st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 31, 49, 97, 125]),
+                   max_size=10, unique=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, _moduli, _log_ns, st.integers(-1, 1))
+def test_bounds_match_reference(vals, moduli, log_n, count_delta):
+    new = [sieve.profile(vals, m) for m in moduli]
+    old = [profile(vals, m) for m in moduli]
+    for a, b in zip(new, old):
+        assert (a.modulus, a.prime, a.nu, a.sumsq, a.size) == (
+            b.modulus, b.prime, b.nu, b.sumsq, b.size)
+        assert (a.modulus == a.prime) == (b.exponent == 1)
+    assert sieve.gallagher_bound(new, log_n) == gallagher_bound(old, log_n)
+    # prime powers and a wrong count make both refuse, with the same message
+    count_b = len(vals) + count_delta
+    assert (_outcome(sieve.gallagher_bound_weighted, new, count_b, log_n)
+            == _outcome(gallagher_bound_weighted, old, count_b, log_n))
+    new_p = [r for r in new if r.modulus == r.prime]
+    old_p = [r for r in old if r.exponent == 1]
+    assert (sieve.gallagher_bound_weighted(new_p, len(vals), log_n)
+            == gallagher_bound_weighted(old_p, len(vals), log_n))
 
 
 @pytest.mark.parametrize("spec", ["all", "class:1,4", "inert:1,1,1", "complement:inert:1,0,1"])
