@@ -1,6 +1,9 @@
-"""Multiplicatively defined integer sets: squareful numbers, r-full numbers
-relative to a prime set, pure powers, values of positive definite binary
-quadratic forms, and prime-restricted multiplicative semigroups.
+"""Multiplicatively defined integer sets, each with its own membership test
+and its own enumerator: squareful numbers (as a^2 * b^3, b squarefree),
+r-full numbers relative to a prime set T (a bytearray sieve over the primes
+of T), pure powers (a^e for each e >= 2), values of positive definite binary
+quadratic forms (marked over a bounded (x, y) box), and prime-restricted
+multiplicative semigroups (products of powers of the primes of T).
 
 All sets live inside the positive integers; 1 is a member wherever the
 defining condition is vacuous (and 1 = 1^2 counts as a pure power)."""
@@ -9,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .primes import PrimeSet, validate_definite_form
+from .primes import PrimeSet, parse_prime_set, validate_definite_form
 
 _MAX_N = 2**63 - 1
 
@@ -56,6 +60,8 @@ def iroot(n: int, e: int) -> int:
         raise ValueError(f"iroot needs n >= 0 and e >= 1, got ({n}, {e})")
     if n < 2 or e == 1:
         return n
+    if e >= n.bit_length():  # 2**e > n; Newton from 2 would form 2**(e - 1)
+        return 1
     r = 1 << -(-n.bit_length() // e)
     while True:
         nxt = ((e - 1) * r + n // r ** (e - 1)) // e
@@ -75,48 +81,14 @@ def is_perfect_power(n: int) -> bool:
     return False
 
 
-def _squarefree(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(n).factors)
-
-
-def smallest_factor_table(limit: int) -> list[int]:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= limit."""
-    spf = list(range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
-def _factor_pairs_spf(n: int, spf: list[int]):
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        yield p, e
-
-
 class SetDescriptor:
-    """Base for symbolic arithmetic-set descriptors."""
+    """Interface for symbolic arithmetic-set descriptors; each set implements
+    all three methods itself."""
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
 
     def members_up_to(self, limit: int) -> list[int]:
-        """Default enumeration: factor every integer once via a shared table."""
-        if limit < 1:
-            return []
-        spf = smallest_factor_table(limit)
-        return [1] + [
-            n for n in range(2, limit + 1)
-            if self._factored_ok(_factor_pairs_spf(n, spf))
-        ]
-
-    def _factored_ok(self, pairs) -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -138,7 +110,7 @@ class Squareful(SetDescriptor):
         out = set()
         b = 1
         while b**3 <= limit:
-            if _squarefree(b):
+            if all(e == 1 for _, e in factorize(b).factors):  # b squarefree
                 bb = b**3
                 for a in range(1, math.isqrt(limit // bb) + 1):
                     out.add(a * a * bb)
@@ -162,10 +134,24 @@ class RFull(SetDescriptor):
     def contains(self, n: int) -> bool:
         if n < 1:
             return False
-        return self._factored_ok(factorize(n).factors)
+        return all(e >= self.r or not self.primes.contains_prime(p)
+                   for p, e in factorize(n).factors)
 
-    def _factored_ok(self, pairs) -> bool:
-        return all(e >= self.r or not self.primes.contains_prime(p) for p, e in pairs)
+    def members_up_to(self, limit: int) -> list[int]:
+        """Sieve out each n that some p in T divides, but fewer than r times."""
+        if limit < 1:
+            return []
+        root = iroot(limit, self.r)  # p**r <= limit exactly when p <= root
+        keep = bytearray(b"\x01") * (limit + 1)
+        keep[0] = 0
+        for p in self.primes.primes_up_to(limit):
+            if p > root:  # p**r > limit: no multiple of p is a member
+                keep[p::p] = bytes(limit // p)
+                continue
+            pr = p**self.r
+            for start in range(p, pr, p):  # n = p, 2p, ..., p**r - p (mod p**r)
+                keep[start::pr] = bytes((limit - start) // pr + 1)
+        return list(compress(range(limit + 1), keep))
 
     def describe(self) -> str:
         return f"rfull:{self.r},{self.primes.describe()}"
@@ -295,8 +281,6 @@ def enumerate_members(s: SetDescriptor, limit: int) -> list[int]:
 def parse_set_descriptor(text: str) -> SetDescriptor:
     """Parse `squareful`, `rfull:r,<primeset>`, `purepowers`, `quadform:a,b,c`,
     `semigroup:<primeset>`."""
-    from .primes import parse_prime_set
-
     text = text.strip()
     if text == "squareful":
         return Squareful()

@@ -147,23 +147,18 @@ def _bitset(members: list[int]) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _candidates(bits: int, fits: int, smax: int, steps: list[int],
-                distinct: bool) -> tuple[list[tuple[int, int]], int]:
-    """The admissible next steps: set bits of `fits` at positions >= low,
-    ascending, where low is 1 for the first step and otherwise the last step
-    (plus one under `distinct`). Each comes with the number of members in
-    [smax + low, smax + a], i.e. the members a scan in ascending order passes
-    up to and including smax + a; the second value counts all members
-    >= smax + low."""
+def _candidates(fits: int, steps: list[int], distinct: bool) -> tuple[int, list[int]]:
+    """The least allowed step `low` (1 for the first step, otherwise the last
+    step, plus one under `distinct`) and the admissible next steps: the set
+    bits of `fits` at positions >= low, ascending."""
     low = (steps[-1] + 1 if distinct else steps[-1]) if steps else 1
-    window = bits >> (smax + low)
     rest = fits >> low
     out = []
     while rest:
         k = (rest & -rest).bit_length() - 1
-        out.append((low + k, (window & ((2 << k) - 1)).bit_count()))
+        out.append(low + k)
         rest &= rest - 1
-    return out, window.bit_count()
+    return low, out
 
 
 def _result(s: SetDescriptor, limit: int, best, nodes: int, exact: bool,
@@ -188,7 +183,9 @@ def max_dimension_exact(
     the member set. The first witness found at each new depth is kept, so
     the reported witness is the lexicographically least maximal one (by
     (a0, steps)) whenever the search completes. Budget exhaustion is
-    reported, never silent."""
+    reported, never silent; a negative budget is refused."""
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
     members = enumerate_members(s, limit)
     bits = _bitset(members)
     best, nodes, exhausted = None, 0, False
@@ -204,9 +201,13 @@ def max_dimension_exact(
         nonlocal best
         if best is None or len(steps) > len(best[1]):
             best = (a0, tuple(steps))
-        cands, total = _candidates(bits, fits, smax, steps, distinct)
+        low, cands = _candidates(fits, steps, distinct)
+        # a scan in ascending order passes the members from smax + low up to
+        # and including smax + a before it tries step a
+        window = bits >> (smax + low)
         charged = 0
-        for a, scanned in cands:
+        for a in cands:
+            scanned = (window & ((2 << (a - low)) - 1)).bit_count()
             if not charge(scanned - charged):
                 return
             charged = scanned
@@ -215,7 +216,7 @@ def max_dimension_exact(
             steps.pop()
             if exhausted:
                 return
-        charge(total - charged)
+        charge(window.bit_count() - charged)
 
     for a0 in [0] if subset_sum_mode else members:
         if exhausted:
@@ -245,11 +246,11 @@ def max_dimension_greedy(
         a0 = rng.choice(bases)
         smax, fits, steps = a0, bits >> a0, []
         while True:
-            cands, total = _candidates(bits, fits, smax, steps, distinct)
-            nodes += total
+            low, cands = _candidates(fits, steps, distinct)
+            nodes += (bits >> (smax + low)).bit_count()
             if not cands:
                 break
-            a = rng.choice([a for a, _ in cands])
+            a = rng.choice(cands)
             smax, fits = smax + a, fits & (fits >> a)
             steps.append(a)
         if best is None or len(steps) > len(best[1]):

@@ -90,7 +90,14 @@ def prescribed_cutoff(tau: float, log_n: float) -> float:
     """The cutoff y = (20/tau)^2 (log N)^2 that the paper prescribes."""
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    return (20.0 / tau) ** 2 * log_n * log_n
+    try:
+        y = (20.0 / tau) ** 2 * log_n * log_n
+    except OverflowError:
+        y = math.inf
+    if not math.isfinite(y):
+        raise ValueError(
+            f"tau too small: the cutoff (20/tau)^2 (log N)^2 overflows, got {tau}")
+    return y
 
 
 def _plain_term(p: int, nu: float) -> tuple[float, float]:

@@ -393,8 +393,21 @@ def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys):
 
 
 @pytest.mark.parametrize("tau, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
-                                        ("inf", "inf")])
+                                        ("inf", "inf"), ("1e-200", "1e-200")])
 def test_cli_sieve_compare_rejects_bad_tau(tau, shown, capsys):
     code, out, err = run_cli(["experiment", "sieve-compare", "--grid", "2", "--tau", tau], capsys)
     assert code == EXIT_USAGE and out == ""
-    assert err == f"error: tau must be finite and positive, got {shown}\n"
+    # 1e-200 is finite and positive, but (20/tau)^2 overflows a float
+    problem = ("too small: the cutoff (20/tau)^2 (log N)^2 overflows" if tau == "1e-200"
+               else "must be finite and positive")
+    assert err == f"error: tau {problem}, got {shown}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cube-search", "--set", "squareful", "--limit", "100", "--budget", "-5"],
+    ["experiment", "f2", "--grid", "10,100", "--budget", "-1"],
+])
+def test_cli_rejects_negative_budget(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: node budget must be >= 0, got {argv[-1]}\n"

@@ -224,3 +224,7 @@ def test_optimize_cutoff_validation():
     for tau in (0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
             optimize_cutoff(allp, "two_sqrt", 1.0, [10], tau=tau)
+    # (20/tau)^2 overflows for the first; the product with (log N)^2 for the second
+    for tau, log_n in ((1e-200, 1.0), (2e-153, 30.0)):
+        with pytest.raises(ValueError, match="tau too small"):
+            optimize_cutoff(allp, "two_sqrt", log_n, [10], tau=tau)
