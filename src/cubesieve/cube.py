@@ -24,6 +24,7 @@ from .primes import PrimeSet
 from .zq import ceil_two_sqrt
 
 _SUMS_CAP = 30
+_MAX_N = 10**8  # largest limit the member bitset accepts
 
 
 @dataclass(frozen=True)
@@ -140,11 +141,23 @@ class CubeSearchResult:
     subset_sum_mode: bool
 
 
-def _bitset(members: list[int]) -> int:
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {budget}")
+
+
+def _members(s: SetDescriptor, limit: int) -> tuple[list[int], int]:
+    """The members of s up to the limit and their bitset. The bitset needs
+    limit/8 bytes, so a limit past 10**8 is refused before anything is
+    enumerated."""
+    if limit > _MAX_N:
+        raise ValueError(
+            f"limit N = {limit} is too large for the cube search bitset (max 10**8)")
+    members = enumerate_members(s, limit)
     buf = bytearray(members[-1] // 8 + 1 if members else 0)
     for m in members:
         buf[m >> 3] |= 1 << (m & 7)
-    return int.from_bytes(buf, "little")
+    return members, int.from_bytes(buf, "little")
 
 
 def _candidates(fits: int, steps: list[int], distinct: bool) -> tuple[int, list[int]]:
@@ -184,10 +197,8 @@ def max_dimension_exact(
     the reported witness is the lexicographically least maximal one (by
     (a0, steps)) whenever the search completes. Budget exhaustion is
     reported, never silent; a negative budget is refused."""
-    if budget < 0:
-        raise ValueError(f"node budget must be >= 0, got {budget}")
-    members = enumerate_members(s, limit)
-    bits = _bitset(members)
+    _check_budget(budget)
+    members, bits = _members(s, limit)
     best, nodes, exhausted = None, 0, False
 
     def charge(k: int) -> bool:
@@ -237,8 +248,7 @@ def max_dimension_greedy(
 
     Deterministic for a fixed seed. The best cube over all restarts is
     returned (first achiever wins ties)."""
-    members = enumerate_members(s, limit)
-    bits = _bitset(members)
+    members, bits = _members(s, limit)
     rng = random.Random(seed)
     best, nodes = None, 0
     bases = [0] if subset_sum_mode else members

@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -25,6 +26,7 @@ from .arithsets import (
 )
 from .cube import (
     HilbertCube,
+    _check_budget,
     max_dimension_exact,
     max_dimension_greedy,
     max_homogeneous_ap,
@@ -66,16 +68,11 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 
-_EXPERIMENTS = ("f2", "f1", "f4", "sieve-compare", "verify-all")
-
-
 @dataclass
 class ExperimentConfig:
-    experiment: str
     n_grid: tuple[int, ...]
     budget: int = 10**8
     seed: int = 0
-    output_path: str | None = None
     r: int = 2
     primes_spec: str = "all"
     tau: float = 1.0
@@ -95,15 +92,28 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+def _write(text: str, path: str | None) -> None:
+    """Write a result to the --out file, or to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         print(text, end="")
+
+
+def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(_fmt(v) for v in row) + "\n"
+    _write(text, path)
+
+
+def _emit_witness(w: SubsetWitness | None, path: str | None) -> None:
+    if w is None:
+        return _write("NOTFOUND\n", path)
+    indices = "+".join(map(str, w.indices))
+    facts = "|".join(f"{mod}{op}{t}" for mod, op, t in w.facts)
+    _emit_csv(["indices", "sum", "facts"], [[indices, w.sum_mod_q, facts]], path)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +202,15 @@ def run_sieve_compare(cfg: ExperimentConfig):
         at_star = next(rep for y, rep in scan.rows if y == y_star)
         rows.append([
             n, truth, y_star, at_star.bound,
-            scan.best_y if scan.best_y is not None else None,
+            scan.best_y,
             scan.best.bound if scan.best else None,
             scan.best.bound / truth if scan.best else None,
         ])
     return _SIEVE_HEADER, rows
+
+
+_EXPERIMENTS = {"f2": run_f2_scan, "f1": run_f1_scan, "f4": run_f4_scan,
+                "sieve-compare": run_sieve_compare}
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +283,8 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
     rep = VerifyAllReport()
 
     def olson_exhaustive():
-        bad = []
-        for p in (5, 7, 11):
-            r = verify_olson_exhaustive(p)
-            if r.counterexamples:
-                bad.append((p, len(r.counterexamples)))
+        counts = {p: len(verify_olson_exhaustive(p).counterexamples) for p in (5, 7, 11)}
+        bad = [(p, n) for p, n in counts.items() if n]
         return not bad, f"p in (5,7,11), counterexamples: {bad or 0}"
 
     def witness_revalidation():
@@ -392,12 +403,8 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
             a = rng.sample(range(1, 40), 9)
             h = rng.randrange(2, 5)
             g, tgt = rep_count_g(a, h, 120)
-            counts: dict[int, int] = {}
-            for combo in itertools.combinations(sorted(a), h):
-                s = sum(combo)
-                if s <= 120:
-                    counts[s] = counts.get(s, 0) + 1
-            brute = max(counts.values(), default=0)
+            sums = Counter(s for s in map(sum, itertools.combinations(a, h)) if s <= 120)
+            brute = max(sums.values(), default=0)
             if g != brute:
                 return False, f"rep count {g} != brute force {brute}"
         return True, f"{found}/20 greedy hits validated; rep counts match brute force"
@@ -449,24 +456,9 @@ def _parse_y_grid(text: str) -> list[int]:
     return _ints(text)
 
 
-def _witness_lines(w: SubsetWitness | None, note: str = "") -> str:
-    if w is None:
-        return "NOTFOUND" + (f",{note}" if note else "")
-    facts = "|".join(f"{mod}{op}{t}" for mod, op, t in w.facts)
-    return "indices,sum,facts\n" + f"{'+'.join(map(str, w.indices))},{w.sum_mod_q},{facts}"
-
-
-def _out(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
 def cmd_membership(args) -> int:
     s = parse_set_descriptor(args.set)
-    print("true" if is_member(s, args.n) else "false")
+    _write("true\n" if is_member(s, args.n) else "false\n", None)
     return EXIT_OK
 
 
@@ -478,14 +470,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_olson(args) -> int:
     w = subset_sum_find(_ints(args.elements), args.target, args.p)
-    _out(_witness_lines(w), args.out)
+    _emit_witness(w, args.out)
     return EXIT_OK
 
 
 def cmd_liftzero(args) -> int:
     b = ResidueMultiset(Modulus(args.p, args.m), tuple(_ints(args.elements)))
     w = find_lift_zero(b, distinct_mod_p=args.distinct_mod_p)
-    _out(_witness_lines(w), args.out)
+    _emit_witness(w, args.out)
     return EXIT_OK
 
 
@@ -495,7 +487,7 @@ def cmd_schwarzwald(args) -> int:
     mod = Modulus(args.p, args.p ** (args.ell - 1))
     b = ResidueMultiset(mod, tuple(_ints(args.elements)))
     w = schwarzwald(b, args.a0, strategy=args.strategy)
-    _out(_witness_lines(w), args.out)
+    _emit_witness(w, args.out)
     return EXIT_OK
 
 
@@ -530,12 +522,13 @@ def cmd_cube_verify(args) -> int:
         raise ValueError("--subset-sum requires --a0 0")
     cube = HilbertCube(args.a0, tuple(_ints(args.steps)), args.distinct)
     ok, offender = verify(cube, parse_set_descriptor(args.set), args.limit)
-    print("verified" if ok else f"offender:{offender}")
+    _write("verified\n" if ok else f"offender:{offender}\n", None)
     return EXIT_OK
 
 
 def cmd_cube_search(args) -> int:
     s = parse_set_descriptor(args.set)
+    _check_budget(args.budget)
     if args.mode == "exact":
         res = max_dimension_exact(s, args.limit, subset_sum_mode=args.subset_sum,
                                   distinct=args.distinct, budget=args.budget)
@@ -565,31 +558,33 @@ def cmd_sunflower(args) -> int:
     fam = SetFamily.from_iterables(sets)
     w = find_sunflower(fam, args.petals, mode=args.mode)
     if w is None:
-        print("NOTFOUND," + ("absence-proven" if args.mode == "exact" else "greedy-inconclusive"))
+        reason = "absence-proven" if args.mode == "exact" else "greedy-inconclusive"
+        _write(f"NOTFOUND,{reason}\n", None)
     else:
         kernel = "+".join(map(str, sorted(w.kernel))) or "-"
         petals = "+".join(map(str, w.petal_indices))
-        print(f"kernel,petals\n{kernel},{petals}")
+        _emit_csv(["kernel", "petals"], [[kernel, petals]], None)
     return EXIT_OK
 
 
 def cmd_repcount(args) -> int:
     g, target = rep_count_g(_ints(args.elements), args.h, args.limit)
-    print(f"g,target\n{g},{target if target is not None else '-'}")
+    _emit_csv(["g", "target"], [[g, target if target is not None else "-"]], None)
     return EXIT_OK
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for line in map(str.strip, fh):
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
+            key, sep, value = (t.strip() for t in line.partition("="))
             if not sep:
                 raise ValueError(f"bad config line: {line!r}")
-            out[key.strip()] = value.strip()
+            if key not in _CONFIG_CASTS:
+                raise ValueError(f"unknown config key {key!r}; known: {', '.join(_CONFIG_CASTS)}")
+            out[key] = value
     return out
 
 
@@ -601,41 +596,31 @@ _CONFIG_CASTS = {
 
 def cmd_experiment(args) -> int:
     if args.config:
-        loaded = _read_config_file(args.config)
-        for key, cast in _CONFIG_CASTS.items():
-            if getattr(args, key, None) is None and key in loaded:
-                setattr(args, key, cast(loaded[key]))
-
-    if args.name == "verify-all":
-        report = run_verify_all()
-        print("\n".join(report.lines()))
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+        for key, value in _read_config_file(args.config).items():
+            if getattr(args, key) is None:
+                setattr(args, key, _CONFIG_CASTS[key](value))
 
     if args.grid is None:
         raise ValueError("experiment needs --grid (or grid= in the config file)")
     # a field that neither a flag nor the config file sets keeps its default
     given = {"budget": args.budget, "seed": args.seed, "r": args.r,
              "primes_spec": args.primes, "tau": args.tau}
-    cfg = ExperimentConfig(
-        experiment=args.name, n_grid=tuple(_ints(args.grid)), output_path=args.out,
-        **{k: v for k, v in given.items() if v is not None},
-    )
-    runner = {"f2": run_f2_scan, "f1": run_f1_scan, "f4": run_f4_scan,
-              "sieve-compare": run_sieve_compare}[args.name]
-    header, rows = runner(cfg)
-    _emit_csv(header, rows, cfg.output_path)
+    cfg = ExperimentConfig(tuple(_ints(args.grid)),
+                           **{k: v for k, v in given.items() if v is not None})
+    header, rows = _EXPERIMENTS[args.name](cfg)
+    _emit_csv(header, rows, args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     if args.suite == "olson":
         rep = verify_olson_exhaustive(args.p if args.p is not None else 7)
-        print(f"p={rep.p} subsets={rep.subsets_checked} cases={rep.cases_checked} "
-              f"counterexamples={len(rep.counterexamples)}")
+        _write(f"p={rep.p} subsets={rep.subsets_checked} cases={rep.cases_checked} "
+               f"counterexamples={len(rep.counterexamples)}\n", None)
         return EXIT_OK if not rep.counterexamples else EXIT_COUNTEREXAMPLE
     hook = flip_first_index if args.inject_fault else None
     report = run_verify_all(witness_fault_hook=hook)
-    print("\n".join(report.lines()))
+    _write("\n".join(report.lines()) + "\n", None)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 

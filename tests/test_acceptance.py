@@ -276,9 +276,9 @@ def test_criterion_11_determinism(tmp_path):
     blobs = []
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
-        cfg = ExperimentConfig("f2", (10, 32, 100, 320), seed=17, output_path=str(path))
+        cfg = ExperimentConfig((10, 32, 100, 320), seed=17)
         header, rows = run_f2_scan(cfg)
-        _emit_csv(header, rows, cfg.output_path)
+        _emit_csv(header, rows, str(path))
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
     print("ACCEPTANCE 11 PASS - byte-identical f2 scan reruns")

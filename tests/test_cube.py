@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cubesieve import cube
 from cubesieve.arithsets import PurePowers, QuadForm, Semigroup, Squareful, enumerate_members
 from cubesieve.cube import (
     HilbertCube,
@@ -155,6 +156,17 @@ def test_exact_budget_exhaustion_flagged():
     assert res.nodes_expanded == 11
     if res.witness is not None:
         assert verify(res.witness, Squareful(), 1000) == (True, None)
+
+
+def test_searches_refuse_huge_limit_before_enumerating(monkeypatch):
+    def unreachable(s, n):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr(cube, "enumerate_members", unreachable)
+    for search in (max_dimension_exact, max_dimension_greedy):
+        for limit in (10**8 + 1, 10**11):
+            with pytest.raises(ValueError, match=r"cube search bitset \(max 10\*\*8\)"):
+                search(Squareful(), limit)
 
 
 def test_greedy_always_below_exact():

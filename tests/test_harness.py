@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from cubesieve import cube
 from cubesieve.arithsets import Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
@@ -28,13 +29,13 @@ def run_cli(argv, capsys):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig("f2", ())
+        ExperimentConfig(())
     with pytest.raises(ValueError):
-        ExperimentConfig("f2", (100, 10))
+        ExperimentConfig((100, 10))
 
 
 def test_f2_scan_rows():
-    cfg = ExperimentConfig("f2", (3, 10, 32), output_path=None)
+    cfg = ExperimentConfig((3, 10, 32))
     header, rows = run_f2_scan(cfg)
     assert header[0] == "N"
     by_n = {row[0]: row for row in rows}
@@ -47,7 +48,7 @@ def test_f2_scan_rows():
 
 
 def test_f2_scan_witnesses_reverify():
-    cfg = ExperimentConfig("f2", (10, 32, 100))
+    cfg = ExperimentConfig((10, 32, 100))
     _, rows = run_f2_scan(cfg)
     sq = Squareful()
     for row in rows:
@@ -60,16 +61,16 @@ def test_f2_scan_witnesses_reverify():
 def test_csv_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
-        cfg = ExperimentConfig("f2", (10, 32, 100), seed=9, output_path=str(out))
+        cfg = ExperimentConfig((10, 32, 100), seed=9)
         header, rows = run_f2_scan(cfg)
-        _emit_csv(header, rows, cfg.output_path)
+        _emit_csv(header, rows, str(out))
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
     assert "\r" not in text and text.endswith("\n")
 
 
 def test_sieve_compare_rows():
-    cfg = ExperimentConfig("sieve-compare", (10**4,))
+    cfg = ExperimentConfig((10**4,))
     header, rows = run_sieve_compare(cfg)
     row = rows[0]
     truth, bound_best = row[1], row[5]
@@ -272,6 +273,16 @@ def test_cli_experiment_config_file(capsys, tmp_path):
     assert len(out2.read_text().splitlines()) == 2
 
 
+def test_cli_experiment_config_rejects_unknown_key(capsys, tmp_path):
+    # a misspelt key used to be dropped, so the run went on with the default budget
+    config = tmp_path / "exp.cfg"
+    config.write_text("grid=10,32\nbudgt=-7\n")
+    code, out, err = run_cli(["experiment", "f2", "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: unknown config key 'budgt'; "
+                   "known: grid, budget, seed, out, r, primes, tau\n")
+
+
 def test_cli_experiment_f1_f4(capsys):
     code, out, _ = run_cli(
         ["experiment", "f1", "--grid", "10,50", "--r", "2", "--primes", "all"], capsys
@@ -287,6 +298,22 @@ def test_cli_experiment_f1_f4(capsys):
 def test_cli_verify_olson(capsys):
     code, out, _ = run_cli(["verify", "olson", "--p", "5"], capsys)
     assert code == EXIT_OK and "counterexamples=0" in out
+
+
+def test_cli_verify_runs_the_suite(capsys):
+    code, out, err = run_cli(["verify"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.split("\n")
+    assert lines[-1] == "" and len(lines[:-1]) == 10
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def test_cli_experiment_has_no_verify_route(capsys):
+    # `verify` is the one route to the suite
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "verify-all"])
+    assert exc.value.code == EXIT_USAGE
+    assert "invalid choice: 'verify-all'" in capsys.readouterr().err
 
 
 def test_cli_verify_fault_injection(capsys):
@@ -405,9 +432,72 @@ def test_cli_sieve_compare_rejects_bad_tau(tau, shown, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["cube-search", "--set", "squareful", "--limit", "100", "--budget", "-5"],
+    ["cube-search", "--set", "squareful", "--limit", "100", "--mode", "greedy", "--budget", "-5"],
     ["experiment", "f2", "--grid", "10,100", "--budget", "-1"],
 ])
 def test_cli_rejects_negative_budget(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: node budget must be >= 0, got {argv[-1]}\n"
+
+
+_SCHWARZWALD = ["schwarzwald", "--p", "7", "--ell", "2"]
+_ALL_RESIDUES = ["--a0", "0", "--elements", "0,1,2,3,4,5,6,7,8"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["olson", "--p", "7", "--elements", "1,2,3", "--target", "6"],
+     "indices,sum,facts\n0+1+2,6,7==6\n"),
+    (["olson", "--p", "7", "--elements", "1,2,3", "--target", "0"], "NOTFOUND\n"),
+    (["liftzero", "--p", "7", "--m", "4", "--elements", "7,14,21"],
+     "indices,sum,facts\n0,7,7==0|28!=0\n"),
+    (["liftzero", "--p", "7", "--m", "4", "--elements", "1"], "NOTFOUND\n"),
+    (_SCHWARZWALD + _ALL_RESIDUES + ["--strategy", "direct"],
+     "indices,sum,facts\n1+2+3+4+5+6,21,7==0|49!=0\n"),
+    (_SCHWARZWALD + _ALL_RESIDUES + ["--strategy", "paper"],
+     "indices,sum,facts\n0+7,7,7==0|49!=0\n"),
+    (_SCHWARZWALD + ["--a0", "3", "--elements", "7"], "NOTFOUND\n"),
+])
+def test_cli_witness_bytes(argv, expected, capsys, tmp_path):
+    # stdout and --out carry the same bytes: one trailing newline, no more
+    assert run_cli(argv, capsys) == (EXIT_OK, expected, "")
+    target = tmp_path / "witness.csv"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (EXIT_OK, "", "")
+    assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("family, mode, expected", [
+    ("1,2\n1,3\n1,4\n", "exact", "kernel,petals\n1,0+1+2\n"),
+    ("1,2\n1,3\n1,4\n", "greedy", "kernel,petals\n1,0+1+2\n"),
+    ("1,2\n1,3\n2,3\n", "exact", "NOTFOUND,absence-proven\n"),
+    ("1,2\n1,3\n2,3\n", "greedy", "NOTFOUND,greedy-inconclusive\n"),
+])
+def test_cli_sunflower_bytes(family, mode, expected, capsys, tmp_path):
+    fam = tmp_path / "family.txt"
+    fam.write_text(family)
+    argv = ["sunflower", "--family-file", str(fam), "--petals", "3", "--mode", mode]
+    assert run_cli(argv, capsys) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("elements, limit, expected", [
+    ("1,2,3,4", "7", "g,target\n2,5\n"),
+    ("5,6", "3", "g,target\n0,-\n"),
+])
+def test_cli_repcount_bytes(elements, limit, expected, capsys):
+    argv = ["repcount", "--elements", elements, "--h", "2", "--limit", limit]
+    assert run_cli(argv, capsys) == (EXIT_OK, expected, "")
+
+
+@pytest.mark.parametrize("limit", [10**8 + 1, 10**11])
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
+    # refused before any member is enumerated; the bitset alone needs limit/8 bytes
+    def unreachable(s, n):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr(cube, "enumerate_members", unreachable)
+    argv = ["cube-search", "--set", "squareful", "--limit", str(limit), "--mode", mode]
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "",
+        f"error: limit N = {limit} is too large for the cube search bitset (max 10**8)\n",
+    )
