@@ -11,12 +11,24 @@ are one int with bit m set for each member m. A search state keeps `fits`,
 the bitset of offsets x such that every current sum + x is a member: it
 starts at members >> a0, and adding step a sets fits &= fits >> a. The
 admissible next steps are the set bits of `fits` at positions >= the least
-allowed step."""
+allowed step `low`, read once from the binary string of `fits >> low`.
+
+The exact search cuts with two admissible bounds. k more steps, each at
+least `low`, give k distinct partial sums, each a set bit of `fits >> low`;
+so a state whose depth plus that popcount cannot beat the best depth found
+is cut (the popcount bound), and so is every candidate past the point where
+the untried candidates are too few. Beating the best needs
+`need = best + 1 - depth` more steps, each at least the candidate a, so
+only candidates with smax + need * a <= N are tried (the step cap; smax is
+the current largest sum). The popcount bound counts every admissible step,
+not only those under the cap: a capped step can still be a later partial
+sum."""
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
@@ -129,8 +141,10 @@ class CubeSearchResult:
     [1, limit] (no admissible base point). `exact` is False when the node
     budget ran out, in which case the result is a certified lower bound and
     mode degrades to `greedy`. `nodes_expanded` counts members scanned as
-    candidate sums: at each state, every member from smax + low upward (the
-    current largest sum plus the least admissible step) counts one node."""
+    candidate sums: each state the search enters is charged one node for
+    every member from smax + low upward (the current largest sum plus the
+    least admissible step). The exact search charges only the states that
+    pass its popcount bound; a state the bound cuts costs nothing."""
     limit: int
     descriptor: str
     mode: str
@@ -160,18 +174,24 @@ def _members(s: SetDescriptor, limit: int) -> tuple[list[int], int]:
     return members, int.from_bytes(buf, "little")
 
 
-def _candidates(fits: int, steps: list[int], distinct: bool) -> tuple[int, list[int]]:
-    """The least allowed step `low` (1 for the first step, otherwise the last
-    step, plus one under `distinct`) and the admissible next steps: the set
-    bits of `fits` at positions >= low, ascending."""
-    low = (steps[-1] + 1 if distinct else steps[-1]) if steps else 1
-    rest = fits >> low
+def _low(steps: list[int], distinct: bool) -> int:
+    """The least allowed next step: 1 for the first step, otherwise the last
+    step, plus one under `distinct`."""
+    return (steps[-1] + 1 if distinct else steps[-1]) if steps else 1
+
+
+def _steps(rest: int, low: int) -> list[int]:
+    """low + k for each set bit k of `rest`, ascending, read from its binary
+    string with str.rfind rather than one big-int operation per bit (the
+    string's last character is bit 0)."""
+    bits = format(rest, "b")
+    top = low + len(bits) - 1
     out = []
-    while rest:
-        k = (rest & -rest).bit_length() - 1
-        out.append(low + k)
-        rest &= rest - 1
-    return low, out
+    k = bits.rfind("1")
+    while k >= 0:
+        out.append(top - k)
+        k = bits.rfind("1", 0, k)
+    return out
 
 
 def _result(s: SetDescriptor, limit: int, best, nodes: int, exact: bool,
@@ -193,41 +213,39 @@ def max_dimension_exact(
 
     States are (a0, a1 <= a2 <= ... ) with candidates generated as
     differences member - (current largest sum); every new sum must land in
-    the member set. The first witness found at each new depth is kept, so
-    the reported witness is the lexicographically least maximal one (by
-    (a0, steps)) whenever the search completes. Budget exhaustion is
-    reported, never silent; a negative budget is refused."""
+    the member set. The popcount bound and the step cap (module docstring)
+    only cut states that cannot beat the best depth found so far. The first
+    witness found at each new depth is kept, so the reported witness is the
+    lexicographically least maximal one (by (a0, steps)) whenever the search
+    completes. Budget exhaustion is reported, never silent; a negative
+    budget is refused."""
     _check_budget(budget)
     members, bits = _members(s, limit)
-    best, nodes, exhausted = None, 0, False
-
-    def charge(k: int) -> bool:
-        nonlocal nodes, exhausted
-        nodes += k
-        if nodes > budget:
-            nodes, exhausted = budget + 1, True
-        return not exhausted
+    best, best_d, nodes, exhausted = None, -1, 0, False
 
     def extend(a0: int, smax: int, fits: int, steps: list[int]):
-        nonlocal best
-        if best is None or len(steps) > len(best[1]):
-            best = (a0, tuple(steps))
-        low, cands = _candidates(fits, steps, distinct)
-        # a scan in ascending order passes the members from smax + low up to
-        # and including smax + a before it tries step a
-        window = bits >> (smax + low)
-        charged = 0
-        for a in cands:
-            scanned = (window & ((2 << (a - low)) - 1)).bit_count()
-            if not charge(scanned - charged):
+        nonlocal best, best_d, nodes, exhausted
+        depth = len(steps)
+        if depth > best_d:
+            best, best_d = (a0, tuple(steps)), depth
+        low = _low(steps, distinct)
+        rest = fits >> low
+        avail = rest.bit_count()
+        if depth + avail <= best_d:
+            return
+        nodes += len(members) - bisect_left(members, smax + low)
+        if nodes > budget:
+            nodes, exhausted = budget + 1, True
+            return
+        cap = (limit - smax) // (best_d + 1 - depth)
+        for i, a in enumerate(_steps(rest & ((1 << max(cap - low + 1, 0)) - 1), low)):
+            if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return
-            charged = scanned
             steps.append(a)
             extend(a0, smax + a, fits & (fits >> a), steps)
             steps.pop()
             if exhausted:
                 return
-        charge(window.bit_count() - charged)
 
     for a0 in [0] if subset_sum_mode else members:
         if exhausted:
@@ -256,8 +274,9 @@ def max_dimension_greedy(
         a0 = rng.choice(bases)
         smax, fits, steps = a0, bits >> a0, []
         while True:
-            low, cands = _candidates(fits, steps, distinct)
-            nodes += (bits >> (smax + low)).bit_count()
+            low = _low(steps, distinct)
+            nodes += len(members) - bisect_left(members, smax + low)
+            cands = _steps(fits >> low, low)
             if not cands:
                 break
             a = rng.choice(cands)

@@ -36,6 +36,7 @@ from .cube import (
 from .primes import PrimeSet, parse_prime_set, primes_up_to
 from .sieve import (
     _check_log_n,
+    check_cutoff,
     gallagher_bound,
     gallagher_bound_weighted,
     optimize_cutoff,
@@ -68,13 +69,15 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 
+_MAX_MEASURED_N = 10**8  # largest e^(log N) that a measured sieve-bound enumerates to
+
 @dataclass
 class ExperimentConfig:
     n_grid: tuple[int, ...]
     budget: int = 10**8
     seed: int = 0
     r: int = 2
-    primes_spec: str = "all"
+    primes: str = "all"
     tau: float = 1.0
 
     def __post_init__(self):
@@ -168,12 +171,12 @@ def run_f2_scan(cfg: ExperimentConfig):
 
 def run_f1_scan(cfg: ExperimentConfig):
     """Maximal cube dimension in the r-full numbers relative to a prime set."""
-    return run_dimension_scan(RFull(cfg.r, parse_prime_set(cfg.primes_spec)), cfg)
+    return run_dimension_scan(RFull(cfg.r, parse_prime_set(cfg.primes)), cfg)
 
 
 def run_f4_scan(cfg: ExperimentConfig):
     """Maximal cube dimension in the semigroup generated by a prime set."""
-    return run_dimension_scan(Semigroup(parse_prime_set(cfg.primes_spec)), cfg)
+    return run_dimension_scan(Semigroup(parse_prime_set(cfg.primes)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +193,14 @@ def run_sieve_compare(cfg: ExperimentConfig):
     at the prescribed cutoff y = (20/tau)^2 (log N)^2 and at the best cutoff
     from a small grid around it."""
     all_primes = PrimeSet.all_primes()
+    # the grid ascends, so the last prescribed cutoff is the largest sieve
+    y_stars = [max(4, int(round(prescribed_cutoff(cfg.tau, math.log(n))))) for n in cfg.n_grid]
+    check_cutoff(y_stars[-1])
     rows = []
-    for n in cfg.n_grid:
+    for n, y_star in zip(cfg.n_grid, y_stars):
         squares = [a * a for a in range(1, math.isqrt(n) + 1)]
         truth = len(squares)
         log_n = math.log(n)
-        y_star = max(4, int(round(prescribed_cutoff(cfg.tau, log_n))))
         grid = sorted({max(4, y_star // k) for k in (16, 8, 4, 2)} | {y_star})
         scan = optimize_cutoff(all_primes, "measured", log_n, grid, values=squares,
                                tau=cfg.tau)
@@ -209,8 +214,13 @@ def run_sieve_compare(cfg: ExperimentConfig):
     return _SIEVE_HEADER, rows
 
 
-_EXPERIMENTS = {"f2": run_f2_scan, "f1": run_f1_scan, "f4": run_f4_scan,
-                "sieve-compare": run_sieve_compare}
+# each experiment's runner and the config fields (besides the grid) it reads
+_EXPERIMENTS = {
+    "f2": (run_f2_scan, ("budget", "seed")),
+    "f1": (run_f1_scan, ("budget", "seed", "r", "primes")),
+    "f4": (run_f4_scan, ("budget", "seed", "primes")),
+    "sieve-compare": (run_sieve_compare, ("tau",)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +506,7 @@ def cmd_sieve_bound(args) -> int:
     if args.y is None and args.y_grid is None:
         raise ValueError("need --y or --y-grid")
     grid = [args.y] if args.y is not None else _parse_y_grid(args.y_grid)
+    check_cutoff(max(grid, default=0))
     values = None
     if args.elements_file:
         with open(args.elements_file, encoding="utf-8") as fh:
@@ -504,12 +515,10 @@ def cmd_sieve_bound(args) -> int:
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")
         _check_log_n(args.log_n)
-        try:
-            limit = int(round(math.exp(args.log_n)))
-        except OverflowError:
-            raise ValueError(
-                f"log N too large to enumerate up to e^(log N), got {args.log_n}") from None
-        values = enumerate_members(parse_set_descriptor(args.set), limit)
+        if args.log_n > math.log(_MAX_MEASURED_N):
+            raise ValueError(f"log N too large to enumerate up to e^(log N), got {args.log_n}")
+        values = enumerate_members(parse_set_descriptor(args.set),
+                                   int(round(math.exp(args.log_n))))
     scan = optimize_cutoff(prime_set, args.nu, args.log_n, grid,
                            values=values, variant=args.variant)
     rows = [[y, rep.numerator, rep.denominator, rep.bound] for y, rep in scan.rows]
@@ -603,11 +612,13 @@ def cmd_experiment(args) -> int:
     if args.grid is None:
         raise ValueError("experiment needs --grid (or grid= in the config file)")
     # a field that neither a flag nor the config file sets keeps its default
-    given = {"budget": args.budget, "seed": args.seed, "r": args.r,
-             "primes_spec": args.primes, "tau": args.tau}
-    cfg = ExperimentConfig(tuple(_ints(args.grid)),
-                           **{k: v for k, v in given.items() if v is not None})
-    header, rows = _EXPERIMENTS[args.name](cfg)
+    run, reads = _EXPERIMENTS[args.name]
+    given = {k: getattr(args, k) for k in ("budget", "seed", "r", "primes", "tau")}
+    given = {k: v for k, v in given.items() if v is not None}
+    unread = [f"--{k}" for k in given if k not in reads]
+    if unread:
+        raise ValueError(f"experiment {args.name} does not read {', '.join(unread)}")
+    header, rows = run(ExperimentConfig(tuple(_ints(args.grid)), **given))
     _emit_csv(header, rows, args.out)
     return EXIT_OK
 

@@ -25,6 +25,7 @@ from .primes import PrimeSet
 from .zq import ceil_two_sqrt
 
 DENOM_TOL = 1e-9
+_MAX_CUTOFF = 10**8  # largest y the prime sieve (a y-byte table) is run to
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,12 @@ def _check_moduli(profiles: Sequence[ResidueProfile]) -> list[ResidueProfile]:
 def _check_log_n(log_n: float) -> None:
     if not (math.isfinite(log_n) and log_n > 0):
         raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
+
+
+def check_cutoff(y: int) -> None:
+    """Refuse a cutoff past 10**8: the prime sieve needs a y-byte table."""
+    if y > _MAX_CUTOFF:
+        raise ValueError(f"cutoff y = {y} is too large to sieve (max 10**8)")
 
 
 def prescribed_cutoff(tau: float, log_n: float) -> float:
@@ -190,6 +197,7 @@ def optimize_cutoff(
     grid = list(y_grid)
     if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("y grid must be nonempty and ascending")
+    check_cutoff(grid[-1])
     if variant not in ("plain", "weighted"):
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
     _check_log_n(log_n)

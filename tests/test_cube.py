@@ -4,7 +4,14 @@ import random
 import pytest
 
 from cubesieve import cube
-from cubesieve.arithsets import PurePowers, QuadForm, Semigroup, Squareful, enumerate_members
+from cubesieve.arithsets import (
+    PurePowers,
+    QuadForm,
+    Semigroup,
+    Squareful,
+    enumerate_members,
+    parse_set_descriptor,
+)
 from cubesieve.cube import (
     HilbertCube,
     max_dimension_exact,
@@ -156,6 +163,21 @@ def test_exact_budget_exhaustion_flagged():
     assert res.nodes_expanded == 11
     if res.witness is not None:
         assert verify(res.witness, Squareful(), 1000) == (True, None)
+
+
+@pytest.mark.parametrize("text, dimension, witness, max_nodes", [
+    ("quadform:1,0,1", 11, HilbertCube(37, (84,) * 11), 5_527_034),
+    ("rfull:2,inert:1,1,1", 13, HilbertCube(1, (1,) + (60,) * 12), 15_369_525),
+])
+def test_exact_completes_dense_sets(text, dimension, witness, max_nodes):
+    # Without the popcount bound and the step cap both exhaust the default
+    # budget. A popcount bound taken over the capped candidates alone
+    # loses the d = 11 cube of quadform:1,0,1 (a capped step can still be a
+    # later partial sum); dropping the step cap keeps the answer but spends
+    # 21M and 83M nodes, so the node counts of this core are upper bounds.
+    res = max_dimension_exact(parse_set_descriptor(text), 1000)
+    assert (res.best_dimension, res.witness, res.exact) == (dimension, witness, True)
+    assert res.nodes_expanded <= max_nodes
 
 
 def test_searches_refuse_huge_limit_before_enumerating(monkeypatch):

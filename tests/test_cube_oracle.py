@@ -1,9 +1,17 @@
 """Differential tests: the bitset search core in cubesieve.cube against the
 list-based search it replaced, which is kept below as a reference
-implementation (function bodies unchanged, docstrings dropped). Both must agree on the whole CubeSearchResult, including
-nodes_expanded, so the `nodes` column and the budget cut-off point stay the
-same."""
+implementation (function bodies unchanged, docstrings dropped).
 
+The greedy searches must agree on the whole CubeSearchResult. The exact
+search cuts states with its popcount bound and step cap, and charges each
+state it enters the same members the reference charges it, so it visits a
+subset of the reference's states and spends no more nodes. Where the
+reference completes, the new core must complete too, with the same
+dimension and witness and no more nodes. Where the reference runs out of
+budget, the new core's witness must verify, and if it completed, its
+dimension must be at least the reference's."""
+
+import dataclasses
 import itertools
 import random
 from bisect import bisect_left
@@ -136,6 +144,21 @@ def max_dimension_greedy(
     )
 
 
+def _check_exact(s: SetDescriptor, limit: int, **kw) -> None:
+    new, ref = cube.max_dimension_exact(s, limit, **kw), max_dimension_exact(s, limit, **kw)
+    if ref.exact:
+        # everything but the node count matches, and the nodes are a subset
+        assert new == dataclasses.replace(ref, nodes_expanded=new.nodes_expanded)
+        assert new.nodes_expanded <= ref.nodes_expanded
+        return
+    if new.witness is not None:
+        assert cube.verify(new.witness, s, limit) == (True, None)
+    if new.exact:
+        assert new.best_dimension >= ref.best_dimension
+    else:
+        assert (new.mode, new.nodes_expanded) == ("greedy", kw["budget"] + 1)
+
+
 # ---------------------------------------------------------------------------
 # property test over random small member sets
 
@@ -171,8 +194,7 @@ def listed_sets(draw):
 )
 def test_exact_matches_reference(case, subset_sum, distinct, budget):
     s, limit = case
-    kw = dict(subset_sum_mode=subset_sum, distinct=distinct, budget=budget)
-    assert cube.max_dimension_exact(s, limit, **kw) == max_dimension_exact(s, limit, **kw)
+    _check_exact(s, limit, subset_sum_mode=subset_sum, distinct=distinct, budget=budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,7 +214,8 @@ def test_greedy_matches_reference(case, subset_sum, distinct, seed, restarts):
 # ---------------------------------------------------------------------------
 # fixed grid: 7 descriptors x N x subset-sum x distinct x budget, without the
 # 28 uncapped (budget 10^8) runs at N = 1000, where the reference alone takes
-# about 280 s; the new core matched it on those too when this grid was set up
+# about 290 s; on those the current core passes the same checks, completing
+# the three that exhaust the reference's budget with the same dimension
 
 _DESCRIPTORS = (
     "squareful", "purepowers", "rfull:3,all", "semigroup:list:2,3,5",
@@ -211,7 +234,6 @@ _GRID = [
 def test_fixed_grid_matches_reference(text, n, subset_sum, distinct, budget):
     s = parse_set_descriptor(text)
     kw = dict(subset_sum_mode=subset_sum, distinct=distinct)
-    assert cube.max_dimension_exact(s, n, budget=budget, **kw) == \
-        max_dimension_exact(s, n, budget=budget, **kw)
+    _check_exact(s, n, budget=budget, **kw)
     assert cube.max_dimension_greedy(s, n, seed=budget, **kw) == \
         max_dimension_greedy(s, n, seed=budget, **kw)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cubesieve import cube
+from cubesieve import cube, harness, primes
 from cubesieve.arithsets import Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
@@ -19,6 +19,11 @@ from cubesieve.harness import (
     run_verify_all,
     _emit_csv,
 )
+from cubesieve.sieve import prescribed_cutoff
+
+
+def _unreachable(*args):
+    raise AssertionError("allocated past the size guard")
 
 
 def run_cli(argv, capsys):
@@ -192,7 +197,10 @@ def test_cli_cube_search_and_budget_exit(capsys):
         ["cube-search", "--set", "squareful", "--limit", "32", "--mode", "exact"], capsys
     )
     assert code == EXIT_OK
-    assert out.splitlines()[1] == "32,exact,2,H(1;7+8),65,1"
+    # 29 nodes where the list-based reference charges 65: the popcount bound
+    # and the step cap cut the states that cannot beat the best depth, and a
+    # cut state is charged nothing
+    assert out.splitlines()[1] == "32,exact,2,H(1;7+8),29,1"
 
     code, out, err = run_cli(
         ["cube-search", "--set", "squareful", "--limit", "1000", "--mode", "exact",
@@ -293,6 +301,50 @@ def test_cli_experiment_f1_f4(capsys):
     )
     assert code == EXIT_OK
     assert out.splitlines()[1].split(",")[1].isdigit()
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["f2", "--grid", "10", "--primes", "bogus:1", "--r", "99"], "--r, --primes"),
+    (["sieve-compare", "--grid", "100", "--budget", "5", "--r", "1", "--primes", "bogus"],
+     "--budget, --r, --primes"),
+    (["f4", "--grid", "10", "--r", "3"], "--r"),
+    (["sieve-compare", "--grid", "100", "--seed", "1"], "--seed"),
+])
+def test_cli_experiment_refuses_unread_flags(argv, unread, capsys):
+    # an unread flag would otherwise be dropped without a word, so a
+    # mistyped run would look fine
+    code, out, err = run_cli(["experiment"] + argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: experiment {argv[0]} does not read {unread}\n"
+
+
+def test_cli_experiment_refuses_unread_config_key(capsys, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("grid=10,32\ntau=2\n")
+    code, out, err = run_cli(["experiment", "f2", "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: experiment f2 does not read --tau\n"
+
+
+_HUGE_STAR = max(4, int(round(prescribed_cutoff(1e-3, math.log(100)))))  # about 8.5e9
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve-bound", "--set", "squareful", "--y", "100000001", "--log-n", "5"],
+     "cutoff y = 100000001 is too large to sieve (max 10**8)"),
+    (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "10,10000000000",
+      "--log-n", "5"], "cutoff y = 10000000000 is too large to sieve (max 10**8)"),
+    (["experiment", "sieve-compare", "--grid", "100", "--tau", "1e-3"],
+     f"cutoff y = {_HUGE_STAR} is too large to sieve (max 10**8)"),
+    (["experiment", "sieve-compare", "--grid", "10,100", "--tau", "1e-3"],
+     f"cutoff y = {_HUGE_STAR} is too large to sieve (max 10**8)"),
+])
+def test_cli_refuses_cutoff_too_large(argv, message, capsys, monkeypatch):
+    # refused before any member is enumerated or any prime is sieved; a
+    # y-byte sieve table for y = 8.5e9 would not fit in memory
+    monkeypatch.setattr(harness, "enumerate_members", _unreachable)
+    monkeypatch.setattr(primes, "primes_up_to", _unreachable)
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_cli_verify_olson(capsys):
@@ -412,8 +464,15 @@ def test_cli_sieve_csv_matches_golden(name, argv, capsys):
      "log N too large to enumerate up to e^(log N), got 710.0"),
     (["--set", "squareful", "--y", "100", "--log-n", "1e6"],
      "log N too large to enumerate up to e^(log N), got 1000000.0"),
+    (["--set", "squareful", "--y", "100", "--log-n", "709"],
+     "log N too large to enumerate up to e^(log N), got 709.0"),
+    # e^18.43 is just above 10**8
+    (["--set", "squareful", "--y", "100", "--log-n", "18.43"],
+     "log N too large to enumerate up to e^(log N), got 18.43"),
 ])
-def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys):
+def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys, monkeypatch):
+    # refused before any member is enumerated; e^709 members would be OOM-killed
+    monkeypatch.setattr(harness, "enumerate_members", _unreachable)
     code, out, err = run_cli(["sieve-bound"] + argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {message}\n"

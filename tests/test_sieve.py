@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cubesieve import primes
 from cubesieve.primes import PrimeSet, primes_up_to
 from cubesieve.sieve import (
     NU_MODELS,
@@ -228,3 +229,14 @@ def test_optimize_cutoff_validation():
     for tau, log_n in ((1e-200, 1.0), (2e-153, 30.0)):
         with pytest.raises(ValueError, match="tau too small"):
             optimize_cutoff(allp, "two_sqrt", log_n, [10], tau=tau)
+
+
+def test_optimize_cutoff_refuses_huge_cutoff_before_sieving(monkeypatch):
+    def unreachable(y):
+        raise AssertionError("sieved past the size guard")
+
+    monkeypatch.setattr(primes, "primes_up_to", unreachable)
+    allp = PrimeSet.all_primes()
+    for grid in ([10**8 + 1], [10, 10**12]):
+        with pytest.raises(ValueError, match=rf"cutoff y = {grid[-1]} is too large to sieve"):
+            optimize_cutoff(allp, "two_sqrt", 5.0, grid)
