@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .primes import PrimeSet, parse_prime_set, validate_definite_form
+from .primes import PrimeSet, check_table, parse_prime_set, validate_definite_form
 
 _MAX_N = 2**63 - 1
 
@@ -139,6 +139,7 @@ class RFull(SetDescriptor):
 
     def members_up_to(self, limit: int) -> list[int]:
         """Sieve out each n that some p in T divides, but fewer than r times."""
+        check_table(limit, "the r-full sieve table")
         if limit < 1:
             return []
         root = iroot(limit, self.r)  # p**r <= limit exactly when p <= root
@@ -213,6 +214,7 @@ class QuadForm(SetDescriptor):
         return False
 
     def members_up_to(self, limit: int) -> list[int]:
+        check_table(limit, "the form's value table")
         if limit < 1:
             return []
         a, b, c, d = self.a, self.b, self.c, self.disc

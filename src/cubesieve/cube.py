@@ -32,11 +32,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
-from .primes import PrimeSet
-from .zq import ceil_two_sqrt
+from .primes import PrimeSet, ceil_two_sqrt, check_table
 
 _SUMS_CAP = 30
-_MAX_N = 10**8  # largest limit the member bitset accepts
+_RESTARTS = 40  # greedy restarts per search
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,13 @@ class ResidueCheckReport:
 def residue_constraint_check(
     cube: HilbertCube,
     prime_set: PrimeSet,
-    r: int,
     y: int,
     rule: str = "rfull",
 ) -> ResidueCheckReport:
     """Count the residue classes hit by the steps modulo each prime of the
     set up to y and compare with the applicable local bound.
 
-    rule `rfull` (cube verified in an r-full set, r >= 2): a cube whose
+    rule `rfull` (cube verified in an r-full set, any r >= 2): a cube whose
     steps span 5*ceil(2*sqrt(p)) + 2 classes contains an element divisible
     by p but not p^2, so the count must stay <= 5*ceil(2*sqrt(p)) + 1.
     rule `semigroup` (primes outside the semigroup's prime set): spanning
@@ -125,8 +123,6 @@ def residue_constraint_check(
     counterexample."""
     if rule not in ("rfull", "semigroup"):
         raise ValueError(f"rule must be rfull or semigroup, got {rule!r}")
-    if rule == "rfull" and r < 2:
-        raise ValueError(f"rfull rule needs r >= 2, got {r}")
     rows = []
     for p in prime_set.primes_up_to(y):
         count = len({a % p for a in cube.steps})
@@ -164,9 +160,7 @@ def _members(s: SetDescriptor, limit: int) -> tuple[list[int], int]:
     """The members of s up to the limit and their bitset. The bitset needs
     limit/8 bytes, so a limit past 10**8 is refused before anything is
     enumerated."""
-    if limit > _MAX_N:
-        raise ValueError(
-            f"limit N = {limit} is too large for the cube search bitset (max 10**8)")
+    check_table(limit, "the cube search bitset")
     members = enumerate_members(s, limit)
     buf = bytearray(members[-1] // 8 + 1 if members else 0)
     for m in members:
@@ -260,7 +254,6 @@ def max_dimension_greedy(
     subset_sum_mode: bool = False,
     seed: int = 0,
     distinct: bool = False,
-    restarts: int = 40,
 ) -> CubeSearchResult:
     """Randomized greedy extension with restarts; a certified lower bound.
 
@@ -270,7 +263,7 @@ def max_dimension_greedy(
     rng = random.Random(seed)
     best, nodes = None, 0
     bases = [0] if subset_sum_mode else members
-    for _ in range(restarts if bases else 0):
+    for _ in range(_RESTARTS if bases else 0):
         a0 = rng.choice(bases)
         smax, fits, steps = a0, bits >> a0, []
         while True:
@@ -293,6 +286,7 @@ def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:
     has no member in range."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    check_table(limit, "the progression scan")
     member_set = set(enumerate_members(s, limit))
     best_len = 0
     best_step = None

@@ -33,7 +33,7 @@ from .cube import (
     residue_constraint_check,
     verify,
 )
-from .primes import PrimeSet, parse_prime_set, primes_up_to
+from .primes import PrimeSet, ceil_two_sqrt, parse_prime_set, primes_up_to
 from .sieve import (
     _check_log_n,
     check_cutoff,
@@ -55,7 +55,6 @@ from .zq import (
     Modulus,
     ResidueMultiset,
     SubsetWitness,
-    ceil_two_sqrt,
     find_lift_zero,
     minimal_cover_k,
     schwarzwald,
@@ -128,20 +127,15 @@ _SCAN_HEADER = [
 ]
 
 
-def run_dimension_scan(descriptor, cfg: ExperimentConfig,
-                       subset_sum: bool = False, distinct: bool = False):
+def run_dimension_scan(descriptor, cfg: ExperimentConfig):
     """One row per grid point: exact search, degrading to the better of the
     truncated search and a seeded greedy probe when the budget runs out.
     Every witness is re-verified in a post-pass before the row is emitted."""
     rows = []
     for n in cfg.n_grid:
-        res = max_dimension_exact(descriptor, n, subset_sum_mode=subset_sum,
-                                  distinct=distinct, budget=cfg.budget)
+        res = max_dimension_exact(descriptor, n, budget=cfg.budget)
         if not res.exact:
-            probe = max_dimension_greedy(
-                descriptor, n, subset_sum_mode=subset_sum,
-                seed=f"{cfg.seed}:{n}", distinct=distinct,
-            )
+            probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}")
             if probe.best_dimension > res.best_dimension:
                 res = probe
         if res.witness is not None:
@@ -202,8 +196,7 @@ def run_sieve_compare(cfg: ExperimentConfig):
         truth = len(squares)
         log_n = math.log(n)
         grid = sorted({max(4, y_star // k) for k in (16, 8, 4, 2)} | {y_star})
-        scan = optimize_cutoff(all_primes, "measured", log_n, grid, values=squares,
-                               tau=cfg.tau)
+        scan = optimize_cutoff(all_primes, "measured", log_n, grid, values=squares)
         at_star = next(rep for y, rep in scan.rows if y == y_star)
         rows.append([
             n, truth, y_star, at_star.bound,
@@ -369,7 +362,7 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
             plain = gallagher_bound(profs, math.log(n))
             if plain.bound is not None and len(a) > plain.bound + 1e-9:
                 return False, f"|A|={len(a)} exceeds certified bound {plain.bound:.3f}"
-            weighted = gallagher_bound_weighted(profs, len(a), math.log(n))
+            weighted = gallagher_bound_weighted(profs, math.log(n))
             if plain.bound is not None and weighted.bound is not None:
                 if weighted.bound > plain.bound + 1e-9:
                     return False, "weighted bound exceeds plain bound"
@@ -386,7 +379,7 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
             ok, off = verify(res.witness, Squareful(), res.limit)
             if not ok:
                 return False, f"witness {res.witness.describe()} fails at {off}"
-        check = residue_constraint_check(r32.witness, PrimeSet.all_primes(), 2, 100)
+        check = residue_constraint_check(r32.witness, PrimeSet.all_primes(), 100)
         if check.violations:
             return False, f"residue constraint violated: {check.violations}"
         return True, "exact dimensions 1 @ N=10 and 2 @ N=32; witnesses verify"
@@ -502,16 +495,21 @@ def cmd_schwarzwald(args) -> int:
 
 
 def cmd_sieve_bound(args) -> int:
+    # a model nu reads no set, and the weighted variant reads only a set
+    if args.nu != "measured":
+        if args.variant == "weighted":
+            raise ValueError("sieve-bound --variant weighted needs --nu measured")
+        if args.set or args.elements_file:
+            given = "--set" if args.set else "--elements-file"
+            raise ValueError(f"sieve-bound --nu {args.nu} does not read {given}")
     prime_set = parse_prime_set(args.primes)
-    if args.y is None and args.y_grid is None:
-        raise ValueError("need --y or --y-grid")
     grid = [args.y] if args.y is not None else _parse_y_grid(args.y_grid)
     check_cutoff(max(grid, default=0))
     values = None
     if args.elements_file:
         with open(args.elements_file, encoding="utf-8") as fh:
             values = [int(line) for line in fh if line.strip()]
-    elif args.nu == "measured" or args.variant == "weighted":
+    elif args.nu == "measured":
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")
         _check_log_n(args.log_n)
@@ -679,11 +677,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
 
     sp = _sub(sub, "sieve-bound", cmd_sieve_bound, "evaluate the larger-sieve bound")
-    sp.add_argument("--set")
-    sp.add_argument("--elements-file")
+    measured = sp.add_mutually_exclusive_group()
+    measured.add_argument("--set")
+    measured.add_argument("--elements-file")
     sp.add_argument("--primes", default="all")
-    sp.add_argument("--y", type=int)
-    sp.add_argument("--y-grid")
+    cutoff = sp.add_mutually_exclusive_group(required=True)
+    cutoff.add_argument("--y", type=int)
+    cutoff.add_argument("--y-grid")
     sp.add_argument("--nu", default="measured",
                     choices=("measured", "five_ceil_sqrt", "two_sqrt", "half_p_plus_one"))
     sp.add_argument("--log-n", type=float, required=True)

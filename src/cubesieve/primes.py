@@ -11,8 +11,16 @@ from typing import Callable
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def check_table(limit: int, table: str) -> None:
+    """Refuse a limit past 10**8 for a table of one byte (or a loop of one
+    step) per integer up to it, before anything is built."""
+    if limit > 10**8:
+        raise ValueError(f"limit N = {limit} is too large for {table} (max 10**8)")
+
+
 def primes_up_to(y: int) -> list[int]:
     """All primes <= y, ascending (sieve of Eratosthenes)."""
+    check_table(y, "the prime sieve table")
     if y < 2:
         return []
     sieve = bytearray(b"\x01") * (y + 1)
@@ -47,6 +55,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def ceil_two_sqrt(p: int) -> int:
+    """ceil(2*sqrt(p)) in exact integer arithmetic."""
+    t = math.isqrt(4 * p)
+    if t * t < 4 * p:
+        t += 1
+    return t
 
 
 def legendre(a: int, p: int) -> int:

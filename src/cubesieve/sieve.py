@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .arithsets import factorize
-from .primes import PrimeSet
-from .zq import ceil_two_sqrt
+from .primes import PrimeSet, ceil_two_sqrt
 
 DENOM_TOL = 1e-9
 _MAX_CUTOFF = 10**8  # largest y the prime sieve (a y-byte table) is run to
@@ -144,23 +143,21 @@ def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBo
 
 
 def gallagher_bound_weighted(
-    profiles: Sequence[ResidueProfile], count_b: int, log_n: float
+    profiles: Sequence[ResidueProfile], log_n: float
 ) -> SieveBoundReport:
     """Weighted refinement over prime moduli: the denominator uses
     sum_p log p * sum_h Z(p,h)^2 / count^2, which dominates the plain
-    log p / nu term by Cauchy-Schwarz."""
+    log p / nu term by Cauchy-Schwarz. Every profile must cover the same
+    count of integers."""
     _check_log_n(log_n)
-    if count_b < 1:
-        raise ValueError(f"profiled count must be positive, got {count_b}")
     profs = _check_moduli(profiles)
     for r in profs:
         if r.modulus != r.prime:
             raise ValueError(f"weighted variant needs prime moduli, got {r.modulus}")
-        if r.size != count_b:
-            raise ValueError(
-                f"profile at {r.modulus} covers {r.size} integers, expected {count_b}"
-            )
-    terms = (_weighted_term(r.prime, r.sumsq, count_b) for r in profs)
+        if r.size != profs[0].size:
+            raise ValueError(f"profile at {r.modulus} covers {r.size} integers, "
+                             f"the one at {profs[0].modulus} covers {profs[0].size}")
+    terms = (_weighted_term(r.prime, r.sumsq, r.size) for r in profs)
     return _bounds(log_n, terms, [r.modulus for r in profs], [len(profs)], "weighted")[0]
 
 
@@ -177,7 +174,6 @@ class CutoffScan:
     rows: tuple[tuple[int, SieveBoundReport], ...]
     best_y: int | None
     best: SieveBoundReport | None
-    prescribed_y: float
 
 
 def optimize_cutoff(
@@ -186,11 +182,10 @@ def optimize_cutoff(
     log_n: float,
     y_grid: Sequence[int],
     values: Iterable[int] | None = None,
-    tau: float = 1.0,
     variant: str = "plain",
 ) -> CutoffScan:
     """Evaluate the sieve bound at every cutoff in y_grid and report the
-    minimal finite one, alongside the prescribed cutoff (400/tau^2)(log N)^2.
+    minimal finite one.
 
     nu_model is `measured` (requires `values`), one of the NU_MODELS names,
     or a callable p -> nu."""
@@ -201,7 +196,6 @@ def optimize_cutoff(
     if variant not in ("plain", "weighted"):
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
     _check_log_n(log_n)
-    prescribed = prescribed_cutoff(tau, log_n)
 
     measured = nu_model == "measured"
     if measured or variant == "weighted":
@@ -232,4 +226,4 @@ def optimize_cutoff(
     rows = tuple(zip(grid, _bounds(log_n, terms(), primes, cuts, variant)))
     best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
                        key=lambda row: row[1].bound, default=(None, None))
-    return CutoffScan(rows, best_y, best, prescribed)
+    return CutoffScan(rows, best_y, best)

@@ -30,11 +30,10 @@ class SetFamily:
             raise ValueError(f"family contains a set larger than h = {self.h}")
 
     @classmethod
-    def from_iterables(cls, sets: Iterable[Iterable[int]], h: int | None = None) -> "SetFamily":
+    def from_iterables(cls, sets: Iterable[Iterable[int]]) -> "SetFamily":
+        """The family of the given sets, with h their largest size."""
         frozen = tuple(frozenset(int(x) for x in s) for s in sets)
-        if h is None:
-            h = max((len(s) for s in frozen), default=0)
-        return cls(frozen, h)
+        return cls(frozen, max((len(s) for s in frozen), default=0))
 
 
 @dataclass(frozen=True)

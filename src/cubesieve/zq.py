@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .primes import is_prime
+from .primes import ceil_two_sqrt, is_prime
 
 _MAX_Q = 10**7  # largest modulus the reachability DP accepts
 
@@ -37,14 +37,6 @@ class CounterexampleError(RuntimeError):
 
 class StrategyPreconditionError(ValueError):
     """A constructive strategy could not complete a selection step."""
-
-
-def ceil_two_sqrt(p: int) -> int:
-    """ceil(2*sqrt(p)) in exact integer arithmetic."""
-    t = math.isqrt(4 * p)
-    if t * t < 4 * p:
-        t += 1
-    return t
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def test_criterion_05_sieve_soundness():
         if plain.bound is None:
             continue  # only instances with a positive denominator count
         assert len(a) <= plain.bound + 1e-9
-        weighted = gallagher_bound_weighted(profs, len(a), log_n)
+        weighted = gallagher_bound_weighted(profs, log_n)
         if weighted.bound is not None:
             assert weighted.bound <= plain.bound + 1e-9
             assert len(a) <= weighted.bound + 1e-9
@@ -194,7 +194,7 @@ def test_criterion_08_local_lemma_consistency(squareful_scan):
     allp = PrimeSet.all_primes()
     for n, res in squareful_scan.items():
         assert res.witness is not None
-        rep = residue_constraint_check(res.witness, allp, 2, 100)
+        rep = residue_constraint_check(res.witness, allp, 100)
         assert rep.violations == (), f"N={n}: {rep.violations}"
     print("ACCEPTANCE 08 PASS - 0 residue-constraint violations for p <= 100")
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cubesieve import arithsets, primes
 from cubesieve.arithsets import (
     Factorization,
     PurePowers,
@@ -209,3 +210,32 @@ def test_parse_set_descriptor():
 def test_enumerate_rejects_bad_limit():
     with pytest.raises(ValueError):
         enumerate_members(Squareful(), 0)
+
+
+def _unreachable(*args):
+    raise AssertionError("allocated past the size guard")
+
+
+@pytest.mark.parametrize("s, table", [
+    (RFull(2, PrimeSet.all_primes()), "the r-full sieve table"),
+    (RFull(2, PrimeSet.explicit([2, 3])), "the r-full sieve table"),
+    (QuadForm(1, 0, 1), "the form's value table"),
+    # a semigroup over a sieved prime set sieves its primes up to the limit
+    (Semigroup(PrimeSet.residue_class(1, 4)), "the prime sieve table"),
+])
+def test_table_enumerators_refuse_huge_limit(s, table, monkeypatch):
+    # each builds a table of limit bytes; refused before it is allocated
+    monkeypatch.setattr(arithsets, "bytearray", _unreachable, raising=False)
+    monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
+    for limit in (10**8 + 1, 10**11):
+        with pytest.raises(ValueError, match=rf"limit N = {limit} is too large for "
+                                             rf"{table} \(max 10\*\*8\)"):
+            enumerate_members(s, limit)
+
+
+def test_untabled_enumerators_pass_the_cap():
+    # no limit-byte table: these still enumerate past 10**8
+    assert enumerate_members(Squareful(), 10**8 + 1)[-1] == 10**8
+    assert enumerate_members(PurePowers(), 10**8 + 1)[-1] == 10**8
+    smooth = sum(1 for a in range(40) for b in range(26) if 2**a * 3**b <= 10**12)
+    assert len(enumerate_members(Semigroup(PrimeSet.explicit([2, 3])), 10**12)) == smooth

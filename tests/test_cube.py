@@ -91,30 +91,28 @@ def test_verify_subset_sum_exempts_zero():
 
 def test_residue_constraint_check_examples():
     allp = PrimeSet.all_primes()
-    rep = residue_constraint_check(HilbertCube(9, ()), allp, 2, 50)
+    rep = residue_constraint_check(HilbertCube(9, ()), allp, 50)
     assert not rep.violations and all(r.residues == 0 for r in rep.rows)
 
-    rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 2, 5)
+    rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 5)
     row5 = [r for r in rep.rows if r.p == 5][0]
     assert row5.residues == 2 and row5.bound == 26 and row5.ok
 
-    rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 2, 100)
+    rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 100)
     assert not rep.violations
 
 
 def test_residue_constraint_semigroup_rule():
     outside = PrimeSet.explicit([5])
     rep = residue_constraint_check(
-        HilbertCube(1, (1, 2, 3, 4, 5)), outside, 2, 10, rule="semigroup"
+        HilbertCube(1, (1, 2, 3, 4, 5)), outside, 10, rule="semigroup"
     )
     row = rep.rows[0]
     assert row.bound == 2 * math.sqrt(5) and row.residues == 5
     assert not row.ok  # 5 classes mod 5 exceed 2*sqrt(5)
 
     with pytest.raises(ValueError):
-        residue_constraint_check(HilbertCube(1, (1,)), outside, 2, 10, rule="weird")
-    with pytest.raises(ValueError):
-        residue_constraint_check(HilbertCube(1, (1,)), outside, 1, 10)
+        residue_constraint_check(HilbertCube(1, (1,)), outside, 10, rule="weird")
 
 
 def test_exact_ground_truth():
@@ -241,6 +239,18 @@ def test_max_homogeneous_ap_examples():
     length, step = max_homogeneous_ap(PurePowers(), 30)
     assert length == 2 and step == 4  # 4, 8 = 2^2, 2^3
     assert max_homogeneous_ap(QuadForm(2, 0, 2), 1) == (0, None)
+
+
+def test_max_homogeneous_ap_refuses_huge_limit(monkeypatch):
+    # the step loop runs up to the limit; refused before any member is enumerated
+    def unreachable(s, n):
+        raise AssertionError("enumerated past the size guard")
+
+    monkeypatch.setattr(cube, "enumerate_members", unreachable)
+    for limit in (10**8 + 1, 10**11):
+        with pytest.raises(ValueError, match=rf"limit N = {limit} is too large for "
+                                             r"the progression scan \(max 10\*\*8\)"):
+            max_homogeneous_ap(Squareful(), limit)
 
 
 def test_max_homogeneous_ap_brute():

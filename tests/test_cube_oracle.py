@@ -203,11 +203,10 @@ def test_exact_matches_reference(case, subset_sum, distinct, budget):
     st.booleans(),
     st.booleans(),
     st.one_of(st.integers(0, 2**32), st.text(max_size=6)),
-    st.integers(0, 8),
 )
-def test_greedy_matches_reference(case, subset_sum, distinct, seed, restarts):
+def test_greedy_matches_reference(case, subset_sum, distinct, seed):
     s, limit = case
-    kw = dict(subset_sum_mode=subset_sum, distinct=distinct, seed=seed, restarts=restarts)
+    kw = dict(subset_sum_mode=subset_sum, distinct=distinct, seed=seed)
     assert cube.max_dimension_greedy(s, limit, **kw) == max_dimension_greedy(s, limit, **kw)
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cubesieve import cube, harness, primes
+from cubesieve import arithsets, cube, harness, primes
 from cubesieve.arithsets import Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
@@ -218,7 +218,7 @@ def test_cli_ap_max(capsys):
 
 def test_cli_sieve_bound(capsys):
     code, out, _ = run_cli(
-        ["sieve-bound", "--set", "squareful", "--nu", "half_p_plus_one",
+        ["sieve-bound", "--nu", "half_p_plus_one",
          "--log-n", "6.9", "--y-grid", "50:150:50"], capsys
     )
     assert code == EXIT_OK
@@ -391,11 +391,41 @@ def test_cli_experiment_without_grid_is_usage_error(capsys):
 
 
 def test_cli_sieve_bound_needs_cutoff(capsys):
-    code, _, err = run_cli(
-        ["sieve-bound", "--set", "squareful", "--nu", "two_sqrt", "--log-n", "5.0"],
-        capsys,
-    )
-    assert code == EXIT_USAGE and "--y" in err
+    # --y and --y-grid form a required group, so argparse refuses the call
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve-bound", "--set", "squareful", "--nu", "two_sqrt", "--log-n", "5.0"])
+    assert exc.value.code == EXIT_USAGE and "--y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--y", "20", "--y-grid", "10:20:5"], "argument --y-grid: not allowed with argument --y"),
+    (["--elements-file", "F", "--set", "squareful", "--y", "20"],
+     "argument --set: not allowed with argument --elements-file"),
+])
+def test_cli_sieve_bound_refuses_exclusive_flags(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sieve-bound", "--log-n", "5"] + argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"sieve-bound: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--set", "squareful", "--nu", "five_ceil_sqrt"],
+     "sieve-bound --nu five_ceil_sqrt does not read --set"),
+    (["--elements-file", "F", "--nu", "five_ceil_sqrt"],
+     "sieve-bound --nu five_ceil_sqrt does not read --elements-file"),
+    (["--set", "squareful", "--nu", "five_ceil_sqrt", "--variant", "weighted"],
+     "sieve-bound --variant weighted needs --nu measured"),
+    (["--nu", "two_sqrt", "--variant", "weighted"],
+     "sieve-bound --variant weighted needs --nu measured"),
+])
+def test_cli_sieve_bound_refuses_unread_flags(argv, message, capsys, monkeypatch):
+    # refused before the file is opened or any member is enumerated
+    monkeypatch.setattr(harness, "open", _unreachable, raising=False)
+    monkeypatch.setattr(harness, "enumerate_members", _unreachable)
+    code, out, err = run_cli(["sieve-bound", "--y", "20", "--log-n", "5"] + argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
 
 
 def test_cli_sieve_bound_elements_file(capsys, tmp_path):
@@ -450,6 +480,22 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ])
 def test_cli_sieve_csv_matches_golden(name, argv, capsys):
     # stdout frozen from the per-prefix scan that the running-sum scan replaced
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_OK and err == ""
+    assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("experiment_f2", ["experiment", "f2", "--grid", "10,32,100,1000", "--seed", "17"]),
+    ("experiment_f1_inert",
+     ["experiment", "f1", "--r", "2", "--primes", "inert:1,1,1", "--grid", "100,1000",
+      "--budget", "10000", "--seed", "0"]),
+    ("experiment_f4_class",
+     ["experiment", "f4", "--primes", "class:1,4", "--grid", "100,1000",
+      "--budget", "10000", "--seed", "0"]),
+])
+def test_cli_scan_csv_matches_golden(name, argv, capsys):
+    # exact rows, and rows where the budget ran out and the greedy probe won
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_OK and err == ""
     assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
@@ -560,3 +606,22 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
         EXIT_USAGE, "",
         f"error: limit N = {limit} is too large for the cube search bitset (max 10**8)\n",
     )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--set", "quadform:1,0,1", "--limit", "100000000000"],
+     "limit N = 100000000000 is too large for the form's value table (max 10**8)"),
+    (["enumerate", "--set", "rfull:2,all", "--limit", "100000001"],
+     "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
+    (["enumerate", "--set", "semigroup:class:1,4", "--limit", "100000001"],
+     "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
+    (["ap-max", "--set", "squareful", "--limit", "100000001"],
+     "limit N = 100000001 is too large for the progression scan (max 10**8)"),
+])
+def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
+    # each path builds a limit-byte table or runs a limit-step loop; the step
+    # after each guard is made to fail, so nothing is allocated
+    monkeypatch.setattr(arithsets, "bytearray", _unreachable, raising=False)
+    monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
+    monkeypatch.setattr(cube, "enumerate_members", _unreachable)
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cubesieve import primes
 from cubesieve.primes import (
     DensityReport,
     PrimeSet,
@@ -205,3 +206,18 @@ def test_parse_round_trip():
         parse_prime_set("nonsense")
     with pytest.raises(ValueError):
         parse_prime_set("class:2,4")
+
+
+def _unreachable(*args):
+    raise AssertionError("allocated past the size guard")
+
+
+def test_primes_up_to_refuses_huge_limit(monkeypatch):
+    # the sieve table needs y bytes; refused before it is allocated
+    monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
+    for y in (10**8 + 1, 10**11):
+        with pytest.raises(ValueError, match=rf"limit N = {y} is too large for "
+                                             r"the prime sieve table \(max 10\*\*8\)"):
+            primes_up_to(y)
+        with pytest.raises(ValueError, match="prime sieve table"):
+            PrimeSet.residue_class(1, 4).primes_up_to(y)

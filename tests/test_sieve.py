@@ -10,6 +10,7 @@ from cubesieve.sieve import (
     gallagher_bound,
     gallagher_bound_weighted,
     optimize_cutoff,
+    prescribed_cutoff,
     profile,
 )
 
@@ -92,14 +93,14 @@ def test_weighted_equals_plain_when_equidistributed():
     vals = [1, 8, 15, 22, 2, 9, 16, 23, 3, 10, 17, 24]  # 3 classes x 4 mod 7
     prof = profile(vals, 7)
     plain = gallagher_bound([prof], 0.5)
-    weighted = gallagher_bound_weighted([prof], 12, 0.5)
+    weighted = gallagher_bound_weighted([prof], 0.5)
     assert math.isclose(plain.bound, weighted.bound, rel_tol=1e-12)
 
 
 def test_weighted_concentrated_bound_one():
     prof = profile([7, 14, 21, 28], 7)
     plain = gallagher_bound([prof], 0.5)
-    weighted = gallagher_bound_weighted([prof], 4, 0.5)
+    weighted = gallagher_bound_weighted([prof], 0.5)
     assert plain.bound == 1.0 and weighted.bound == 1.0
 
 
@@ -111,17 +112,17 @@ def test_weighted_dominated_by_plain():
         profs = [profile(vals, p) for p in moduli]
         log_n = math.log(3000)
         plain = gallagher_bound(profs, log_n)
-        weighted = gallagher_bound_weighted(profs, 100, log_n)
+        weighted = gallagher_bound_weighted(profs, log_n)
         if plain.bound is not None and weighted.bound is not None:
             assert weighted.bound <= plain.bound + 1e-9
 
 
 def test_weighted_rejects_inconsistency():
-    profs = [profile([1, 2], 5)]
+    profs = [profile([1, 2], 5), profile([1, 2, 3], 7)]
+    with pytest.raises(ValueError, match="profile at 7 covers 3 integers, the one at 5 covers 2"):
+        gallagher_bound_weighted(profs, 1.0)
     with pytest.raises(ValueError):
-        gallagher_bound_weighted(profs, 3, 1.0)
-    with pytest.raises(ValueError):
-        gallagher_bound_weighted([profile([1, 2], 9)], 2, 1.0)
+        gallagher_bound_weighted([profile([1, 2], 9)], 1.0)
 
 
 def test_log_n_must_be_finite_and_positive():
@@ -132,7 +133,7 @@ def test_log_n_must_be_finite_and_positive():
         with pytest.raises(ValueError, match=f"log N must be {message}"):
             gallagher_bound(profs, bad)
         with pytest.raises(ValueError, match=f"log N must be {message}"):
-            gallagher_bound_weighted(profs, 2, bad)
+            gallagher_bound_weighted(profs, bad)
         for nu in ("measured", "two_sqrt"):
             with pytest.raises(ValueError, match=f"log N must be {message}"):
                 optimize_cutoff(allp, nu, bad, [10], values=[1, 4, 9])
@@ -148,7 +149,7 @@ def test_soundness_random_instances():
         plain = gallagher_bound(profs, math.log(n))
         assert plain.bound is not None
         assert len(a) <= plain.bound + 1e-9
-        weighted = gallagher_bound_weighted(profs, len(a), math.log(n))
+        weighted = gallagher_bound_weighted(profs, math.log(n))
         assert weighted.bound is not None
         assert len(a) <= weighted.bound + 1e-9
         assert weighted.bound <= plain.bound + 1e-9
@@ -205,8 +206,8 @@ def test_optimize_cutoff_five_ceil_sqrt_scale():
     log_n = math.log(10**6)
     center = int(400 * log_n * log_n)
     grid = sorted({center // 8, center // 4, center // 2, center, center * 2})
-    scan = optimize_cutoff(PrimeSet.all_primes(), "five_ceil_sqrt", log_n, grid, tau=1.0)
-    assert math.isclose(scan.prescribed_y, center, rel_tol=1e-4)
+    scan = optimize_cutoff(PrimeSet.all_primes(), "five_ceil_sqrt", log_n, grid)
+    assert math.isclose(prescribed_cutoff(1.0, log_n), center, rel_tol=1e-4)
     assert scan.best is not None
     assert scan.best.bound <= 120 * log_n
     assert 1400 <= scan.best.bound <= 1600
@@ -224,11 +225,11 @@ def test_optimize_cutoff_validation():
         optimize_cutoff(allp, "measured", 1.0, [10], values=[])
     for tau in (0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
-            optimize_cutoff(allp, "two_sqrt", 1.0, [10], tau=tau)
+            prescribed_cutoff(tau, 1.0)
     # (20/tau)^2 overflows for the first; the product with (log N)^2 for the second
     for tau, log_n in ((1e-200, 1.0), (2e-153, 30.0)):
         with pytest.raises(ValueError, match="tau too small"):
-            optimize_cutoff(allp, "two_sqrt", log_n, [10], tau=tau)
+            prescribed_cutoff(tau, log_n)
 
 
 def test_optimize_cutoff_refuses_huge_cutoff_before_sieving(monkeypatch):

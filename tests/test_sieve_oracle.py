@@ -1,6 +1,7 @@
 """Differential tests: the larger-sieve bounds and the one-pass running-sum
 cutoff scan in cubesieve.sieve against the code they replaced, which is kept
-below as a reference implementation (bodies unchanged, docstrings dropped).
+below as a reference implementation (bodies unchanged but for the prescribed
+cutoff, which a CutoffScan no longer carries; docstrings dropped).
 The reference builds a dense profile for every modulus, sums each bound in
 its own loop, and re-evaluates the bound on each prefix of the primes in a
 scan; it shares no summing code with cubesieve.sieve. Both must return equal
@@ -136,7 +137,6 @@ def optimize_cutoff(
     log_n: float,
     y_grid: Sequence[int],
     values: Iterable[int] | None = None,
-    tau: float = 1.0,
     variant: str = "plain",
 ) -> CutoffScan:
     grid = list(y_grid)
@@ -173,8 +173,7 @@ def optimize_cutoff(
         rows.append((y, rep))
         if rep.bound is not None and (best is None or rep.bound < best.bound):
             best_y, best = y, rep
-    prescribed = (20.0 / tau) ** 2 * log_n * log_n
-    return CutoffScan(tuple(rows), best_y, best, prescribed)
+    return CutoffScan(tuple(rows), best_y, best)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,6 @@ def prime_sets() -> st.SearchStrategy:
 _values = st.lists(st.integers(-3000, 30000), min_size=1, max_size=60)
 _grids = st.lists(st.integers(1, 800), min_size=1, max_size=8, unique=True).map(sorted)
 _log_ns = st.floats(0.01, 40.0, allow_nan=False, allow_infinity=False)
-_taus = st.floats(0.1, 4.0)
 _models = st.sampled_from(sorted(NU_MODELS)) | st.sampled_from([
     lambda p: 1,
     lambda p: p % 7 + 0.5,
@@ -235,9 +233,9 @@ def _both(*args, **kwargs):
 
 
 @settings(max_examples=200, deadline=None)
-@given(prime_sets(), _values, _grids, _log_ns, _taus)
-def test_scan_measured_plain_matches_reference(ps, vals, grid, log_n, tau):
-    _both(ps, "measured", log_n, grid, values=vals, tau=tau)
+@given(prime_sets(), _values, _grids, _log_ns)
+def test_scan_measured_plain_matches_reference(ps, vals, grid, log_n):
+    _both(ps, "measured", log_n, grid, values=vals)
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,9 +245,9 @@ def test_scan_weighted_matches_reference(ps, vals, grid, log_n, nu_model):
 
 
 @settings(max_examples=200, deadline=None)
-@given(prime_sets(), _models, _grids, _log_ns, _taus)
-def test_scan_model_matches_reference(ps, model, grid, log_n, tau):
-    _both(ps, model, log_n, grid, tau=tau)
+@given(prime_sets(), _models, _grids, _log_ns)
+def test_scan_model_matches_reference(ps, model, grid, log_n):
+    _both(ps, model, log_n, grid)
 
 
 def _outcome(fn, *args):
@@ -264,8 +262,8 @@ _moduli = st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 31, 49,
 
 
 @settings(max_examples=300, deadline=None)
-@given(_values, _moduli, _log_ns, st.integers(-1, 1))
-def test_bounds_match_reference(vals, moduli, log_n, count_delta):
+@given(_values, _moduli, _log_ns)
+def test_bounds_match_reference(vals, moduli, log_n):
     new = [sieve.profile(vals, m) for m in moduli]
     old = [profile(vals, m) for m in moduli]
     for a, b in zip(new, old):
@@ -273,13 +271,12 @@ def test_bounds_match_reference(vals, moduli, log_n, count_delta):
             b.modulus, b.prime, b.nu, b.sumsq, b.size)
         assert (a.modulus == a.prime) == (b.exponent == 1)
     assert sieve.gallagher_bound(new, log_n) == gallagher_bound(old, log_n)
-    # prime powers and a wrong count make both refuse, with the same message
-    count_b = len(vals) + count_delta
-    assert (_outcome(sieve.gallagher_bound_weighted, new, count_b, log_n)
-            == _outcome(gallagher_bound_weighted, old, count_b, log_n))
+    # prime powers make both refuse, with the same message
+    assert (_outcome(sieve.gallagher_bound_weighted, new, log_n)
+            == _outcome(gallagher_bound_weighted, old, len(vals), log_n))
     new_p = [r for r in new if r.modulus == r.prime]
     old_p = [r for r in old if r.exponent == 1]
-    assert (sieve.gallagher_bound_weighted(new_p, len(vals), log_n)
+    assert (sieve.gallagher_bound_weighted(new_p, log_n)
             == gallagher_bound_weighted(old_p, len(vals), log_n))
 
 

@@ -25,3 +25,40 @@ def test_package_imports_only_stdlib():
                 if top != "cubesieve" and top not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno}: {name}")
     assert offenders == []
+
+
+# the cubesieve modules each module may import; the entry points and the CLI
+# harness may import any
+_LAYERS = {
+    "primes": set(),
+    "arithsets": {"primes"},
+    "zq": {"primes"},
+    "sieve": {"primes", "arithsets"},
+    "cube": {"primes", "arithsets"},
+    "sunflower": set(),
+}
+_TOP = {"__init__", "__main__", "harness"}
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The cubesieve modules that one source file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("cubesieve.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "cubesieve"
+                                                   or node.module.startswith("cubesieve.")):
+            module = (node.module or "").removeprefix("cubesieve").lstrip(".")
+            out |= {module.partition(".")[0]} if module else {a.name for a in node.names}
+    return out
+
+
+def test_package_import_layers():
+    paths = sorted(SRC.glob("*.py"))
+    assert {path.stem for path in paths} == set(_LAYERS) | _TOP
+    edges = {path.stem: _package_imports(path) for path in paths}
+    assert edges["cube"] == {"primes", "arithsets"}  # the walk sees relative imports
+    extra = {stem: sorted(got - _LAYERS[stem]) for stem, got in edges.items()
+             if stem in _LAYERS and got - _LAYERS[stem]}
+    assert extra == {}
