@@ -134,6 +134,12 @@ def _rotate(mask: int, v: int, q: int, full: int) -> int:
     return ((mask << v) | (mask >> (q - v))) & full
 
 
+def _check_dp_modulus(q: int) -> None:
+    if q > _MAX_Q:
+        raise ValueError(
+            f"modulus q = {q} is too large for the reachability DP (max 10**7)")
+
+
 def _least_witness(
     values: Sequence[int], q: int, targets: Sequence[int]
 ) -> tuple[tuple[int, ...], int] | None:
@@ -151,9 +157,7 @@ def _least_witness(
     bisection). Memory is O(q) bytes: 4q for the table and at most 8q for
     the snapshots. The scan stops once every target is reached. Returns
     None when no target is reachable; refuses q above 10**7 up front."""
-    if q > _MAX_Q:
-        raise ValueError(
-            f"modulus q = {q} is too large for the reachability DP (max 10**7)")
+    _check_dp_modulus(q)
     nbytes = (q + 7) // 8
     tbits = bytearray(nbytes)
     for t in targets:
@@ -302,6 +306,7 @@ def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> Subset
     facts = ((p, "==", (-a0) % p), (q, "!=", (-a0) % q))
 
     if strategy == "direct":
+        _check_dp_modulus(q)  # before the q/p targets are listed
         bad = (-a0) % q
         found = _least_witness(b.elements, q, [s for s in range((-a0) % p, q, p) if s != bad])
         if found:

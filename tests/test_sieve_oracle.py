@@ -12,12 +12,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubesieve import sieve
+from cubesieve import harness, sieve
 from cubesieve.arithsets import factorize
 from cubesieve.primes import PrimeSet, parse_prime_set, primes_up_to
 from cubesieve.sieve import NU_MODELS, CutoffScan, SieveBoundReport
@@ -232,16 +233,97 @@ def _both(*args, **kwargs):
     assert new == old
 
 
+@st.composite
+def _measured_sets(draw) -> list[int]:
+    """Values on either side of the fold switch (span <= 512 |A| folds a
+    bitset, a wider span takes the set route), shuffled, with repeats."""
+    n = draw(st.integers(1, 40))
+    lo = draw(st.integers(-10**6, 10**6))
+    limit = sieve._FOLD_DENSITY * n
+    span = draw(st.integers(0, limit) | st.integers(limit + 1, 4 * limit))
+    vals = [lo, lo + span][:n]
+    vals += draw(st.lists(st.integers(lo, lo + span), min_size=n - len(vals),
+                          max_size=n - len(vals)))
+    return draw(st.permutations(vals))
+
+
+_FOLD_CASES = [
+    # a single value; one value repeated; negative values
+    ([-7], [3, 10, 800]),
+    ([5, 5, 5], [100]),
+    ([-40, -3, -3, 0, 17, 17, 60], [2, 50, 800]),
+    # spans equal to a prime: the two ends share a class
+    ([4, 11], [10]),
+    ([-5, 2, 0], [7]),
+    ([100, 111, 105], [11, 13]),
+    # span below every prime of the grid
+    ([1000, 1001, 1003], [3, 5, 50]),
+    # dense and sparse at the switch: span = 512 |A| and 512 |A| + 1
+    ([0, 1024], [800]),
+    ([0, 1025], [800]),
+]
+
+
+def _both_routes(ps, log_n, grid, vals):
+    old = optimize_cutoff(ps, "measured", log_n, grid, values=vals)
+    # the density rule, then each route alone on either side of the switch
+    for density in (sieve._FOLD_DENSITY, -1, 10**6):
+        with mock.patch.object(sieve, "_FOLD_DENSITY", density):
+            assert sieve.optimize_cutoff(ps, "measured", log_n, grid, values=vals) == old
+
+
+@settings(max_examples=400, deadline=None)
+@given(prime_sets(), _values | _measured_sets(), _grids, _log_ns)
+def test_scan_measured_plain_matches_reference(ps, vals, grid, log_n):
+    _both_routes(ps, log_n, grid, vals)
+
+
+@pytest.mark.parametrize("vals, grid", _FOLD_CASES)
+def test_class_count_edge_cases(vals, grid):
+    _both_routes(PrimeSet.all_primes(), 6.0, grid, vals)
+
+
+def _no_bytearray(*args):
+    raise AssertionError("a sparse set must not build a bitset")
+
+
+def test_class_count_route_follows_density(monkeypatch):
+    built = []
+    monkeypatch.setattr(sieve, "bytearray", lambda n: built.append(n) or bytearray(n),
+                        raising=False)
+    sieve._class_counter([0, 1024])  # span 512 |A|
+    assert len(built) == 1
+    monkeypatch.setattr(sieve, "bytearray", _no_bytearray, raising=False)
+    assert sieve._class_counter([0, 1025])(7) == 2
+
+
+def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch):
+    # values near 10**18: a bitset of their span could never be allocated
+    vals = [10**18 + 7919 * k * k - 3 * k for k in range(-40, 41)] + [10**18] * 3
+    elems = tmp_path / "elements.txt"
+    elems.write_text("".join(f"{v}\n" for v in vals))
+    argv = ["sieve-bound", "--elements-file", str(elems), "--log-n", "41.45",
+            "--y-grid", "50,200,700"]
+    monkeypatch.setattr(sieve, "bytearray", _no_bytearray, raising=False)
+    assert harness.main(argv) == harness.EXIT_OK
+    new = capsys.readouterr().out
+    monkeypatch.setattr(harness, "optimize_cutoff", optimize_cutoff)
+    assert harness.main(argv) == harness.EXIT_OK
+    assert new == capsys.readouterr().out
+    assert new.count("\n") == 4
+
+
 @settings(max_examples=200, deadline=None)
 @given(prime_sets(), _values, _grids, _log_ns)
-def test_scan_measured_plain_matches_reference(ps, vals, grid, log_n):
-    _both(ps, "measured", log_n, grid, values=vals)
+def test_scan_weighted_matches_reference(ps, vals, grid, log_n):
+    _both(ps, "measured", log_n, grid, values=vals, variant="weighted")
 
 
-@settings(max_examples=200, deadline=None)
-@given(prime_sets(), _values, _grids, _log_ns, st.just("measured") | _models)
-def test_scan_weighted_matches_reference(ps, vals, grid, log_n, nu_model):
-    _both(ps, nu_model, log_n, grid, values=vals, variant="weighted")
+@pytest.mark.parametrize("nu_model", sorted(NU_MODELS) + [lambda p: 2])
+def test_scan_weighted_refuses_model_nu(nu_model):
+    with pytest.raises(ValueError, match="the weighted variant needs nu_model 'measured'"):
+        sieve.optimize_cutoff(PrimeSet.all_primes(), nu_model, 5.0, [10],
+                              values=[1, 4, 9], variant="weighted")
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from cubesieve import zq
 from cubesieve.zq import (
     CounterexampleError,
     Modulus,
@@ -351,6 +352,15 @@ def test_dp_refuses_huge_modulus():
     with pytest.raises(ValueError, match="too large for the reachability DP"):
         subset_sum_find([1, 2], 5, 1000000007)
     assert _least_witness([1, 2], 10**7, (3,)) == ((0, 1), 3)
+
+
+def test_schwarzwald_refuses_huge_modulus_before_listing_targets(monkeypatch):
+    calls = []
+    monkeypatch.setattr(zq, "_least_witness", lambda *args: calls.append(args))
+    b = ResidueMultiset(Modulus(3163, 3163), (1, 2, 3))  # q = 10,004,569
+    with pytest.raises(ValueError, match=r"q = 10004569 is too large .* \(max 10\*\*7\)"):
+        schwarzwald(b, 0, "direct")
+    assert calls == []
 
 
 # --- sumsets, Cauchy-Davenport ----------------------------------------------
