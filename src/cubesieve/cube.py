@@ -22,7 +22,21 @@ the untried candidates are too few. Beating the best needs
 only candidates with smax + need * a <= N are tried (the step cap; smax is
 the current largest sum). The popcount bound counts every admissible step,
 not only those under the cap: a capped step can still be a later partial
-sum."""
+sum.
+
+The greedy search draws each next step uniformly among the set bits of
+`fits >> low` by index (rng.randrange of their count, then the i-th set bit
+by bisection), which consumes the same random stream as rng.choice over the
+listed candidates, so its results match the list-based search it replaced.
+
+`verify` walks the distinct sums, {a0} grown by S |= S + a per step, not
+the 2^d sums with multiplicity that `sums()` lists (and refuses past
+d = 30). Sums above the limit are dropped as they appear, keeping only the
+least of them, and the rest are tested for membership in ascending order,
+so the offender is still the least offending sum. Before building anything
+it bounds the sums its walk visits, with at most min(2^j, a1 + ... + aj + 1,
+limit - a0 + 1) distinct sums after j steps, and refuses a cube whose bound
+passes _MAX_WALK."""
 
 from __future__ import annotations
 
@@ -35,6 +49,7 @@ from .arithsets import SetDescriptor, enumerate_members, is_member
 from .primes import PrimeSet, ceil_two_sqrt, check_table
 
 _SUMS_CAP = 30
+_MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
 _RESTARTS = 40  # greedy restarts per search
 
 
@@ -75,16 +90,51 @@ class HilbertCube:
         return f"H({self.a0};{'+'.join(str(s) for s in self.steps)})"
 
 
+def _walk_bound(cube: HilbertCube, top: int) -> int:
+    """An upper bound on the sums `verify` visits, stopping once it passes
+    _MAX_WALK: after each distinct step value there are at most min(2^j,
+    a1 + ... + aj + 1, top - a0 + 1) distinct sums in [a0, top], j steps in."""
+    span = max(top - cube.a0 + 1, 1)
+    total, prefix = 1, 0
+    for j, a in enumerate(cube.steps, 1):
+        prefix += a
+        if j == cube.dimension or cube.steps[j] != a:
+            total += min(1 << min(j, 62), prefix + 1, span)
+            if total > _MAX_WALK:
+                break
+    return total
+
+
 def verify(cube: HilbertCube, s: SetDescriptor, limit: int) -> tuple[bool, int | None]:
     """True iff every sum lies in s intersected with [1, limit]; the empty
-    sum 0 of a subset-sum cube (a0 = 0) is exempt. Returns the first
-    offending sum on failure, independently of any search state."""
-    for v in cube.sums():
-        if v == 0 and cube.a0 == 0:
-            continue
-        if not 1 <= v <= limit or not is_member(s, v):
+    sum 0 of a subset-sum cube (a0 = 0) is exempt. Returns the least
+    offending sum on failure, independently of any search state: only
+    `is_member` is consulted, once per distinct sum up to the limit.
+
+    The walk over distinct sums is the module docstring's; a step value
+    repeated m times extends only the sums its previous copy added. A cube
+    whose walk could visit more than _MAX_WALK sums (bounded up front by
+    _walk_bound) is refused with ValueError before anything is built."""
+    top = max(limit, 0)  # keeps the exempt empty sum 0 in the walk
+    if _walk_bound(cube, top) > _MAX_WALK:
+        raise ValueError(f"refusing to verify a cube of dimension {cube.dimension}: "
+                         f"its sums may exceed {_MAX_WALK} (the verify walk cap)")
+    if cube.a0 > top:
+        return False, cube.a0
+    sums, least_over = {cube.a0}, math.inf
+    for i, a in enumerate(cube.steps):
+        frontier = sums if i == 0 or cube.steps[i - 1] != a else fresh
+        fresh = {v + a for v in frontier}
+        over = {v for v in fresh if v > top}
+        if over:
+            least_over = min(least_over, min(over))
+            fresh -= over
+        fresh -= sums
+        sums |= fresh
+    for v in sorted(sums):
+        if v != 0 and not is_member(s, v):  # 0 is a sum only as the exempt one
             return False, v
-    return True, None
+    return (True, None) if least_over == math.inf else (False, least_over)
 
 
 @dataclass(frozen=True)
@@ -188,6 +238,20 @@ def _steps(rest: int, low: int) -> list[int]:
     return out
 
 
+def _nth_bit(x: int, i: int) -> int:
+    """The position of the i-th set bit of x, counting from bit 0 and i from
+    0: the least k with more than i set bits in x mod 2^(k+1), found by
+    bisection in O(log x) big-int operations."""
+    lo, hi = 0, x.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (x & ((2 << mid) - 1)).bit_count() > i:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def _result(s: SetDescriptor, limit: int, best, nodes: int, exact: bool,
             subset_sum_mode: bool, distinct: bool) -> CubeSearchResult:
     witness = HilbertCube(best[0], best[1], distinct) if best else None
@@ -258,7 +322,13 @@ def max_dimension_greedy(
     """Randomized greedy extension with restarts; a certified lower bound.
 
     Deterministic for a fixed seed. The best cube over all restarts is
-    returned (first achiever wins ties)."""
+    returned (first achiever wins ties). Each next step is drawn uniformly
+    from the admissible ones, the set bits of `fits >> low`, by index: the
+    popcount n, then i = rng.randrange(n), then the i-th set bit by
+    bisection, without listing the candidates. CPython's rng.choice(seq)
+    is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
+    rng._randbelow(n), so this draws the same random stream and picks the
+    same steps as choosing from the ascending candidate list."""
     members, bits = _members(s, limit)
     rng = random.Random(seed)
     best, nodes = None, 0
@@ -269,10 +339,11 @@ def max_dimension_greedy(
         while True:
             low = _low(steps, distinct)
             nodes += len(members) - bisect_left(members, smax + low)
-            cands = _steps(fits >> low, low)
-            if not cands:
+            rest = fits >> low
+            count = rest.bit_count()
+            if not count:
                 break
-            a = rng.choice(cands)
+            a = low + _nth_bit(rest, rng.randrange(count))
             smax, fits = smax + a, fits & (fits >> a)
             steps.append(a)
         if best is None or len(steps) > len(best[1]):

@@ -110,12 +110,16 @@ def _emit_csv(header: list[str], rows: list[list], path: str | None) -> None:
     _write(text, path)
 
 
-def _emit_witness(w: SubsetWitness | None, path: str | None) -> None:
+def _emit_witness(args, w: SubsetWitness | None, elements) -> None:
+    """Write a subset-sum certificate once it re-validates against the
+    elements it indexes."""
     if w is None:
-        return _write("NOTFOUND\n", path)
+        return _write("NOTFOUND\n", args.out)
     indices = "+".join(map(str, w.indices))
+    if not w.validate(elements):
+        raise CounterexampleError(f"{args.command} witness {indices} fails re-validation")
     facts = "|".join(f"{mod}{op}{t}" for mod, op, t in w.facts)
-    _emit_csv(["indices", "sum", "facts"], [[indices, w.sum_mod_q, facts]], path)
+    _emit_csv(["indices", "sum", "facts"], [[indices, w.sum_mod_q, facts]], args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,13 @@ _SCAN_HEADER = [
     "N", "dimension", "mode", "witness", "nodes", "exact",
     "log_N", "d_over_log_N", "d_over_sqrt_log_N",
 ]
+
+
+def _recheck(cube: HilbertCube, s, limit: int, what: str) -> None:
+    """Re-verify a cube certificate against the set before it is written."""
+    ok, offender = verify(cube, s, limit)
+    if not ok:
+        raise CounterexampleError(f"{what} fails at {offender}")
 
 
 def run_dimension_scan(descriptor, cfg: ExperimentConfig):
@@ -139,11 +150,7 @@ def run_dimension_scan(descriptor, cfg: ExperimentConfig):
             if probe.best_dimension > res.best_dimension:
                 res = probe
         if res.witness is not None:
-            ok, offender = verify(res.witness, descriptor, n)
-            if not ok:
-                raise CounterexampleError(
-                    f"scan witness {res.witness.describe()} fails at {offender}"
-                )
+            _recheck(res.witness, descriptor, n, f"scan witness {res.witness.describe()}")
         d = res.best_dimension
         log_n = math.log(n)
         ratios_defined = d >= 0 and log_n > 0
@@ -472,15 +479,16 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_olson(args) -> int:
-    w = subset_sum_find(_ints(args.elements), args.target, args.p)
-    _emit_witness(w, args.out)
+    elements = _ints(args.elements)
+    w = subset_sum_find(elements, args.target, args.p)
+    _emit_witness(args, w, elements)
     return EXIT_OK
 
 
 def cmd_liftzero(args) -> int:
     b = ResidueMultiset(Modulus(args.p, args.m), tuple(_ints(args.elements)))
     w = find_lift_zero(b, distinct_mod_p=args.distinct_mod_p)
-    _emit_witness(w, args.out)
+    _emit_witness(args, w, b.elements)
     return EXIT_OK
 
 
@@ -490,7 +498,7 @@ def cmd_schwarzwald(args) -> int:
     mod = Modulus(args.p, args.p ** (args.ell - 1))
     b = ResidueMultiset(mod, tuple(_ints(args.elements)))
     w = schwarzwald(b, args.a0, strategy=args.strategy)
-    _emit_witness(w, args.out)
+    _emit_witness(args, w, b.elements)
     return EXIT_OK
 
 
@@ -542,6 +550,8 @@ def cmd_cube_search(args) -> int:
     else:
         res = max_dimension_greedy(s, args.limit, subset_sum_mode=args.subset_sum,
                                    seed=args.seed, distinct=args.distinct)
+    if res.witness is not None:
+        _recheck(res.witness, s, args.limit, f"cube-search witness {res.witness.describe()}")
     row = [res.limit, res.mode, res.best_dimension,
            res.witness.describe() if res.witness else "-",
            res.nodes_expanded, int(res.exact)]
@@ -553,7 +563,12 @@ def cmd_cube_search(args) -> int:
 
 
 def cmd_ap_max(args) -> int:
-    length, step = max_homogeneous_ap(parse_set_descriptor(args.set), args.limit)
+    s = parse_set_descriptor(args.set)
+    length, step = max_homogeneous_ap(s, args.limit)
+    if step is not None:
+        # step, 2 step, ..., length step are the sums of H(step; step x (length - 1))
+        _recheck(HilbertCube(step, (step,) * (length - 1)), s, args.limit,
+                 f"ap-max progression of step {step} and length {length}")
     _emit_csv(["N", "length", "step"],
               [[args.limit, length, step if step is not None else "-"]], args.out)
     return EXIT_OK
@@ -570,6 +585,8 @@ def cmd_sunflower(args) -> int:
     else:
         kernel = "+".join(map(str, sorted(w.kernel))) or "-"
         petals = "+".join(map(str, w.petal_indices))
+        if not w.validate(fam):
+            raise CounterexampleError(f"sunflower witness {petals} fails re-validation")
         _emit_csv(["kernel", "petals"], [[kernel, petals]], None)
     return EXIT_OK
 

@@ -135,9 +135,16 @@ def _rotate(mask: int, v: int, q: int, full: int) -> int:
 
 
 def _check_dp_modulus(q: int) -> None:
+    """Refuse a modulus past _MAX_Q; one of more than 30 digits is named by
+    its digit count, so that the message stays one short line."""
     if q > _MAX_Q:
-        raise ValueError(
-            f"modulus q = {q} is too large for the reachability DP (max 10**7)")
+        if q < 10**30:
+            shown = f"q = {q}"
+        else:
+            digits = int(math.log10(q)) + 1  # the float log may be off by one here
+            digits += (10**digits <= q) - (10 ** (digits - 1) > q)
+            shown = f"q of {digits} digits"
+        raise ValueError(f"modulus {shown} is too large for the reachability DP (max 10**7)")
 
 
 def _least_witness(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,64 @@ def test_verify_subset_sum_exempts_zero():
     assert verify(HilbertCube(0, (9, 16)), pp, 30) == (True, None)
     # a0 = 0 is not exempt for nonzero offending sums
     assert verify(HilbertCube(0, (5,)), pp, 30) == (False, 5)
+
+
+def test_verify_walks_past_the_sums_cap():
+    # d = 40 is past the cap of sums(), but the walk holds only 41 sums
+    every = parse_set_descriptor("semigroup:all")
+    ones = HilbertCube(0, (1,) * 40)
+    with pytest.raises(ValueError):
+        ones.sums()
+    assert verify(ones, every, 40) == (True, None)
+    assert verify(ones, every, 39) == (False, 40)
+    assert verify(HilbertCube(4, (4,) * 40), Squareful(), 10**4) == (False, 12)
+
+
+def test_verify_tests_each_distinct_sum_once(monkeypatch):
+    # the dense-scan witness at N = 1000: 8,192 sums, 26 of them distinct
+    calls = []
+    real = cube.is_member
+    monkeypatch.setattr(cube, "is_member", lambda s, n: calls.append(n) or real(s, n))
+    witness = HilbertCube(1, (1,) + (60,) * 12)
+    assert verify(witness, parse_set_descriptor("rfull:2,inert:1,1,1"), 1000) == (True, None)
+    assert calls == sorted(set(witness.sums()))
+    assert len(calls) == 26
+
+
+def test_verify_refuses_a_huge_walk_before_building_it(monkeypatch):
+    def unreachable(s, n):
+        raise AssertionError("tested a sum past the walk guard")
+
+    monkeypatch.setattr(cube, "is_member", unreachable)
+    powers = HilbertCube(1, tuple(1 << k for k in range(40)))  # 2^40 distinct sums
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"refusing to verify a cube of dimension 40: "
+                                             r"its sums may exceed 4194304"):
+            verify(powers, Squareful(), 1 << 41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_verify_walk_bound_is_exact_at_the_cap(monkeypatch):
+    # 1 + 2 + 4 + ... + 64 = 127 sums for six doubling steps under a high limit;
+    # a low limit bounds them by the range instead
+    every = parse_set_descriptor("semigroup:all")
+    doubling = HilbertCube(1, (1, 2, 4, 8, 16, 32))
+    monkeypatch.setattr(cube, "_MAX_WALK", 127)
+    assert verify(doubling, every, 64) == (True, None)
+    monkeypatch.setattr(cube, "_MAX_WALK", 126)
+    with pytest.raises(ValueError, match="its sums may exceed 126"):
+        verify(doubling, every, 64)
+    assert verify(doubling, every, 10) == (False, 11)
+
+
+@pytest.mark.parametrize("x", [1, 2, 0b1011_0100, (1 << 200) | (1 << 77) | 5, (1 << 1000) - 1])
+def test_nth_bit_matches_listed_bits(x):
+    bits = [k for k in range(x.bit_length()) if x >> k & 1]
+    assert [cube._nth_bit(x, i) for i in range(len(bits))] == bits
 
 
 def test_residue_constraint_check_examples():

@@ -1,6 +1,7 @@
 """Differential tests: the bitset search core in cubesieve.cube against the
-list-based search it replaced, which is kept below as a reference
-implementation (function bodies unchanged, docstrings dropped).
+list-based search it replaced, and the distinct-sum `verify` against the
+multiset loop it replaced. Both are kept below as reference implementations
+(function bodies unchanged, docstrings dropped).
 
 The greedy searches must agree on the whole CubeSearchResult. The exact
 search cuts states with its popcount bound and step cap, and charges each
@@ -22,7 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesieve import cube
-from cubesieve.arithsets import SetDescriptor, enumerate_members, parse_set_descriptor
+from cubesieve.arithsets import (
+    SetDescriptor,
+    enumerate_members,
+    is_member,
+    parse_set_descriptor,
+)
 from cubesieve.cube import CubeSearchResult, HilbertCube
 
 # ---------------------------------------------------------------------------
@@ -236,3 +242,71 @@ def test_fixed_grid_matches_reference(text, n, subset_sum, distinct, budget):
     _check_exact(s, n, budget=budget, **kw)
     assert cube.max_dimension_greedy(s, n, seed=budget, **kw) == \
         max_dimension_greedy(s, n, seed=budget, **kw)
+
+
+# ---------------------------------------------------------------------------
+# reference verify (the loop over all 2^d sums with multiplicity)
+
+
+def verify(cube: HilbertCube, s: SetDescriptor, limit: int) -> tuple[bool, int | None]:
+    for v in cube.sums():
+        if v == 0 and cube.a0 == 0:
+            continue
+        if not 1 <= v <= limit or not is_member(s, v):
+            return False, v
+    return True, None
+
+
+_VERIFY_SETS = (
+    "squareful", "purepowers", "rfull:2,inert:1,1,1", "semigroup:class:1,4",
+    "quadform:1,0,1", "semigroup:all",
+)
+
+
+@st.composite
+def cubes_with_sets(draw):
+    """A cube of dimension <= 14 whose steps often repeat, a set that is a
+    named descriptor or a listed set holding all its nonzero sums but a few,
+    and a limit near its largest sum (or anywhere from -5 up). Bases range
+    far past the small sums' count, so the walk's sets do not iterate in
+    ascending order."""
+    pool = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    steps = draw(st.lists(st.sampled_from(pool) | st.integers(1, 3000), max_size=14))
+    a0 = draw(st.sampled_from((0, 1)) | st.integers(0, 10**6))
+    cube_ = HilbertCube(a0, tuple(steps))
+    sums = sorted(set(cube_.sums()))
+    if draw(st.booleans()):
+        drop = draw(st.sets(st.sampled_from(sums), max_size=3))
+        s = Listed(frozenset(v for v in sums if v and v not in drop))
+    else:
+        s = parse_set_descriptor(draw(st.sampled_from(_VERIFY_SETS)))
+    limit = draw(st.sampled_from(sums) | st.integers(-5, sums[-1] + 5))
+    return cube_, s, limit
+
+
+@settings(max_examples=400, deadline=None)
+@given(cubes_with_sets())
+def test_verify_matches_reference(case):
+    cube_, s, limit = case
+    assert cube.verify(cube_, s, limit) == verify(cube_, s, limit)
+
+
+@pytest.mark.parametrize("a0, steps, values, limit", [
+    # a0 = 0: the empty sum is exempt, also below a negative limit
+    (0, (3, 3), {3, 6}, 6),
+    (0, (3, 3), {3, 6}, -2),
+    (0, (2, 5), {2, 5, 7}, 6),
+    # several in-range failures: the least is named, not the first in set order
+    (1000, (1, 8, 8), {1000, 1008}, 2000),
+    (64, (1, 2, 4), set(), 100),
+    # failures only above the limit: the least of them, from either repeat
+    (1, (6, 6), {1, 7}, 10),
+    (1, (3, 9), {1, 4}, 10),
+    (1, (4, 9, 9), {1, 5, 10, 14}, 12),
+    (1, (2, 7, 7, 7), {1, 3, 8, 10, 15, 17, 22, 24}, 16),
+    (3, (2, 3, 4, 4), {3, 5, 6, 7, 8, 9, 10}, 10),  # 11 appears after 12
+    (5, (1,), {5, 6}, 4),
+])
+def test_verify_edge_cases_match_reference(a0, steps, values, limit):
+    cube_, s = HilbertCube(a0, steps), Listed(frozenset(values))
+    assert cube.verify(cube_, s, limit) == verify(cube_, s, limit)

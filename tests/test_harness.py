@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from cubesieve.harness import (
     _emit_csv,
 )
 from cubesieve.sieve import prescribed_cutoff
+from cubesieve.sunflower import SunflowerWitness
 
 
 def _unreachable(*args):
@@ -501,6 +503,28 @@ def test_cli_scan_csv_matches_golden(name, argv, capsys):
     assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
 
 
+_DENSE = ["--grid", "1000,10000", "--budget", "300000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("name, argvs", [
+    ("experiment_f1_inert_dense",
+     [["experiment", "f1", "--r", "2", "--primes", "inert:1,1,1", *_DENSE]]),
+    ("experiment_f4_class_dense", [["experiment", "f4", "--primes", "class:1,4", *_DENSE]]),
+    ("cube_search_greedy_rfull_inert",
+     [["cube-search", "--set", "rfull:2,inert:1,1,1", "--limit", "10000", "--mode", "greedy",
+       "--seed", seed] for seed in ("0", "1", "2")]),
+])
+def test_cli_dense_csv_matches_golden(name, argvs, capsys):
+    # the benchmark-sized dense rows, where the greedy probe picks among
+    # thousands of admissible steps and the witnesses repeat one step
+    outs = []
+    for argv in argvs:
+        code, out, err = run_cli(argv, capsys)
+        assert code == EXIT_OK and err == ""
+        outs.append(out)
+    assert "".join(outs) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--set", "squareful", "--y", "100", "--log-n", "inf"], "log N must be finite, got inf"),
     (["--primes", "all", "--nu", "two_sqrt", "--y", "100", "--log-n", "nan"],
@@ -625,3 +649,81 @@ def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
     monkeypatch.setattr(cube, "enumerate_members", _unreachable)
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_cli_cube_verify_past_the_sums_cap(capsys):
+    # d = 40 answers now; the 2^40 sums with multiplicity were refused before
+    argv = ["cube-verify", "--a0", "0", "--steps", ",".join(["1"] * 40),
+            "--set", "semigroup:all", "--subset-sum", "--limit"]
+    assert run_cli(argv + ["40"], capsys) == (EXIT_OK, "verified\n", "")
+    assert run_cli(argv + ["39"], capsys) == (EXIT_OK, "offender:40\n", "")
+
+
+def test_cli_cube_verify_refuses_a_huge_walk(capsys):
+    argv = ["cube-verify", "--a0", "1", "--steps", ",".join(str(1 << k) for k in range(40)),
+            "--set", "squareful", "--limit", str(1 << 41)]
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "",
+        "error: refusing to verify a cube of dimension 40: its sums may exceed 4194304 "
+        "(the verify walk cap)\n",
+    )
+
+
+def _corrupt(monkeypatch, name, fault):
+    """Replace harness.<name> by the real finder followed by `fault`."""
+    real = getattr(harness, name)
+    monkeypatch.setattr(harness, name, lambda *a, **kw: fault(real(*a, **kw)))
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_cli_cube_search_rechecks_its_witness(mode, capsys, monkeypatch):
+    finder = "max_dimension_exact" if mode == "exact" else "max_dimension_greedy"
+    _corrupt(monkeypatch, finder,
+             lambda res: dataclasses.replace(res, witness=HilbertCube(1, (7, 23))))
+    argv = ["cube-search", "--set", "squareful", "--limit", "32", "--mode", mode]
+    assert run_cli(argv, capsys) == (
+        EXIT_COUNTEREXAMPLE, "", "counterexample: cube-search witness H(1;7+23) fails at 24\n")
+
+
+def test_cli_ap_max_rechecks_its_progression(capsys, monkeypatch):
+    # 900, 1800, ..., 5400 are squareful, 6300 = 900 * 7 is not
+    _corrupt(monkeypatch, "max_homogeneous_ap", lambda res: (res[0] + 1, res[1]))
+    argv = ["ap-max", "--set", "squareful", "--limit", "100000"]
+    assert run_cli(argv, capsys) == (
+        EXIT_COUNTEREXAMPLE, "",
+        "counterexample: ap-max progression of step 900 and length 7 fails at 6300\n",
+    )
+
+
+@pytest.mark.parametrize("argv, finder, indices", [
+    (["olson", "--p", "7", "--elements", "1,2,3", "--target", "6"], "subset_sum_find", "1+1+2"),
+    (["liftzero", "--p", "7", "--m", "4", "--elements", "7,14,21"], "find_lift_zero", "1"),
+    (_SCHWARZWALD + _ALL_RESIDUES, "schwarzwald", "2+2+3+4+5+6"),
+])
+def test_cli_witness_commands_revalidate(argv, finder, indices, capsys, monkeypatch):
+    # the uncorrupted witnesses are pinned in test_cli_witness_bytes
+    _corrupt(monkeypatch, finder, flip_first_index)
+    assert run_cli(argv, capsys) == (
+        EXIT_COUNTEREXAMPLE, "",
+        f"counterexample: {argv[0]} witness {indices} fails re-validation\n",
+    )
+
+
+def test_cli_sunflower_revalidates(capsys, monkeypatch, tmp_path):
+    fam = tmp_path / "family.txt"
+    fam.write_text("1,2\n1,3\n1,4\n")
+    _corrupt(monkeypatch, "find_sunflower",
+             lambda w: SunflowerWitness(frozenset({2}), w.petal_indices))
+    argv = ["sunflower", "--family-file", str(fam), "--petals", "3"]
+    assert run_cli(argv, capsys) == (
+        EXIT_COUNTEREXAMPLE, "", "counterexample: sunflower witness 0+1+2 fails re-validation\n")
+
+
+def test_cli_schwarzwald_names_a_huge_modulus_by_its_digits(capsys):
+    # q = 7^2000 has 1,691 digits
+    argv = ["schwarzwald", "--p", "7", "--ell", "2000", "--a0", "1", "--elements", "1,2,3"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("error: modulus q of 1691 digits is too large for the reachability DP "
+                   "(max 10**7)\n")
+    assert len(err) < 200

@@ -354,6 +354,20 @@ def test_dp_refuses_huge_modulus():
     assert _least_witness([1, 2], 10**7, (3,)) == ((0, 1), 3)
 
 
+@pytest.mark.parametrize("q, shown", [
+    (10**30 - 1, f"q = {10**30 - 1}"),
+    (10**30, "q of 31 digits"),
+    (10**300 - 1, "q of 300 digits"),
+    (10**300, "q of 301 digits"),
+    (7**2000, "q of 1691 digits"),
+    (10**5000, "q of 5001 digits"),  # past the default int-to-str digit limit
+], ids=["10^30-1", "10^30", "10^300-1", "10^300", "7^2000", "10^5000"])
+def test_dp_names_a_long_modulus_by_its_digits(q, shown):
+    with pytest.raises(ValueError) as exc:
+        zq._check_dp_modulus(q)
+    assert str(exc.value) == f"modulus {shown} is too large for the reachability DP (max 10**7)"
+
+
 def test_schwarzwald_refuses_huge_modulus_before_listing_targets(monkeypatch):
     calls = []
     monkeypatch.setattr(zq, "_least_witness", lambda *args: calls.append(args))
