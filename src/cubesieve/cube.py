@@ -6,12 +6,12 @@ a_i over subsets I. Subset-sum cubes are the a0 = 0 case; there the empty
 sum 0 is exempt from set membership since only the nonzero sums live in
 [1, N].
 
-The exact and greedy searches share one bitset core. The members up to N
-are one int with bit m set for each member m. A search state keeps `fits`,
+The exact and greedy searches share one bitset core (the codec of
+`primes`). The members up to N are one bitset. A search state keeps `fits`,
 the bitset of offsets x such that every current sum + x is a member: it
 starts at members >> a0, and adding step a sets fits &= fits >> a. The
 admissible next steps are the set bits of `fits` at positions >= the least
-allowed step `low`, read once from the binary string of `fits >> low`.
+allowed step `low`, read once by `set_bits(fits >> low, low)`.
 
 The exact search cuts with two admissible bounds. k more steps, each at
 least `low`, give k distinct partial sums, each a set bit of `fits >> low`;
@@ -46,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
-from .primes import PrimeSet, ceil_two_sqrt, check_table
+from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table, set_bits
 
 _SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
@@ -212,30 +212,13 @@ def _members(s: SetDescriptor, limit: int) -> tuple[list[int], int]:
     enumerated."""
     check_table(limit, "the cube search bitset")
     members = enumerate_members(s, limit)
-    buf = bytearray(members[-1] // 8 + 1 if members else 0)
-    for m in members:
-        buf[m >> 3] |= 1 << (m & 7)
-    return members, int.from_bytes(buf, "little")
+    return members, bitset(members, members[-1] if members else 0)
 
 
 def _low(steps: list[int], distinct: bool) -> int:
     """The least allowed next step: 1 for the first step, otherwise the last
     step, plus one under `distinct`."""
     return (steps[-1] + 1 if distinct else steps[-1]) if steps else 1
-
-
-def _steps(rest: int, low: int) -> list[int]:
-    """low + k for each set bit k of `rest`, ascending, read from its binary
-    string with str.rfind rather than one big-int operation per bit (the
-    string's last character is bit 0)."""
-    bits = format(rest, "b")
-    top = low + len(bits) - 1
-    out = []
-    k = bits.rfind("1")
-    while k >= 0:
-        out.append(top - k)
-        k = bits.rfind("1", 0, k)
-    return out
 
 
 def _nth_bit(x: int, i: int) -> int:
@@ -296,7 +279,7 @@ def max_dimension_exact(
             nodes, exhausted = budget + 1, True
             return
         cap = (limit - smax) // (best_d + 1 - depth)
-        for i, a in enumerate(_steps(rest & ((1 << max(cap - low + 1, 0)) - 1), low)):
+        for i, a in enumerate(set_bits(rest & ((1 << max(cap - low + 1, 0)) - 1), low)):
             if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return
             steps.append(a)

@@ -33,10 +33,9 @@ from .cube import (
     residue_constraint_check,
     verify,
 )
-from .primes import PrimeSet, ceil_two_sqrt, parse_prime_set, primes_up_to
+from .primes import MAX_TABLE, PrimeSet, ceil_two_sqrt, check_table, parse_prime_set, primes_up_to
 from .sieve import (
     _check_log_n,
-    check_cutoff,
     gallagher_bound,
     gallagher_bound_weighted,
     optimize_cutoff,
@@ -68,7 +67,6 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
 
-_MAX_MEASURED_N = 10**8  # largest e^(log N) that a measured sieve-bound enumerates to
 
 @dataclass
 class ExperimentConfig:
@@ -196,7 +194,7 @@ def run_sieve_compare(cfg: ExperimentConfig):
     all_primes = PrimeSet.all_primes()
     # the grid ascends, so the last prescribed cutoff is the largest sieve
     y_stars = [max(4, int(round(prescribed_cutoff(cfg.tau, math.log(n))))) for n in cfg.n_grid]
-    check_cutoff(y_stars[-1])
+    check_table(y_stars[-1])
     rows = []
     for n, y_star in zip(cfg.n_grid, y_stars):
         squares = [a * a for a in range(1, math.isqrt(n) + 1)]
@@ -512,7 +510,7 @@ def cmd_sieve_bound(args) -> int:
             raise ValueError(f"sieve-bound --nu {args.nu} does not read {given}")
     prime_set = parse_prime_set(args.primes)
     grid = [args.y] if args.y is not None else _parse_y_grid(args.y_grid)
-    check_cutoff(max(grid, default=0))
+    check_table(max(grid, default=0))
     values = None
     if args.elements_file:
         with open(args.elements_file, encoding="utf-8") as fh:
@@ -521,7 +519,7 @@ def cmd_sieve_bound(args) -> int:
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")
         _check_log_n(args.log_n)
-        if args.log_n > math.log(_MAX_MEASURED_N):
+        if args.log_n > math.log(MAX_TABLE):
             raise ValueError(f"log N too large to enumerate up to e^(log N), got {args.log_n}")
         values = enumerate_members(parse_set_descriptor(args.set),
                                    int(round(math.exp(args.log_n))))

@@ -1,26 +1,52 @@
-"""Prime generation, prime-set descriptors, weighted prime density, and
-quadratic-residue tools for positive definite binary quadratic forms."""
+"""Prime generation, prime-set descriptors, weighted prime density,
+quadratic-residue tools for positive definite binary quadratic forms, and
+the bitset codec the other layers share: one int with bit v set for each
+value v of a set. `bitset` builds it through a bytearray and
+`int.from_bytes`; `set_bits` reads it back from its binary string (whose
+last character is bit 0) with `str.rfind`, not one big-int operation per
+bit."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_TABLE = 10**8  # largest limit of a table of one byte per integer
 
 
-def check_table(limit: int, table: str) -> None:
-    """Refuse a limit past 10**8 for a table of one byte (or a loop of one
-    step) per integer up to it, before anything is built."""
-    if limit > 10**8:
+def check_table(limit: int, table: str = "the prime sieve table") -> None:
+    """Refuse a limit past MAX_TABLE for a table of one byte (or a loop of
+    one step) per integer up to it, before anything is built."""
+    if limit > MAX_TABLE:
         raise ValueError(f"limit N = {limit} is too large for {table} (max 10**8)")
+
+
+def bitset(values: Iterable[int], top: int) -> int:
+    """The int with bit v set for each v in `values`, all in [0, top]."""
+    buf = bytearray(top // 8 + 1)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def set_bits(x: int, offset: int = 0) -> list[int]:
+    """offset + k for each set bit k of x >= 0, ascending."""
+    bits = format(x, "b")
+    top = offset + len(bits) - 1
+    out = []
+    k = bits.rfind("1")
+    while k >= 0:
+        out.append(top - k)
+        k = bits.rfind("1", 0, k)
+    return out
 
 
 def primes_up_to(y: int) -> list[int]:
     """All primes <= y, ascending (sieve of Eratosthenes)."""
-    check_table(y, "the prime sieve table")
+    check_table(y)
     if y < 2:
         return []
     sieve = bytearray(b"\x01") * (y + 1)

@@ -14,16 +14,16 @@ all evaluate through `_bounds`.
 
 A measured plain scan needs only nu(p), the number of classes mod p that
 the set occupies, at every prime up to y. When the set is dense, with
-max - min <= 512 |A|, it is one big-int bitset of v - min (the count does
-not change under a shift), and each prime folds it onto p bits: cut it at
-a multiple of p near half its length, OR the high part onto the low part,
-and repeat until it is at most p bits long; nu(p) is then its popcount.
-That is O(log(span/p)) big-int operations of at most span/64 words per
-prime. A sparser set, such as values near 10**18 from a file, would need a
-bitset too large to fold cheaply, or to allocate at all, so it reduces
-every value mod p instead (|A| interpreted steps per prime). The two costs
-cross near span/|A| = 1000 on random sets of 200 to 2000 values; 512 stays
-on the safe side of it. The weighted variant needs the occupancies
+max - min <= 512 |A|, it is one bitset (the codec of `primes`) of v - min
+(the count does not change under a shift), and each prime folds it onto p
+bits: cut it at a multiple of p near half its length, OR the high part onto
+the low part, and repeat until it is at most p bits long; nu(p) is then its
+popcount. That is O(log(span/p)) big-int operations of at most span/64
+words per prime. A sparser set, such as values near 10**18 from a file,
+would need a bitset too large to fold cheaply, or to allocate at all, so it
+reduces every value mod p instead (|A| interpreted steps per prime). The
+two costs cross near span/|A| = 1000 on random sets of 200 to 2000 values;
+512 stays on the safe side of it. The weighted variant needs the occupancies
 themselves, so it counts them with one Counter per prime, as `profile`
 does."""
 
@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .arithsets import factorize
-from .primes import PrimeSet, ceil_two_sqrt
+from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
 
 DENOM_TOL = 1e-9
-_MAX_CUTOFF = 10**8  # largest y the prime sieve (a y-byte table) is run to
 _FOLD_DENSITY = 512  # fold a measured set into a bitset when span <= this * |A|
 
 
@@ -85,11 +84,7 @@ def _class_counter(vals: list[int]) -> Callable[[int], int]:
     span = max(vals) - lo
     if span > _FOLD_DENSITY * len(vals):
         return lambda p: len({v % p for v in vals})
-    table = bytearray(span // 8 + 1)
-    for v in vals:
-        v -= lo
-        table[v >> 3] |= 1 << (v & 7)
-    full = int.from_bytes(table, "little")
+    full = bitset((v - lo for v in vals), span)
 
     def count(p: int) -> int:
         bits, top = full, span  # no bit above position `top` is set
@@ -131,12 +126,6 @@ def _check_moduli(profiles: Sequence[ResidueProfile]) -> list[ResidueProfile]:
 def _check_log_n(log_n: float) -> None:
     if not (math.isfinite(log_n) and log_n > 0):
         raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
-
-
-def check_cutoff(y: int) -> None:
-    """Refuse a cutoff past 10**8: the prime sieve needs a y-byte table."""
-    if y > _MAX_CUTOFF:
-        raise ValueError(f"cutoff y = {y} is too large to sieve (max 10**8)")
 
 
 def prescribed_cutoff(tau: float, log_n: float) -> float:
@@ -240,7 +229,7 @@ def optimize_cutoff(
     grid = list(y_grid)
     if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("y grid must be nonempty and ascending")
-    check_cutoff(grid[-1])
+    check_table(grid[-1])
     if variant not in ("plain", "weighted"):
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
     _check_log_n(log_n)

@@ -6,14 +6,17 @@ Witnesses index into the input sequence, so repeated residues are handled
 without ambiguity. All finders are deterministic and share one reachability
 DP: it scans elements left to right and freezes each state's witness at
 first reach, a finder returns the least witness over its admissible target
-states, and the DP stops once all of them are reached. The DP holds the
-reached states as one q-bit int, so each element adds all its new states
-with one rotate. A state's witness follows from the step that first
-reached it, so the DP keeps only those steps: a table of 4 bytes per state
-for the states reached in sparse steps, and at most 64 snapshots of the
-reached set (q/8 bytes each) for the dense steps, at most 12 bytes per
-state of Z_q together. Moduli above 10**7 are refused before anything is
-allocated."""
+states, and the DP stops once all of them are reached. The targets are one
+class mod p less at most one state of Z_q: the target class itself for
+Olson (q = p), 0 mod p but not 0 mod q for lift-zero, -a0 mod p but not
+-a0 mod q for the shifted finder. The DP holds the targets and the reached
+states as q-bit bitsets (the codec of `primes`), so each element adds all
+its new states with one rotate. A state's witness follows from the step
+that first reached it, so the DP keeps only those steps: a table of 4
+bytes per state for the states reached in sparse steps, and at most 64
+snapshots of the reached set (q/8 bytes each) for the dense steps, at most
+12 bytes per state of Z_q together. Moduli above 10**7 are refused before
+anything is allocated."""
 
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
-from .primes import ceil_two_sqrt, is_prime
+from .primes import ceil_two_sqrt, is_prime, set_bits
 
 _MAX_Q = 10**7  # largest modulus the reachability DP accepts
 
@@ -55,24 +58,23 @@ class Modulus:
     def q(self) -> int:
         return self.p * self.m
 
+    def _exponent(self) -> int:
+        """k with q = p^k, else 0: one log estimate (math.log reads a big int
+        by its bit length) confirmed by one power, not k divisions."""
+        k = round(math.log(self.q, self.p))
+        return k if self.p ** k == self.q else 0
+
     @property
     def is_prime_power(self) -> bool:
-        t = self.m
-        while t % self.p == 0:
-            t //= self.p
-        return t == 1
+        return self._exponent() > 0
 
     @property
     def ell(self) -> int:
         """Exponent when q = p^ell."""
-        if not self.is_prime_power:
-            raise ValueError(f"q = {self.q} is not a power of {self.p}")
-        e = 0
-        t = self.q
-        while t > 1:
-            t //= self.p
-            e += 1
-        return e
+        k = self._exponent()
+        if not k:
+            raise ValueError(f"q = p * m is not a power of p = {self.p}")
+        return k
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,11 @@ def _check_dp_modulus(q: int) -> None:
 
 
 def _least_witness(
-    values: Sequence[int], q: int, targets: Sequence[int]
+    values: Sequence[int], q: int, p: int, residue: int, excluded: int = -1
 ) -> tuple[tuple[int, ...], int] | None:
-    """Least witness over the target states of Z_q, as (indices, state).
+    """Least witness over the target states of Z_q, as (indices, state):
+    the states = residue (mod p), for p dividing q and 0 <= residue < p,
+    other than `excluded` (none when it is -1).
 
     A first-reach reachability DP over nonempty-subset sums: element i
     first reaches its singleton {i}, then each state reached before i plus
@@ -163,15 +167,20 @@ def _least_witness(
     denser one keeps a bytes snapshot of R (at most 64 of these, found by
     bisection). Memory is O(q) bytes: 4q for the table and at most 8q for
     the snapshots. The scan stops once every target is reached. Returns
-    None when no target is reachable; refuses q above 10**7 up front."""
+    None when no target is reachable; refuses q above 10**7 up front.
+
+    The target mask repeats bit `residue` every p bits, doubling the span
+    it covers at each shift: O(log(q/p)) big-int operations, where the one
+    division (2^q - 1) // (2^p - 1) gives the same mask in O(q p) steps."""
     _check_dp_modulus(q)
     nbytes = (q + 7) // 8
-    tbits = bytearray(nbytes)
-    for t in targets:
-        tbits[t >> 3] |= 1 << (t & 7)
-    tmask = int.from_bytes(tbits, "little")
-    left = tmask.bit_count()
     full = (1 << q) - 1
+    tmask, span = 1 << residue, p
+    while span < q:
+        tmask |= tmask << span
+        span *= 2
+    tmask &= full if excluded < 0 else full ^ (1 << excluded)
+    left = tmask.bit_count()
     first = memoryview(bytearray(b"\xff") * (4 * q)).cast("i")  # int32, all -1
     snaps: list[bytes] = []
     snap_steps: list[int] = []
@@ -183,12 +192,8 @@ def _least_witness(
         new = (_rotate(reached, v, q, full) | 1 << v) & ~reached
         reached |= new
         if new.bit_count() * 64 < q:
-            bits = format(new, "b")
-            top = len(bits) - 1
-            j = bits.find("1")
-            while j >= 0:
-                first[top - j] = i
-                j = bits.find("1", j + 1)
+            for s in set_bits(new):
+                first[s] = i
         else:
             snaps.append(reached.to_bytes(nbytes, "little"))
             snap_steps.append(i)
@@ -211,9 +216,7 @@ def _least_witness(
                 return tuple(reversed(idx))
             s = (s - v) % q
 
-    final = reached.to_bytes(nbytes, "little")
-    return min(((witness(s), s) for s in targets if final[s >> 3] >> (s & 7) & 1),
-               default=None)
+    return min(((witness(s), s) for s in set_bits(reached & tmask)), default=None)
 
 
 def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitness | None:
@@ -226,7 +229,7 @@ def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitne
         raise ValueError(f"{p} is not prime")
     target %= p
     vals = [e % p for e in elements]
-    found = _least_witness(vals, p, (target,))
+    found = _least_witness(vals, p, p, target)
     if found:
         return SubsetWitness(p, *found, ((p, "==", target),))
     distinct = len(set(vals))
@@ -278,7 +281,7 @@ def find_lift_zero(b: ResidueMultiset, distinct_mod_p: bool = False) -> SubsetWi
     p, q, m = mod.p, mod.q, mod.m
     if distinct_mod_p and b.distinct_mod_p() != len(b.elements):
         raise ValueError("elements are not distinct mod p")
-    found = _least_witness(b.elements, q, range(p, q, p))
+    found = _least_witness(b.elements, q, p, 0, 0)
     if found:
         return SubsetWitness(q, *found, ((p, "==", 0), (q, "!=", 0)))
     hypotheses = (
@@ -306,16 +309,14 @@ def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> Subset
     route rejects inputs failing a selection step with a diagnostic naming
     the step; the certified facts of either strategy are identical."""
     mod = b.modulus
-    if not mod.is_prime_power or mod.ell < 2:
+    if mod.m == 1 or not mod.is_prime_power:  # ell > 1 exactly when m > 1
         raise ValueError(f"modulus must be p^ell with ell > 1, got p={mod.p}, m={mod.m}")
     p, q, m = mod.p, mod.q, mod.m
     a0 %= q
     facts = ((p, "==", (-a0) % p), (q, "!=", (-a0) % q))
 
     if strategy == "direct":
-        _check_dp_modulus(q)  # before the q/p targets are listed
-        bad = (-a0) % q
-        found = _least_witness(b.elements, q, [s for s in range((-a0) % p, q, p) if s != bad])
+        found = _least_witness(b.elements, q, p, (-a0) % p, (-a0) % q)
         if found:
             return SubsetWitness(q, *found, facts)
         if b.distinct_mod_p() >= 5 * ceil_two_sqrt(p) + 2:

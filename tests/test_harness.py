@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -333,13 +334,13 @@ _HUGE_STAR = max(4, int(round(prescribed_cutoff(1e-3, math.log(100)))))  # about
 
 @pytest.mark.parametrize("argv, message", [
     (["sieve-bound", "--set", "squareful", "--y", "100000001", "--log-n", "5"],
-     "cutoff y = 100000001 is too large to sieve (max 10**8)"),
+     "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
     (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "10,10000000000",
-      "--log-n", "5"], "cutoff y = 10000000000 is too large to sieve (max 10**8)"),
+      "--log-n", "5"], "limit N = 10000000000 is too large for the prime sieve table (max 10**8)"),
     (["experiment", "sieve-compare", "--grid", "100", "--tau", "1e-3"],
-     f"cutoff y = {_HUGE_STAR} is too large to sieve (max 10**8)"),
+     f"limit N = {_HUGE_STAR} is too large for the prime sieve table (max 10**8)"),
     (["experiment", "sieve-compare", "--grid", "10,100", "--tau", "1e-3"],
-     f"cutoff y = {_HUGE_STAR} is too large to sieve (max 10**8)"),
+     f"limit N = {_HUGE_STAR} is too large for the prime sieve table (max 10**8)"),
 ])
 def test_cli_refuses_cutoff_too_large(argv, message, capsys, monkeypatch):
     # refused before any member is enumerated or any prime is sieved; a
@@ -727,3 +728,17 @@ def test_cli_schwarzwald_names_a_huge_modulus_by_its_digits(capsys):
     assert err == ("error: modulus q of 1691 digits is too large for the reachability DP "
                    "(max 10**7)\n")
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("strategy, message", [
+    ("direct", "modulus q of 84510 digits is too large for the reachability DP (max 10**7)"),
+    ("paper", "step A1: need 7 distinct residues mod 7, have 3"),
+])
+def test_cli_schwarzwald_refuses_a_huge_ell_at_once(strategy, message, capsys):
+    # the exponent of q = 7^100000 comes from one logarithm and one power,
+    # not from 100,000 divisions of a number of up to 84,510 digits each
+    argv = ["schwarzwald", "--p", "7", "--ell", "100000", "--a0", "1", "--elements", "1,2,3",
+            "--strategy", strategy]
+    start = time.perf_counter()
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 5

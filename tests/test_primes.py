@@ -2,16 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesieve import primes
 from cubesieve.primes import (
     DensityReport,
     PrimeSet,
+    bitset,
     density,
     is_prime,
     legendre,
     parse_prime_set,
     primes_up_to,
+    set_bits,
     validate_definite_form,
 )
 
@@ -221,3 +225,15 @@ def test_primes_up_to_refuses_huge_limit(monkeypatch):
             primes_up_to(y)
         with pytest.raises(ValueError, match="prime sieve table"):
             PrimeSet.residue_class(1, 4).primes_up_to(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bitset_codec_round_trip(data):
+    top = data.draw(st.integers(0, 3000))
+    vals = data.draw(st.lists(st.one_of(st.integers(0, top), st.sampled_from((0, top))),
+                              max_size=40))
+    off = data.draw(st.integers(-5000, 5000))
+    x = bitset(vals, top)
+    assert x.bit_length() <= top + 1
+    assert set_bits(x, off) == [v + off for v in sorted(set(vals))]

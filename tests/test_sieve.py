@@ -239,5 +239,6 @@ def test_optimize_cutoff_refuses_huge_cutoff_before_sieving(monkeypatch):
     monkeypatch.setattr(primes, "primes_up_to", unreachable)
     allp = PrimeSet.all_primes()
     for grid in ([10**8 + 1], [10, 10**12]):
-        with pytest.raises(ValueError, match=rf"cutoff y = {grid[-1]} is too large to sieve"):
+        with pytest.raises(ValueError, match=rf"limit N = {grid[-1]} is too large for the prime "
+                                             r"sieve table \(max 10\*\*8\)"):
             optimize_cutoff(allp, "two_sqrt", 5.0, grid)

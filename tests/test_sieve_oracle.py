@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from cubesieve import harness, sieve
 from cubesieve.arithsets import factorize
-from cubesieve.primes import PrimeSet, parse_prime_set, primes_up_to
+from cubesieve.primes import PrimeSet, bitset, parse_prime_set, primes_up_to
 from cubesieve.sieve import NU_MODELS, CutoffScan, SieveBoundReport
 
 # ---------------------------------------------------------------------------
@@ -283,17 +283,16 @@ def test_class_count_edge_cases(vals, grid):
     _both_routes(PrimeSet.all_primes(), 6.0, grid, vals)
 
 
-def _no_bytearray(*args):
+def _no_bitset(*args):
     raise AssertionError("a sparse set must not build a bitset")
 
 
 def test_class_count_route_follows_density(monkeypatch):
     built = []
-    monkeypatch.setattr(sieve, "bytearray", lambda n: built.append(n) or bytearray(n),
-                        raising=False)
+    monkeypatch.setattr(sieve, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
     sieve._class_counter([0, 1024])  # span 512 |A|
-    assert len(built) == 1
-    monkeypatch.setattr(sieve, "bytearray", _no_bytearray, raising=False)
+    assert built == [1024]
+    monkeypatch.setattr(sieve, "bitset", _no_bitset)
     assert sieve._class_counter([0, 1025])(7) == 2
 
 
@@ -304,7 +303,7 @@ def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch)
     elems.write_text("".join(f"{v}\n" for v in vals))
     argv = ["sieve-bound", "--elements-file", str(elems), "--log-n", "41.45",
             "--y-grid", "50,200,700"]
-    monkeypatch.setattr(sieve, "bytearray", _no_bytearray, raising=False)
+    monkeypatch.setattr(sieve, "bitset", _no_bitset)
     assert harness.main(argv) == harness.EXIT_OK
     new = capsys.readouterr().out
     monkeypatch.setattr(harness, "optimize_cutoff", optimize_cutoff)

@@ -62,3 +62,26 @@ def test_package_import_layers():
     extra = {stem: sorted(got - _LAYERS[stem]) for stem, got in edges.items()
              if stem in _LAYERS and got - _LAYERS[stem]}
     assert extra == {}
+
+
+def _encodes_bitset(node: ast.AST) -> bool:
+    """A call of int.from_bytes or of format(<x>, "b")."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Attribute) and f.attr == "from_bytes":
+        return True
+    return (isinstance(f, ast.Name) and f.id == "format" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant) and node.args[1].value == "b")
+
+
+def test_bitset_codec_lives_in_primes():
+    paths = sorted(SRC.glob("*.py"))
+    assert _encodes_bitset(ast.parse('format(x, "b")', mode="eval").body)
+    assert _encodes_bitset(ast.parse('int.from_bytes(b, "little")', mode="eval").body)
+    offenders = [f"{path.name}:{node.lineno}" for path in paths if path.stem != "primes"
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if _encodes_bitset(node)]
+    assert offenders == []
+    assert any(_encodes_bitset(node)
+               for node in ast.walk(ast.parse((SRC / "primes.py").read_text(encoding="utf-8"))))

@@ -59,6 +59,16 @@ def test_modulus():
         Modulus(5, 3).ell
 
 
+@pytest.mark.parametrize("p, k", [(2, 100000), (3, 60000), (7, 50000), (10007, 3000)])
+def test_modulus_exponent_at_large_ell(p, k):
+    # one logarithm and one exact power, however large ell is
+    assert Modulus(p, p ** (k - 1)).ell == k
+    for m in (p ** (k - 1) * (p + 1), p ** (k - 1) + 1, p ** (k - 1) - 1, p ** k // 2 + 1):
+        assert not Modulus(p, m).is_prime_power
+        with pytest.raises(ValueError, match="is not a power of"):
+            Modulus(p, m).ell
+
+
 def test_residue_multiset():
     b = ResidueMultiset(Modulus(5, 3), (0, 5, 7, 7))
     assert b.reductions_mod_p() == (0, 0, 2, 2)
@@ -332,7 +342,7 @@ def _peak_mib(fn):
 
 def test_dp_memory_long_sparse_run():
     # 3000 steps of one new state each: the first-reach table, no snapshots
-    found, peak = _peak_mib(lambda: _least_witness([1] * 3000, 200003, (200002,)))
+    found, peak = _peak_mib(lambda: _least_witness([1] * 3000, 200003, 200003, 200002))
     assert found is None
     assert peak < 8
 
@@ -348,10 +358,11 @@ def test_dp_memory_shifted_instance():
 
 def test_dp_refuses_huge_modulus():
     with pytest.raises(ValueError, match=r"q = 10000001 is too large .* \(max 10\*\*7\)"):
-        _least_witness([1, 2], 10**7 + 1, (5,))
+        _least_witness([1, 2], 10**7 + 1, 10**7 + 1, 5)
     with pytest.raises(ValueError, match="too large for the reachability DP"):
         subset_sum_find([1, 2], 5, 1000000007)
-    assert _least_witness([1, 2], 10**7, (3,)) == ((0, 1), 3)
+    assert _least_witness([1, 2], 10**7, 10**7, 3) == ((0, 1), 3)
+    assert _least_witness([1, 2], 10**7, 2, 1, 1) == ((0, 1), 3)
 
 
 @pytest.mark.parametrize("q, shown", [
@@ -368,13 +379,30 @@ def test_dp_names_a_long_modulus_by_its_digits(q, shown):
     assert str(exc.value) == f"modulus {shown} is too large for the reachability DP (max 10**7)"
 
 
-def test_schwarzwald_refuses_huge_modulus_before_listing_targets(monkeypatch):
-    calls = []
-    monkeypatch.setattr(zq, "_least_witness", lambda *args: calls.append(args))
+def test_schwarzwald_refuses_huge_modulus_before_listing_targets():
     b = ResidueMultiset(Modulus(3163, 3163), (1, 2, 3))  # q = 10,004,569
     with pytest.raises(ValueError, match=r"q = 10004569 is too large .* \(max 10\*\*7\)"):
         schwarzwald(b, 0, "direct")
-    assert calls == []
+
+
+def test_dp_memory_one_class_of_many_targets():
+    # q/p = 2**22 target states, named by one mask rather than listed
+    b = ResidueMultiset(Modulus(2, 2**22), (1, 3))
+    w, peak = _peak_mib(lambda: schwarzwald(b, 0, "direct"))
+    assert (w.indices, w.sum_mod_q) == ((0, 1), 4)
+    assert peak < 64
+
+
+def test_dp_target_class_with_few_long_blocks():
+    # q = 9p with p near 10**6: a schoolbook division (2^q - 1) // (2^p - 1)
+    # costs O(q p) digit steps; the mask's shifts cost O(log(q/p))
+    p = 1000003
+    q = 9 * p
+    assert _least_witness([p + 5], q, p, 5) == ((0,), p + 5)
+    assert _least_witness([p], q, p, 5) is None
+    assert _least_witness([p, 8 * p], q, p, 0, 0) == ((0,), p)
+    assert _least_witness([8 * p], q, p, 0, 8 * p) is None
+    assert _least_witness([8 * p, p], q, p, 0, 8 * p) == ((0, 1), 0)
 
 
 # --- sumsets, Cauchy-Davenport ----------------------------------------------

@@ -308,11 +308,14 @@ def test_least_witness_matches_reference(data):
         values = data.draw(st.lists(st.integers(0, q - 1), max_size=24))
     else:
         values = [data.draw(st.integers(0, q - 1))] * data.draw(st.integers(0, 60))
-    targets = data.draw(st.one_of(
-        st.lists(st.integers(0, q - 1), max_size=8),
-        st.builds(lambda a, d: range(a % d, q, d), st.integers(0, q), st.integers(1, 97)),
-    ))
-    assert zq._least_witness(values, q, targets) == _least_witness(values, q, targets)
+    # one class mod a divisor p of q, less one state of Z_q or none
+    p = data.draw(st.sampled_from([d for d in range(1, q + 1) if q % d == 0]))
+    residue = data.draw(st.integers(0, p - 1))
+    excluded = data.draw(st.one_of(st.just(-1), st.integers(0, q - 1),
+                                   st.builds(lambda j: residue + j * p, st.integers(0, q // p - 1))))
+    targets = [s for s in range(residue, q, p) if s != excluded]
+    assert (zq._least_witness(values, q, p, residue, excluded)
+            == _least_witness(values, q, targets))
 
 
 # ---------------------------------------------------------------------------
