@@ -204,6 +204,7 @@ class QuadForm(SetDescriptor):
         d = self.disc
         b, c = self.b, self.c
         xmax = math.isqrt(4 * c * n // -d)
+        check_table(2 * xmax + 1, "the form's scan over x")  # one isqrt per x
         for x in range(-xmax, xmax + 1):
             disc_y = d * x * x + 4 * c * n
             t = math.isqrt(disc_y)

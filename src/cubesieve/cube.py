@@ -51,6 +51,7 @@ from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table, set_bits
 _SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
 _RESTARTS = 40  # greedy restarts per search
+DEFAULT_BUDGET = 10**8  # exact-search nodes when no budget is given
 
 
 @dataclass(frozen=True)
@@ -248,7 +249,7 @@ def max_dimension_exact(
     limit: int,
     subset_sum_mode: bool = False,
     distinct: bool = False,
-    budget: int = 10**8,
+    budget: int = DEFAULT_BUDGET,
 ) -> CubeSearchResult:
     """Exhaustive depth-first branch and bound for the largest cube dimension.
 

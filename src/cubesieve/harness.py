@@ -25,6 +25,7 @@ from .arithsets import (
     parse_set_descriptor,
 )
 from .cube import (
+    DEFAULT_BUDGET,
     HilbertCube,
     _check_budget,
     max_dimension_exact,
@@ -71,7 +72,7 @@ EXIT_BUDGET = 3
 @dataclass
 class ExperimentConfig:
     n_grid: tuple[int, ...]
-    budget: int = 10**8
+    budget: int = DEFAULT_BUDGET
     seed: int = 0
     r: int = 2
     primes: str = "all"
@@ -137,9 +138,10 @@ def _recheck(cube: HilbertCube, s, limit: int, what: str) -> None:
 
 
 def run_dimension_scan(descriptor, cfg: ExperimentConfig):
-    """One row per grid point: exact search, degrading to the better of the
-    truncated search and a seeded greedy probe when the budget runs out.
-    Every witness is re-verified in a post-pass before the row is emitted."""
+    """Maximal cube dimension in a set, one row per grid point: exact search,
+    degrading to the better of the truncated search and a seeded greedy
+    probe when the budget runs out. Every witness is re-verified in a
+    post-pass before the row is emitted."""
     rows = []
     for n in cfg.n_grid:
         res = max_dimension_exact(descriptor, n, budget=cfg.budget)
@@ -161,21 +163,6 @@ def run_dimension_scan(descriptor, cfg: ExperimentConfig):
             d / math.sqrt(log_n) if ratios_defined else "-",
         ])
     return _SCAN_HEADER, rows
-
-
-def run_f2_scan(cfg: ExperimentConfig):
-    """Maximal cube dimension in the squareful numbers over the N grid."""
-    return run_dimension_scan(Squareful(), cfg)
-
-
-def run_f1_scan(cfg: ExperimentConfig):
-    """Maximal cube dimension in the r-full numbers relative to a prime set."""
-    return run_dimension_scan(RFull(cfg.r, parse_prime_set(cfg.primes)), cfg)
-
-
-def run_f4_scan(cfg: ExperimentConfig):
-    """Maximal cube dimension in the semigroup generated by a prime set."""
-    return run_dimension_scan(Semigroup(parse_prime_set(cfg.primes)), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +199,14 @@ def run_sieve_compare(cfg: ExperimentConfig):
     return _SIEVE_HEADER, rows
 
 
-# each experiment's runner and the config fields (besides the grid) it reads
+# each experiment's runner and the config fields (besides the grid) it reads;
+# the dimension scans differ only in the set they build
 _EXPERIMENTS = {
-    "f2": (run_f2_scan, ("budget", "seed")),
-    "f1": (run_f1_scan, ("budget", "seed", "r", "primes")),
-    "f4": (run_f4_scan, ("budget", "seed", "primes")),
+    "f2": (lambda cfg: run_dimension_scan(Squareful(), cfg), ("budget", "seed")),
+    "f1": (lambda cfg: run_dimension_scan(RFull(cfg.r, parse_prime_set(cfg.primes)), cfg),
+           ("budget", "seed", "r", "primes")),
+    "f4": (lambda cfg: run_dimension_scan(Semigroup(parse_prime_set(cfg.primes)), cfg),
+           ("budget", "seed", "primes")),
     "sieve-compare": (run_sieve_compare, ("tau",)),
 }
 
@@ -509,7 +499,7 @@ def cmd_sieve_bound(args) -> int:
             given = "--set" if args.set else "--elements-file"
             raise ValueError(f"sieve-bound --nu {args.nu} does not read {given}")
     prime_set = parse_prime_set(args.primes)
-    grid = [args.y] if args.y is not None else _parse_y_grid(args.y_grid)
+    grid = _parse_y_grid(args.y_grid)
     check_table(max(grid, default=0))
     values = None
     if args.elements_file:
@@ -531,8 +521,6 @@ def cmd_sieve_bound(args) -> int:
 
 
 def cmd_cube_verify(args) -> int:
-    if args.subset_sum and args.a0 != 0:
-        raise ValueError("--subset-sum requires --a0 0")
     cube = HilbertCube(args.a0, tuple(_ints(args.steps)), args.distinct)
     ok, offender = verify(cube, parse_set_descriptor(args.set), args.limit)
     _write("verified\n" if ok else f"offender:{offender}\n", None)
@@ -637,11 +625,16 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # each suite reads only its own flag
     if args.suite == "olson":
+        if args.inject_fault:
+            raise ValueError("verify olson does not read --inject-fault")
         rep = verify_olson_exhaustive(args.p if args.p is not None else 7)
         _write(f"p={rep.p} subsets={rep.subsets_checked} cases={rep.cases_checked} "
                f"counterexamples={len(rep.counterexamples)}\n", None)
         return EXIT_OK if not rep.counterexamples else EXIT_COUNTEREXAMPLE
+    if args.p is not None:
+        raise ValueError("verify all does not read --p")
     hook = flip_first_index if args.inject_fault else None
     report = run_verify_all(witness_fault_hook=hook)
     _write("\n".join(report.lines()) + "\n", None)
@@ -649,7 +642,8 @@ def cmd_verify(args) -> int:
 
 
 def _sub(subparsers, name: str, handler, help_text: str):
-    sp = subparsers.add_parser(name, help=help_text)
+    # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
+    sp = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
     sp.add_argument("--version", action="version", version=f"cubesieve {__version__}")
     sp.set_defaults(func=handler)
     return sp
@@ -696,9 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
     measured.add_argument("--set")
     measured.add_argument("--elements-file")
     sp.add_argument("--primes", default="all")
-    cutoff = sp.add_mutually_exclusive_group(required=True)
-    cutoff.add_argument("--y", type=int)
-    cutoff.add_argument("--y-grid")
+    sp.add_argument("--y-grid", required=True)
     sp.add_argument("--nu", default="measured",
                     choices=("measured", "five_ceil_sqrt", "two_sqrt", "half_p_plus_one"))
     sp.add_argument("--log-n", type=float, required=True)
@@ -710,14 +702,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", required=True)
     sp.add_argument("--set", required=True)
     sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--subset-sum", action="store_true")
     sp.add_argument("--distinct", action="store_true")
 
     sp = _sub(sub, "cube-search", cmd_cube_search, "search for the maximal cube dimension")
     sp.add_argument("--set", required=True)
     sp.add_argument("--limit", type=int, required=True)
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--budget", type=int, default=10**8)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--subset-sum", action="store_true")
     sp.add_argument("--distinct", action="store_true")

@@ -108,16 +108,16 @@ def _greedy_sunflower(items: list[tuple[int, frozenset[int]]], v: int):
     return kernel | {x}, ids
 
 
-def sunflower_threshold(h: int, v: int, c: float = 1.0) -> int:
-    """Reference family size ceil((c*v*log h)^h) above which a sunflower
-    with v petals is guaranteed; h = 1 degenerates to v (any v distinct
-    singletons form one). The constant c defaults to 1 and is exposed
-    because the guarantee holds for some unspecified absolute constant."""
+def sunflower_threshold(h: int, v: int) -> int:
+    """Reference family size ceil((v*log h)^h) above which a sunflower with
+    v petals is guaranteed, taking the guarantee's unspecified absolute
+    constant as 1; h = 1 degenerates to v (any v distinct singletons form
+    one)."""
     if h < 1 or v < 3:
         raise ValueError(f"need h >= 1 and v >= 3, got ({h}, {v})")
     if h == 1:
         return v
-    return math.ceil((c * v * math.log(h)) ** h)
+    return math.ceil((v * math.log(h)) ** h)
 
 
 def erdos_rado_threshold(h: int, v: int) -> int:

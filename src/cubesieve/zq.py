@@ -137,15 +137,11 @@ def _rotate(mask: int, v: int, q: int, full: int) -> int:
 
 
 def _check_dp_modulus(q: int) -> None:
-    """Refuse a modulus past _MAX_Q; one of more than 30 digits is named by
-    its digit count, so that the message stays one short line."""
+    """Refuse a modulus past _MAX_Q; one of 30 digits or more is named by its
+    bit count, so that the message stays one short line and no decimal
+    conversion or power of ten is computed."""
     if q > _MAX_Q:
-        if q < 10**30:
-            shown = f"q = {q}"
-        else:
-            digits = int(math.log10(q)) + 1  # the float log may be off by one here
-            digits += (10**digits <= q) - (10 ** (digits - 1) > q)
-            shown = f"q of {digits} digits"
+        shown = f"q = {q}" if q < 10**30 else f"q of {q.bit_length()} bits"
         raise ValueError(f"modulus {shown} is too large for the reachability DP (max 10**7)")
 
 
@@ -310,7 +306,8 @@ def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> Subset
     the step; the certified facts of either strategy are identical."""
     mod = b.modulus
     if mod.m == 1 or not mod.is_prime_power:  # ell > 1 exactly when m > 1
-        raise ValueError(f"modulus must be p^ell with ell > 1, got p={mod.p}, m={mod.m}")
+        # m is not shown: past 4,300 digits it has no decimal string
+        raise ValueError(f"modulus q = p * m must be p^ell with ell > 1 for p = {mod.p}")
     p, q, m = mod.p, mod.q, mod.m
     a0 %= q
     facts = ((p, "==", (-a0) % p), (q, "!=", (-a0) % q))

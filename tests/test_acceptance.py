@@ -20,7 +20,7 @@ from cubesieve.harness import (
     ExperimentConfig,
     random_lift_instance,
     random_shift_instance,
-    run_f2_scan,
+    run_dimension_scan,
     _emit_csv,
 )
 from cubesieve.primes import PrimeSet, primes_up_to
@@ -277,7 +277,7 @@ def test_criterion_11_determinism(tmp_path):
     for name in ("a.csv", "b.csv"):
         path = tmp_path / name
         cfg = ExperimentConfig((10, 32, 100, 320), seed=17)
-        header, rows = run_f2_scan(cfg)
+        header, rows = run_dimension_scan(Squareful(), cfg)
         _emit_csv(header, rows, str(path))
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]

@@ -239,3 +239,22 @@ def test_untabled_enumerators_pass_the_cap():
     assert enumerate_members(PurePowers(), 10**8 + 1)[-1] == 10**8
     smooth = sum(1 for a in range(40) for b in range(26) if 2**a * 3**b <= 10**12)
     assert len(enumerate_members(Semigroup(PrimeSet.explicit([2, 3])), 10**12)) == smooth
+
+
+@pytest.mark.parametrize("n, scan", [(3 * 10**15 + 3, 109544511), (10**18 + 7, 2000000001)])
+def test_quadform_contains_refuses_a_huge_x_scan(n, scan, monkeypatch):
+    # one isqrt per x in [-isqrt(n), isqrt(n)]: 3e15 took 46 s before the
+    # guard; refused before the first x is tried
+    monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
+    with pytest.raises(ValueError, match=rf"limit N = {scan} is too large for "
+                                         r"the form's scan over x \(max 10\*\*8\)"):
+        QuadForm(1, 0, 1).contains(n)
+
+
+def test_quadform_contains_answers_up_to_the_scan_cap(monkeypatch):
+    # with the cap at 101 values of x, n up to 51^2 - 1 answers as before
+    monkeypatch.setattr(primes, "MAX_TABLE", 101)
+    s = QuadForm(1, 0, 1)
+    assert [s.contains(n) for n in (2499, 2500, 2600)] == [False, True, True]
+    with pytest.raises(ValueError, match="limit N = 103 is too large"):
+        s.contains(2601)

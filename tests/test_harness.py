@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 import time
@@ -14,9 +15,10 @@ from cubesieve.harness import (
     EXIT_OK,
     EXIT_USAGE,
     ExperimentConfig,
+    build_parser,
     flip_first_index,
     main,
-    run_f2_scan,
+    run_dimension_scan,
     run_sieve_compare,
     run_verify_all,
     _emit_csv,
@@ -44,7 +46,7 @@ def test_config_validation():
 
 def test_f2_scan_rows():
     cfg = ExperimentConfig((3, 10, 32))
-    header, rows = run_f2_scan(cfg)
+    header, rows = run_dimension_scan(Squareful(), cfg)
     assert header[0] == "N"
     by_n = {row[0]: row for row in rows}
     assert by_n[3][1] == 0 and by_n[3][3] == "H(1;)"
@@ -57,7 +59,7 @@ def test_f2_scan_rows():
 
 def test_f2_scan_witnesses_reverify():
     cfg = ExperimentConfig((10, 32, 100))
-    _, rows = run_f2_scan(cfg)
+    _, rows = run_dimension_scan(Squareful(), cfg)
     sq = Squareful()
     for row in rows:
         text = row[3]
@@ -70,7 +72,7 @@ def test_csv_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):
         cfg = ExperimentConfig((10, 32, 100), seed=9)
-        header, rows = run_f2_scan(cfg)
+        header, rows = run_dimension_scan(Squareful(), cfg)
         _emit_csv(header, rows, str(out))
     assert out1.read_bytes() == out2.read_bytes()
     text = out1.read_text()
@@ -333,7 +335,7 @@ _HUGE_STAR = max(4, int(round(prescribed_cutoff(1e-3, math.log(100)))))  # about
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sieve-bound", "--set", "squareful", "--y", "100000001", "--log-n", "5"],
+    (["sieve-bound", "--set", "squareful", "--y-grid", "100000001", "--log-n", "5"],
      "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
     (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "10,10000000000",
       "--log-n", "5"], "limit N = 10000000000 is too large for the prime sieve table (max 10**8)"),
@@ -377,6 +379,75 @@ def test_cli_verify_fault_injection(capsys):
     assert "FAIL witness-revalidation" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--p", "7"], "verify all does not read --p"),
+    (["verify", "all", "--p", "5"], "verify all does not read --p"),
+    (["verify", "olson", "--inject-fault"], "verify olson does not read --inject-fault"),
+])
+def test_cli_verify_refuses_unread_flags(argv, message, capsys, monkeypatch):
+    # refused before either suite runs
+    monkeypatch.setattr(harness, "run_verify_all", _unreachable)
+    monkeypatch.setattr(harness, "verify_olson_exhaustive", _unreachable)
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+# every flag and positional of every subcommand, besides --help and --version
+_CLI_SURFACE = {
+    "membership": ("--set", "--n"),
+    "enumerate": ("--set", "--limit", "--out"),
+    "olson": ("--p", "--elements", "--target", "--out"),
+    "liftzero": ("--p", "--m", "--elements", "--distinct-mod-p", "--out"),
+    "schwarzwald": ("--p", "--ell", "--a0", "--elements", "--strategy", "--out"),
+    "sieve-bound": ("--set", "--elements-file", "--primes", "--y-grid", "--nu", "--log-n",
+                    "--variant", "--out"),
+    "cube-verify": ("--a0", "--steps", "--set", "--limit", "--distinct"),
+    "cube-search": ("--set", "--limit", "--mode", "--budget", "--seed", "--subset-sum",
+                    "--distinct", "--out"),
+    "ap-max": ("--set", "--limit", "--out"),
+    "sunflower": ("--family-file", "--petals", "--mode"),
+    "repcount": ("--elements", "--h", "--limit"),
+    "experiment": ("name", "--grid", "--budget", "--seed", "--out", "--r", "--primes", "--tau",
+                   "--config"),
+    "verify": ("suite", "--p", "--inject-fault"),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: tuple(a.option_strings[0] if a.option_strings else a.dest for a in sp._actions
+                    if not isinstance(a, (argparse._HelpAction, argparse._VersionAction)))
+        for name, sp in sub.choices.items()
+    }
+    assert surface == _CLI_SURFACE  # 62 values
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve-bound", "--set", "squareful", "--y", "100", "--log-n", "5"],
+     "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
+    (["sieve-bound", "--set", "squareful", "--y-grid", "100", "--y", "100", "--log-n", "5"],
+     "cubesieve: error: unrecognized arguments: --y 100"),
+    (["cube-verify", "--a0", "0", "--steps", "1", "--set", "squareful", "--limit", "9",
+      "--subset-sum"], "cubesieve: error: unrecognized arguments: --subset-sum"),
+    # no flag is taken by an abbreviation of its name
+    (["sieve-bound", "--set", "squareful", "--y-gr", "100", "--log-n", "5"],
+     "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
+])
+def test_cli_removed_flags_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.endswith(f"{message}\n")
+
+
+def test_budget_default_is_one_constant():
+    assert ExperimentConfig((10,)).budget == cube.DEFAULT_BUDGET
+    assert build_parser().parse_args(["cube-search", "--set", "squareful", "--limit", "9"]).budget \
+        == cube.DEFAULT_BUDGET
+
+
 def test_cli_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -394,15 +465,14 @@ def test_cli_experiment_without_grid_is_usage_error(capsys):
 
 
 def test_cli_sieve_bound_needs_cutoff(capsys):
-    # --y and --y-grid form a required group, so argparse refuses the call
+    # --y-grid is required, so argparse refuses the call
     with pytest.raises(SystemExit) as exc:
         main(["sieve-bound", "--set", "squareful", "--nu", "two_sqrt", "--log-n", "5.0"])
-    assert exc.value.code == EXIT_USAGE and "--y" in capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE and "--y-grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--y", "20", "--y-grid", "10:20:5"], "argument --y-grid: not allowed with argument --y"),
-    (["--elements-file", "F", "--set", "squareful", "--y", "20"],
+    (["--elements-file", "F", "--set", "squareful", "--y-grid", "20"],
      "argument --set: not allowed with argument --elements-file"),
 ])
 def test_cli_sieve_bound_refuses_exclusive_flags(argv, message, capsys):
@@ -426,7 +496,7 @@ def test_cli_sieve_bound_refuses_unread_flags(argv, message, capsys, monkeypatch
     # refused before the file is opened or any member is enumerated
     monkeypatch.setattr(harness, "open", _unreachable, raising=False)
     monkeypatch.setattr(harness, "enumerate_members", _unreachable)
-    code, out, err = run_cli(["sieve-bound", "--y", "20", "--log-n", "5"] + argv, capsys)
+    code, out, err = run_cli(["sieve-bound", "--y-grid", "20", "--log-n", "5"] + argv, capsys)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: {message}\n"
 
@@ -448,7 +518,7 @@ def test_cli_sieve_bound_empty_elements_file(capsys, tmp_path):
     elems.write_text("")
     for variant in ("plain", "weighted"):
         code, out, err = run_cli(
-            ["sieve-bound", "--elements-file", str(elems), "--y", "100",
+            ["sieve-bound", "--elements-file", str(elems), "--y-grid", "100",
              "--log-n", "5", "--variant", variant], capsys
         )
         assert code == EXIT_USAGE and out == ""
@@ -527,18 +597,18 @@ def test_cli_dense_csv_matches_golden(name, argvs, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--set", "squareful", "--y", "100", "--log-n", "inf"], "log N must be finite, got inf"),
-    (["--primes", "all", "--nu", "two_sqrt", "--y", "100", "--log-n", "nan"],
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "inf"], "log N must be finite, got inf"),
+    (["--primes", "all", "--nu", "two_sqrt", "--y-grid", "100", "--log-n", "nan"],
      "log N must be positive, got nan"),
-    (["--set", "squareful", "--y", "100", "--log-n", "-1"], "log N must be positive, got -1.0"),
-    (["--set", "squareful", "--y", "100", "--log-n", "710"],
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "-1"], "log N must be positive, got -1.0"),
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "710"],
      "log N too large to enumerate up to e^(log N), got 710.0"),
-    (["--set", "squareful", "--y", "100", "--log-n", "1e6"],
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "1e6"],
      "log N too large to enumerate up to e^(log N), got 1000000.0"),
-    (["--set", "squareful", "--y", "100", "--log-n", "709"],
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "709"],
      "log N too large to enumerate up to e^(log N), got 709.0"),
     # e^18.43 is just above 10**8
-    (["--set", "squareful", "--y", "100", "--log-n", "18.43"],
+    (["--set", "squareful", "--y-grid", "100", "--log-n", "18.43"],
      "log N too large to enumerate up to e^(log N), got 18.43"),
 ])
 def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys, monkeypatch):
@@ -642,11 +712,15 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
      "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
     (["ap-max", "--set", "squareful", "--limit", "100000001"],
      "limit N = 100000001 is too large for the progression scan (max 10**8)"),
+    # 2 * 10^9 + 1 values of x, one isqrt each, would take many minutes
+    (["membership", "--set", "quadform:1,0,1", "--n", str(10**18 + 7)],
+     "limit N = 2000000001 is too large for the form's scan over x (max 10**8)"),
 ])
 def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     # each path builds a limit-byte table or runs a limit-step loop; the step
-    # after each guard is made to fail, so nothing is allocated
+    # after each guard is made to fail, so nothing is allocated or looped over
     monkeypatch.setattr(arithsets, "bytearray", _unreachable, raising=False)
+    monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
     monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
     monkeypatch.setattr(cube, "enumerate_members", _unreachable)
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -655,7 +729,7 @@ def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
 def test_cli_cube_verify_past_the_sums_cap(capsys):
     # d = 40 answers now; the 2^40 sums with multiplicity were refused before
     argv = ["cube-verify", "--a0", "0", "--steps", ",".join(["1"] * 40),
-            "--set", "semigroup:all", "--subset-sum", "--limit"]
+            "--set", "semigroup:all", "--limit"]
     assert run_cli(argv + ["40"], capsys) == (EXIT_OK, "verified\n", "")
     assert run_cli(argv + ["39"], capsys) == (EXIT_OK, "offender:40\n", "")
 
@@ -721,17 +795,17 @@ def test_cli_sunflower_revalidates(capsys, monkeypatch, tmp_path):
 
 
 def test_cli_schwarzwald_names_a_huge_modulus_by_its_digits(capsys):
-    # q = 7^2000 has 1,691 digits
+    # q = 7^2000 has 1,691 decimal digits and 5,615 binary ones
     argv = ["schwarzwald", "--p", "7", "--ell", "2000", "--a0", "1", "--elements", "1,2,3"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("error: modulus q of 1691 digits is too large for the reachability DP "
+    assert err == ("error: modulus q of 5615 bits is too large for the reachability DP "
                    "(max 10**7)\n")
     assert len(err) < 200
 
 
 @pytest.mark.parametrize("strategy, message", [
-    ("direct", "modulus q of 84510 digits is too large for the reachability DP (max 10**7)"),
+    ("direct", "modulus q of 280736 bits is too large for the reachability DP (max 10**7)"),
     ("paper", "step A1: need 7 distinct residues mod 7, have 3"),
 ])
 def test_cli_schwarzwald_refuses_a_huge_ell_at_once(strategy, message, capsys):

@@ -135,7 +135,6 @@ def test_thresholds():
     assert sunflower_threshold(1, 3) == 3
     assert sunflower_threshold(2, 3) == 5
     assert sunflower_threshold(3, 3) == 36
-    assert sunflower_threshold(2, 3, c=2.0) == math.ceil((6 * math.log(2)) ** 2)
     assert erdos_rado_threshold(3, 3) == 48
     with pytest.raises(ValueError):
         sunflower_threshold(0, 3)

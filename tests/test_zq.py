@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -367,16 +368,35 @@ def test_dp_refuses_huge_modulus():
 
 @pytest.mark.parametrize("q, shown", [
     (10**30 - 1, f"q = {10**30 - 1}"),
-    (10**30, "q of 31 digits"),
-    (10**300 - 1, "q of 300 digits"),
-    (10**300, "q of 301 digits"),
-    (7**2000, "q of 1691 digits"),
-    (10**5000, "q of 5001 digits"),  # past the default int-to-str digit limit
+    (10**30, "q of 100 bits"),
+    (10**300 - 1, "q of 997 bits"),
+    (10**300, "q of 997 bits"),
+    (7**2000, "q of 5615 bits"),
+    (10**5000, "q of 16610 bits"),  # past the default int-to-str digit limit
 ], ids=["10^30-1", "10^30", "10^300-1", "10^300", "7^2000", "10^5000"])
 def test_dp_names_a_long_modulus_by_its_digits(q, shown):
+    # a modulus of 30 digits or more is named by its binary digits
     with pytest.raises(ValueError) as exc:
         zq._check_dp_modulus(q)
     assert str(exc.value) == f"modulus {shown} is too large for the reachability DP (max 10**7)"
+
+
+def test_schwarzwald_refusal_does_not_print_m():
+    # m = 7^6000 + 1 has 5,071 digits, past the default int-to-str limit
+    for m in (7**6000 + 1, 12, 1):
+        b = ResidueMultiset(Modulus(7, m), (1, 2, 3))
+        with pytest.raises(ValueError) as exc:
+            schwarzwald(b, 1)
+        assert str(exc.value) == "modulus q = p * m must be p^ell with ell > 1 for p = 7"
+
+
+def test_dp_names_a_long_modulus_without_a_power_of_ten():
+    # q = 7^1000000: counting its 845,099 decimal digits took about 0.4 s
+    q = 7**1000000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="modulus q of 2807355 bits is too large"):
+        zq._check_dp_modulus(q)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_schwarzwald_refuses_huge_modulus_before_listing_targets():

@@ -116,7 +116,7 @@ def find_lift_zero(b: ResidueMultiset, distinct_mod_p: bool = False) -> SubsetWi
 def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> SubsetWitness | None:
     mod = b.modulus
     if not mod.is_prime_power or mod.ell < 2:
-        raise ValueError(f"modulus must be p^ell with ell > 1, got p={mod.p}, m={mod.m}")
+        raise ValueError(f"modulus q = p * m must be p^ell with ell > 1 for p = {mod.p}")
     p, q, m = mod.p, mod.q, mod.m
     a0 %= q
     facts = ((p, "==", (-a0) % p), (q, "!=", (-a0) % q))
