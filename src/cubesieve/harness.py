@@ -55,6 +55,7 @@ from .zq import (
     Modulus,
     ResidueMultiset,
     SubsetWitness,
+    check_dp_power,
     find_lift_zero,
     minimal_cover_k,
     schwarzwald,
@@ -179,7 +180,10 @@ def run_sieve_compare(cfg: ExperimentConfig):
     at the prescribed cutoff y = (20/tau)^2 (log N)^2 and at the best cutoff
     from a small grid around it."""
     all_primes = PrimeSet.all_primes()
-    # the grid ascends, so the last prescribed cutoff is the largest sieve
+    # the grid ascends, so its first N is the smallest and its last prescribed
+    # cutoff the largest sieve; log N must be positive
+    if cfg.n_grid[0] < 2:
+        raise ValueError(f"sieve-compare needs N >= 2, got {cfg.n_grid[0]}")
     y_stars = [max(4, int(round(prescribed_cutoff(cfg.tau, math.log(n))))) for n in cfg.n_grid]
     check_table(y_stars[-1])
     rows = []
@@ -483,11 +487,27 @@ def cmd_liftzero(args) -> int:
 def cmd_schwarzwald(args) -> int:
     if args.ell < 2:
         raise ValueError(f"modulus must be p^ell with ell > 1, got p={args.p}, ell={args.ell}")
+    if args.strategy == "direct":
+        check_dp_power(args.p, args.ell)
     mod = Modulus(args.p, args.p ** (args.ell - 1))
     b = ResidueMultiset(mod, tuple(_ints(args.elements)))
     w = schwarzwald(b, args.a0, strategy=args.strategy)
     _emit_witness(args, w, b.elements)
     return EXIT_OK
+
+
+def _read_elements(path: str) -> list[int]:
+    """One integer per nonblank line of an elements file."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    values.append(int(line))
+                except ValueError:
+                    raise ValueError(f"{path} line {number}: invalid integer "
+                                     f"{line.strip()[:40]!r}") from None
+    return values
 
 
 def cmd_sieve_bound(args) -> int:
@@ -503,8 +523,7 @@ def cmd_sieve_bound(args) -> int:
     check_table(max(grid, default=0))
     values = None
     if args.elements_file:
-        with open(args.elements_file, encoding="utf-8") as fh:
-            values = [int(line) for line in fh if line.strip()]
+        values = _read_elements(args.elements_file)
     elif args.nu == "measured":
         if not args.set:
             raise ValueError("measured profiles need --set or --elements-file")

@@ -12,20 +12,35 @@ occupancy counts. Both are one running sum of per-prime terms from -log N,
 which `gallagher_bound`, `gallagher_bound_weighted` and `optimize_cutoff`
 all evaluate through `_bounds`.
 
-A measured plain scan needs only nu(p), the number of classes mod p that
-the set occupies, at every prime up to y. When the set is dense, with
-max - min <= 512 |A|, it is one bitset (the codec of `primes`) of v - min
-(the count does not change under a shift), and each prime folds it onto p
-bits: cut it at a multiple of p near half its length, OR the high part onto
-the low part, and repeat until it is at most p bits long; nu(p) is then its
-popcount. That is O(log(span/p)) big-int operations of at most span/64
-words per prime. A sparser set, such as values near 10**18 from a file,
-would need a bitset too large to fold cheaply, or to allocate at all, so it
-reduces every value mod p instead (|A| interpreted steps per prime). The
-two costs cross near span/|A| = 1000 on random sets of 200 to 2000 values;
-512 stays on the safe side of it. The weighted variant needs the occupancies
-themselves, so it counts them with one Counter per prime, as `profile`
-does."""
+A measured scan needs, at every prime p up to y, nu(p) (the number of
+classes mod p that the set occupies) for the plain bound, or the second
+moment sumsq(p) = sum_h Z(h)^2 of the occupancies for the weighted one.
+When the set is dense, with max - min <= 512 |A|, both fold bitsets (the
+codec of `primes`) of v - min (neither value changes under a shift) onto p
+bits: cut at a multiple of p near half the length, merge the high part into
+the low part, and repeat until at most p bits are left. That is
+O(log(span/p)) rounds of big-int operations of at most span/64 words each.
+
+- The plain count ORs one bitset of the distinct values; nu(p) is the
+  popcount of what is left.
+- The weighted count keeps the multiplicities as binary bit-planes: plane j
+  holds the positions whose multiplicity has bit j set, so a set without
+  repeats is that one bitset. A round adds the two halves plane by plane
+  with a ripple carry (x = lo ^ hi, out = x ^ carry, carry = (lo & hi) |
+  (carry & x)), which may add one plane. The folded planes P_j give
+  sumsq = sum_j 4^j |P_j| + sum_{j<k} 2^(j+k+1) |P_j & P_k|, an exact int,
+  so the bound's floats are those of a per-class count.
+
+A sparser set, such as values near 10**18 from a file, would need a bitset
+too large to fold cheaply, or to allocate at all, so both counts reduce
+every value mod p instead (|A| interpreted steps per prime), the weighted
+one through `profile`'s Counter. For the plain count the two costs cross
+near span/|A| = 1000 on random sets of 200 to 2000 values. The additive
+fold costs more per round: on random sets of 500 to 2000 values and the
+primes up to 10**4 it took 0.18 of the Counter's time at span/|A| = 64,
+about half at 256 to 384, and 0.75 to 1.15 at 512, so the one rule of 512
+sits near its crossing and keeps every set it folds from being much slower
+than the Counter."""
 
 from __future__ import annotations
 
@@ -33,7 +48,9 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arithsets import factorize
 from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
@@ -76,27 +93,69 @@ def _occupancy(vals: list[int], modulus: int) -> tuple[int, int]:
     return len(counts), sum(c * c for c in counts)
 
 
-def _class_counter(vals: list[int]) -> Callable[[int], int]:
-    """p -> the number of classes mod p that `vals` occupies: a fold of one
-    bitset of v - min(vals) when the set is dense, else a set of v % p (see
-    the module docstring)."""
+def _planes(vals: list[int]) -> tuple[list[int], int] | None:
+    """The bit-planes of the multiplicities of v - min(vals) and their span
+    (no bit above it is set), or None when the set is too sparse to fold."""
     lo = min(vals)
     span = max(vals) - lo
     if span > _FOLD_DENSITY * len(vals):
+        return None
+    counts = Counter(v - lo for v in vals)
+    return [bitset((x for x, c in counts.items() if c >> j & 1), span)
+            for j in range(max(counts.values()).bit_length())], span
+
+
+def _cuts(top: int, p: int) -> Iterator[int]:
+    """The cut positions of a fold of bits 0..top onto p bits: each a
+    multiple of p in [len/2, len), so a fold keeps every class mod p and
+    leaves cut positions."""
+    while p <= top:
+        cut = -(-(top + 1) // (2 * p)) * p
+        yield cut
+        top = cut - 1
+
+
+def _class_counter(vals: list[int]) -> Callable[[int], int]:
+    """p -> the number of classes mod p that `vals` occupies (see the module
+    docstring)."""
+    dense = _planes(vals)
+    if dense is None:
         return lambda p: len({v % p for v in vals})
-    full = bitset((v - lo for v in vals), span)
+    planes, span = dense
+    full = reduce(or_, planes)
 
     def count(p: int) -> int:
-        bits, top = full, span  # no bit above position `top` is set
-        while p <= top:
-            # a multiple of p in [len/2, len): the fold keeps every class
-            # mod p and leaves cut positions
-            cut = -(-(top + 1) // (2 * p)) * p
+        bits = full
+        for cut in _cuts(span, p):
             bits = (bits >> cut) | (bits & ((1 << cut) - 1))
-            top = cut - 1
         return bits.bit_count()
 
     return count
+
+
+def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
+    """p -> sum_h Z(h)^2 over the classes h mod p (see the module docstring)."""
+    dense = _planes(vals)
+    if dense is None:
+        return lambda p: _occupancy(vals, p)[1]
+    initial, span = dense
+
+    def sumsq(p: int) -> int:
+        planes = initial
+        for cut in _cuts(span, p):
+            low = (1 << cut) - 1
+            carry = 0
+            added = []
+            for plane in planes:
+                lo, hi = plane & low, plane >> cut
+                x = lo ^ hi
+                added.append(x ^ carry)
+                carry = (lo & hi) | (carry & x)
+            planes = added + [carry] if carry else added
+        return sum((a & b).bit_count() << (j + k + (j != k))
+                   for j, a in enumerate(planes) for k, b in enumerate(planes[:j + 1]))
+
+    return sumsq
 
 
 @dataclass(frozen=True)
@@ -245,6 +304,8 @@ def optimize_cutoff(
             raise ValueError("cannot profile an empty set")
         if variant == "plain":
             nu_of = _class_counter(vals)
+        else:
+            sumsq_of = _sumsq_counter(vals)
     else:
         nu_of = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
 
@@ -253,7 +314,7 @@ def optimize_cutoff(
     def terms():
         for p in primes:
             if variant == "weighted":
-                yield _weighted_term(p, _occupancy(vals, p)[1], len(vals))
+                yield _weighted_term(p, sumsq_of(p), len(vals))
             else:
                 nu = nu_of(p)
                 if nu <= 0:

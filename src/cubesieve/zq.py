@@ -145,6 +145,16 @@ def _check_dp_modulus(q: int) -> None:
         raise ValueError(f"modulus {shown} is too large for the reachability DP (max 10**7)")
 
 
+def check_dp_power(p: int, ell: int) -> None:
+    """Refuse q = p^ell past _MAX_Q from p and ell alone, before the power is
+    built: a prime p gives p^ell >= 2^24 > _MAX_Q once ell >= 24."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if ell >= _MAX_Q.bit_length():
+        raise ValueError(f"modulus q = {p}^{ell} is too large for the reachability DP "
+                         "(max 10**7)")
+
+
 def _least_witness(
     values: Sequence[int], q: int, p: int, residue: int, excluded: int = -1
 ) -> tuple[tuple[int, ...], int] | None:

@@ -525,6 +525,20 @@ def test_cli_sieve_bound_empty_elements_file(capsys, tmp_path):
         assert err == "error: cannot profile an empty set\n"
 
 
+@pytest.mark.parametrize("text, line, shown", [
+    ("1\n4\n\nx\n9\n", 4, "'x'"),
+    ("2.5\n", 1, "'2.5'"),
+    ("1\n" + "9" * 5000 + "\n", 2, repr("9" * 40)),  # past int's 4300-digit limit
+])
+def test_cli_sieve_bound_names_a_bad_elements_line(text, line, shown, capsys, tmp_path):
+    elems = tmp_path / "elements.txt"
+    elems.write_text(text)
+    code, out, err = run_cli(["sieve-bound", "--elements-file", str(elems), "--y-grid", "100",
+                              "--log-n", "5"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {elems} line {line}: invalid integer {shown}\n"
+
+
 def test_cli_version(capsys):
     for argv in (["--version"], ["olson", "--version"], ["experiment", "--version"]):
         with pytest.raises(SystemExit) as exc:
@@ -617,6 +631,15 @@ def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys, monkeypatch):
     code, out, err = run_cli(["sieve-bound"] + argv, capsys)
     assert code == EXIT_USAGE and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("grid, n", [("0", "0"), ("-3", "-3"), ("1", "1"), ("1,100", "1")])
+def test_cli_sieve_compare_refuses_n_below_two(grid, n, capsys, monkeypatch):
+    # log N is not positive below N = 2 (a math domain error at N <= 0)
+    monkeypatch.setattr(harness, "optimize_cutoff", _unreachable)
+    code, out, err = run_cli(["experiment", "sieve-compare", "--grid", grid], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: sieve-compare needs N >= 2, got {n}\n"
 
 
 @pytest.mark.parametrize("tau, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
@@ -795,17 +818,18 @@ def test_cli_sunflower_revalidates(capsys, monkeypatch, tmp_path):
 
 
 def test_cli_schwarzwald_names_a_huge_modulus_by_its_digits(capsys):
-    # q = 7^2000 has 1,691 decimal digits and 5,615 binary ones
+    # q = 7^2000 has 1,691 decimal digits; the direct strategy names it by p
+    # and ell, refused before the power is built
     argv = ["schwarzwald", "--p", "7", "--ell", "2000", "--a0", "1", "--elements", "1,2,3"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("error: modulus q of 5615 bits is too large for the reachability DP "
+    assert err == ("error: modulus q = 7^2000 is too large for the reachability DP "
                    "(max 10**7)\n")
     assert len(err) < 200
 
 
 @pytest.mark.parametrize("strategy, message", [
-    ("direct", "modulus q of 280736 bits is too large for the reachability DP (max 10**7)"),
+    ("direct", "modulus q = 7^100000 is too large for the reachability DP (max 10**7)"),
     ("paper", "step A1: need 7 distinct residues mod 7, have 3"),
 ])
 def test_cli_schwarzwald_refuses_a_huge_ell_at_once(strategy, message, capsys):
@@ -816,3 +840,27 @@ def test_cli_schwarzwald_refuses_a_huge_ell_at_once(strategy, message, capsys):
     start = time.perf_counter()
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
     assert time.perf_counter() - start < 5
+
+
+def test_cli_schwarzwald_direct_refuses_before_the_power(capsys):
+    # 7^(10^7 - 1) took 19.4 s to build before the DP cap refused it
+    argv = ["schwarzwald", "--p", "7", "--ell", "10000000", "--a0", "1", "--elements", "1,2,3"]
+    start = time.perf_counter()
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "",
+        "error: modulus q = 7^10000000 is too large for the reachability DP (max 10**7)\n")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p, ell, err", [
+    # 2^24 > 10^7 >= 2^23: every ell >= 24 is refused from p and ell alone
+    ("2", "23", ""),
+    ("2", "24", "error: modulus q = 2^24 is too large for the reachability DP (max 10**7)\n"),
+    # below ell = 24 the DP names q itself, as before
+    ("7", "9", "error: modulus q = 40353607 is too large for the reachability DP (max 10**7)\n"),
+    ("4", "10000000", "error: 4 is not prime\n"),
+])
+def test_cli_schwarzwald_direct_cap_from_p_and_ell(p, ell, err, capsys):
+    argv = ["schwarzwald", "--p", p, "--ell", ell, "--a0", "1", "--elements", "1,2,3"]
+    code, _, got = run_cli(argv, capsys)
+    assert (code, got) == (EXIT_USAGE if err else EXIT_OK, err)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubesieve import harness, sieve
-from cubesieve.arithsets import factorize
+from cubesieve.arithsets import Squareful, enumerate_members, factorize
 from cubesieve.primes import PrimeSet, bitset, parse_prime_set, primes_up_to
 from cubesieve.sieve import NU_MODELS, CutoffScan, SieveBoundReport
 
@@ -261,26 +261,36 @@ _FOLD_CASES = [
     # dense and sparse at the switch: span = 512 |A| and 512 |A| + 1
     ([0, 1024], [800]),
     ([0, 1025], [800]),
+    # multiplicities of up to four and five bit-planes (9 = 0b1001, 17 = 0b10001)
+    ([5] * 9, [100]),
+    ([0, 0, 3, 3, 3, 700], [2, 7, 800]),
+    ([-2] * 15 + [40] * 17 + [41], [3, 50]),
+    # a value repeated at both ends of the span
+    ([2, 2, 2, 50, 97, 97, 97, 97], [5, 95, 200]),
+    # every prime above the span, with repeats
+    ([20, 20, 20, 21, 22, 22], [3, 5, 10]),
 ]
 
 
-def _both_routes(ps, log_n, grid, vals):
-    old = optimize_cutoff(ps, "measured", log_n, grid, values=vals)
+def _both_routes(ps, log_n, grid, vals, variant):
+    old = optimize_cutoff(ps, "measured", log_n, grid, values=vals, variant=variant)
     # the density rule, then each route alone on either side of the switch
     for density in (sieve._FOLD_DENSITY, -1, 10**6):
         with mock.patch.object(sieve, "_FOLD_DENSITY", density):
-            assert sieve.optimize_cutoff(ps, "measured", log_n, grid, values=vals) == old
+            assert sieve.optimize_cutoff(ps, "measured", log_n, grid, values=vals,
+                                         variant=variant) == old
 
 
 @settings(max_examples=400, deadline=None)
 @given(prime_sets(), _values | _measured_sets(), _grids, _log_ns)
 def test_scan_measured_plain_matches_reference(ps, vals, grid, log_n):
-    _both_routes(ps, log_n, grid, vals)
+    _both_routes(ps, log_n, grid, vals, "plain")
 
 
 @pytest.mark.parametrize("vals, grid", _FOLD_CASES)
 def test_class_count_edge_cases(vals, grid):
-    _both_routes(PrimeSet.all_primes(), 6.0, grid, vals)
+    for variant in ("plain", "weighted"):
+        _both_routes(PrimeSet.all_primes(), 6.0, grid, vals, variant)
 
 
 def _no_bitset(*args):
@@ -294,6 +304,30 @@ def test_class_count_route_follows_density(monkeypatch):
     assert built == [1024]
     monkeypatch.setattr(sieve, "bitset", _no_bitset)
     assert sieve._class_counter([0, 1025])(7) == 2
+
+
+def test_sumsq_route_follows_density(monkeypatch):
+    built = []
+    monkeypatch.setattr(sieve, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
+    sieve._sumsq_counter([0, 1024])  # span 512 |A|: one plane
+    assert built == [1024]
+    built.clear()
+    # multiplicities 3 = 0b11 and 4 = 0b100: three planes
+    assert sieve._sumsq_counter([0, 0, 0, 1500, 1500, 1500, 1500])(7) == 9 + 16
+    assert built == [1500] * 3
+    monkeypatch.setattr(sieve, "bitset", _no_bitset)
+    assert sieve._sumsq_counter([0, 1025])(7) == 2
+    assert sieve._sumsq_counter([0, 2000, 2000])(7) == 1 + 4
+
+
+def test_sumsq_fold_at_benchmark_size():
+    # the benchmark's measured weighted scan: squareful up to e^13.81, every
+    # prime up to 10^4, a dense set of 2,021 values folded 1,229 times
+    vals = enumerate_members(Squareful(), int(round(math.exp(13.81))))
+    assert sieve._planes(vals) is not None
+    sumsq = sieve._sumsq_counter(vals)
+    for p in primes_up_to(10**4):
+        assert sumsq(p) == sieve._occupancy(vals, p)[1]
 
 
 def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch):
@@ -313,9 +347,9 @@ def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch)
 
 
 @settings(max_examples=200, deadline=None)
-@given(prime_sets(), _values, _grids, _log_ns)
+@given(prime_sets(), _values | _measured_sets(), _grids, _log_ns)
 def test_scan_weighted_matches_reference(ps, vals, grid, log_n):
-    _both(ps, "measured", log_n, grid, values=vals, variant="weighted")
+    _both_routes(ps, log_n, grid, vals, "weighted")
 
 
 @pytest.mark.parametrize("nu_model", sorted(NU_MODELS) + [lambda p: 2])
