@@ -6,23 +6,44 @@ a_i over subsets I. Subset-sum cubes are the a0 = 0 case; there the empty
 sum 0 is exempt from set membership since only the nonzero sums live in
 [1, N].
 
-The exact and greedy searches share one bitset core (the codec of
-`primes`). The members up to N are one bitset. A search state keeps `fits`,
-the bitset of offsets x such that every current sum + x is a member: it
-starts at members >> a0, and adding step a sets fits &= fits >> a. The
-admissible next steps are the set bits of `fits` at positions >= the least
-allowed step `low`, read once by `set_bits(fits >> low, low)`.
+A search state keeps the offsets x such that every current sum + x is a
+member; adding step a keeps the x with x + a also kept. The admissible next
+steps are the kept offsets from the least allowed step `low` on. The exact
+search holds these offsets in one of two ways, picked once per search by the
+rule span > _PAIR_DENSITY * |A| (span = largest - least member):
+
+- Bitsets, for dense sets (and always in the greedy search). The members
+  up to N are one bitset (the codec of `primes`). `fits` starts at
+  members >> a0, adding step a sets fits &= fits >> a, and the admissible
+  steps are the set bits of `fits >> low`, read by
+  `set_bits(fits >> low, low)`. Each state costs O(N) bits, however few
+  offsets it keeps.
+- Pair lists, for sparse sets. A state is the ascending list of the sums
+  y = a0 + x, kept only from a0 + low on, since low never decreases. The
+  step-a child keeps the v in the list from a0 + a + gap on (gap = 1 under
+  `distinct`, else 0) with v + a also in it. A base's children come from
+  the pair table: P[a] lists the members y with y + a a member and
+  y >= a + gap, so the step-a child of base a0 is P[a] from a0 + a + gap
+  on, found and counted by one bisection. The table is built only when the
+  search runs from every member as a base. Its entries are counted first,
+  one bisection per member, and past _MAX_PAIRS the search keeps bitsets
+  instead. A subset-sum search has the one base 0, so it builds each child
+  when it needs it, as it does deeper down.
+
+Both ways list the same steps in the same order and charge the same nodes,
+so they return equal results; on both, a child that the popcount bound
+below would cut is skipped without being entered.
 
 The exact search cuts with two admissible bounds. k more steps, each at
-least `low`, give k distinct partial sums, each a set bit of `fits >> low`;
-so a state whose depth plus that popcount cannot beat the best depth found
-is cut (the popcount bound), and so is every candidate past the point where
-the untried candidates are too few. Beating the best needs
-`need = best + 1 - depth` more steps, each at least the candidate a, so
-only candidates with smax + need * a <= N are tried (the step cap; smax is
-the current largest sum). The popcount bound counts every admissible step,
-not only those under the cap: a capped step can still be a later partial
-sum.
+least `low`, give k distinct partial sums, each a kept offset from `low` on;
+so a state whose depth plus the count of those offsets (its popcount)
+cannot beat the best depth found is cut (the popcount bound), and so is
+every candidate past the point where the untried candidates are too few.
+Beating the best needs `need = best + 1 - depth` more steps, each at least
+the candidate a, so only candidates with smax + need * a <= N are tried
+(the step cap; smax is the current largest sum). The popcount bound counts
+every admissible step, not only those under the cap: a capped step can
+still be a later partial sum.
 
 The greedy search draws each next step uniformly among the set bits of
 `fits >> low` by index (rng.randrange of their count, then the i-th set bit
@@ -42,7 +63,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
@@ -52,6 +74,8 @@ _SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
 _RESTARTS = 40  # greedy restarts per search
 DEFAULT_BUDGET = 10**8  # exact-search nodes when no budget is given
+_PAIR_DENSITY = 16  # exact search by pair lists when the member span > this * |A|
+_MAX_PAIRS = 1 << 20  # pair-table entries, at 65-110 bytes each; past it, bitsets
 
 
 @dataclass(frozen=True)
@@ -191,7 +215,11 @@ class CubeSearchResult:
     candidate sums: each state the search enters is charged one node for
     every member from smax + low upward (the current largest sum plus the
     least admissible step). The exact search charges only the states that
-    pass its popcount bound; a state the bound cuts costs nothing."""
+    pass its popcount bound; a state the bound cuts costs nothing. Its two
+    routes (bitsets, or pair lists when span > _PAIR_DENSITY * |A| and the
+    pair table holds at most _MAX_PAIRS entries; module docstring) enter the
+    same states and charge them alike, so every field is the same on both,
+    also when the budget runs out."""
     limit: int
     descriptor: str
     mode: str
@@ -207,13 +235,36 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"node budget must be >= 0, got {budget}")
 
 
-def _members(s: SetDescriptor, limit: int) -> tuple[list[int], int]:
-    """The members of s up to the limit and their bitset. The bitset needs
-    limit/8 bytes, so a limit past 10**8 is refused before anything is
+def _members(s: SetDescriptor, limit: int) -> list[int]:
+    """The members of s up to the limit. A search may hold them as a bitset
+    of limit/8 bytes, so a limit past 10**8 is refused before anything is
     enumerated."""
     check_table(limit, "the cube search bitset")
-    members = enumerate_members(s, limit)
-    return members, bitset(members, members[-1] if members else 0)
+    return enumerate_members(s, limit)
+
+
+def _bits(members: list[int]) -> int:
+    return bitset(members, members[-1] if members else 0)
+
+
+def _pair_table(members: list[int], gap: int, one_base: bool) -> dict[int, list[int]] | None:
+    """The exact search's route (module docstring): None for bitsets, else
+    the pair table, left empty for a search from one base. P[a] lists,
+    ascending, the members y with y + a a member and y >= a + gap. A member
+    z pairs with the members y < z from (z + gap + 1) // 2 on, so the
+    entries are counted with one bisection per member before any is built."""
+    if not members or members[-1] - members[0] <= _PAIR_DENSITY * len(members):
+        return None
+    if one_base:
+        return {}
+    firsts = [bisect_left(members, (z + gap + 1) // 2, 0, j) for j, z in enumerate(members)]
+    if sum(j - f for j, f in enumerate(firsts)) > _MAX_PAIRS:
+        return None
+    table = defaultdict(list)
+    for j, z in enumerate(members):
+        for y in members[firsts[j]:j]:
+            table[z - y].append(y)
+    return table
 
 
 def _low(steps: list[int], distinct: bool) -> int:
@@ -260,39 +311,71 @@ def max_dimension_exact(
     witness found at each new depth is kept, so the reported witness is the
     lexicographically least maximal one (by (a0, steps)) whenever the search
     completes. Budget exhaustion is reported, never silent; a negative
-    budget is refused."""
+    budget is refused.
+
+    `children` lists a state's candidate steps up to the step cap, each with
+    its child state and that child's popcount. On the pair-list route a
+    state is (values, k), standing for the sums values[k:]."""
     _check_budget(budget)
-    members, bits = _members(s, limit)
+    members = _members(s, limit)
+    gap = 1 if distinct else 0
+    pairs = _pair_table(members, gap, subset_sum_mode)
+    bits = _bits(members) if pairs is None else 0
     best, best_d, nodes, exhausted = None, -1, 0, False
 
-    def extend(a0: int, smax: int, fits: int, steps: list[int]):
+    def bit_children(a0, fits, depth, low, cap):
+        for a in set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low):
+            sub = fits & (fits >> a)
+            yield a, sub, (sub >> (a + gap)).bit_count()
+
+    def list_children(a0, state, depth, low, cap):
+        values, k = state
+        stop = bisect_right(values, a0 + cap, k)
+        if depth == 0 and pairs:  # a base's children; with no table, as deeper down
+            for y in values[k:stop]:
+                sub = pairs.get(y - a0, ())
+                j = bisect_left(sub, y + gap)
+                yield y - a0, (sub, j), len(sub) - j
+        else:
+            rest = values[k:]
+            have = set(rest)
+            for i, y in enumerate(values[k:stop]):
+                a = y - a0
+                sub = [v for v in rest[i + gap:bisect_right(rest, rest[-1] - a, i)]
+                       if v + a in have]
+                yield a, (sub, 0), len(sub)
+
+    children = bit_children if pairs is None else list_children
+
+    def extend(a0: int, smax: int, state, avail: int, steps: list[int]):
         nonlocal best, best_d, nodes, exhausted
         depth = len(steps)
         if depth > best_d:
             best, best_d = (a0, tuple(steps)), depth
-        low = _low(steps, distinct)
-        rest = fits >> low
-        avail = rest.bit_count()
         if depth + avail <= best_d:
             return
+        low = _low(steps, distinct)
         nodes += len(members) - bisect_left(members, smax + low)
         if nodes > budget:
             nodes, exhausted = budget + 1, True
             return
         cap = (limit - smax) // (best_d + 1 - depth)
-        for i, a in enumerate(set_bits(rest & ((1 << max(cap - low + 1, 0)) - 1), low)):
+        for i, (a, sub, sub_avail) in enumerate(children(a0, state, depth, low, cap)):
             if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return
-            steps.append(a)
-            extend(a0, smax + a, fits & (fits >> a), steps)
-            steps.pop()
-            if exhausted:
-                return
+            if depth + 1 + sub_avail > best_d:  # else the popcount bound cuts it
+                steps.append(a)
+                extend(a0, smax + a, sub, sub_avail, steps)
+                steps.pop()
+                if exhausted:
+                    return
 
     for a0 in [0] if subset_sum_mode else members:
         if exhausted:
             break
-        extend(a0, a0, bits >> a0, [])
+        k = bisect_right(members, a0)
+        extend(a0, a0, bits >> a0 if pairs is None else (members, k), len(members) - k, [])
+    del extend  # it refers to itself: drop that cycle so the table is freed now
     return _result(s, limit, best, nodes, not exhausted, subset_sum_mode, distinct)
 
 
@@ -313,7 +396,8 @@ def max_dimension_greedy(
     is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
     rng._randbelow(n), so this draws the same random stream and picks the
     same steps as choosing from the ascending candidate list."""
-    members, bits = _members(s, limit)
+    members = _members(s, limit)
+    bits = _bits(members)
     rng = random.Random(seed)
     best, nodes = None, 0
     bases = [0] if subset_sum_mode else members

@@ -59,6 +59,7 @@ from .zq import (
     find_lift_zero,
     minimal_cover_k,
     schwarzwald,
+    step_a1_classes,
     subset_sum_find,
     sumset_mod_p,
     verify_olson_exhaustive,
@@ -487,10 +488,14 @@ def cmd_liftzero(args) -> int:
 def cmd_schwarzwald(args) -> int:
     if args.ell < 2:
         raise ValueError(f"modulus must be p^ell with ell > 1, got p={args.p}, ell={args.ell}")
+    elements = tuple(_ints(args.elements))
+    # each strategy's refusal reads p, ell or the elements, not the power
     if args.strategy == "direct":
         check_dp_power(args.p, args.ell)
+    else:
+        step_a1_classes(args.p, elements)
     mod = Modulus(args.p, args.p ** (args.ell - 1))
-    b = ResidueMultiset(mod, tuple(_ints(args.elements)))
+    b = ResidueMultiset(mod, elements)
     w = schwarzwald(b, args.a0, strategy=args.strategy)
     _emit_witness(args, w, b.elements)
     return EXIT_OK

@@ -302,6 +302,24 @@ def find_lift_zero(b: ResidueMultiset, distinct_mod_p: bool = False) -> SubsetWi
     return None
 
 
+def step_a1_classes(p: int, elements: Sequence[int]) -> dict[int, int]:
+    """The `paper` strategy's step A1 precondition, read from p and the
+    elements alone, so it can run before q = p^ell is built: the first index
+    of each residue class mod the prime p, refused when fewer than
+    ceil(2*sqrt(p)) + 1 classes occur."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    first_idx: dict[int, int] = {}
+    for i, e in enumerate(elements):
+        first_idx.setdefault(e % p, i)
+    k1 = ceil_two_sqrt(p) + 1
+    if len(first_idx) < k1:
+        raise StrategyPreconditionError(
+            f"step A1: need {k1} distinct residues mod {p}, have {len(first_idx)}"
+        )
+    return first_idx
+
+
 def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> SubsetWitness | None:
     """Find A inside the multiset with a0 + sum(A) = 0 (mod p) and != 0
     (mod q = p^ell), ell > 1. The empty subset never counts.
@@ -338,13 +356,7 @@ def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> Subset
 
     elems = b.elements
     k1 = ceil_two_sqrt(p) + 1
-    first_idx: dict[int, int] = {}
-    for i, e in enumerate(elems):
-        first_idx.setdefault(e % p, i)
-    if len(first_idx) < k1:
-        raise StrategyPreconditionError(
-            f"step A1: need {k1} distinct residues mod {p}, have {len(first_idx)}"
-        )
+    first_idx = step_a1_classes(p, elems)
     non_mult = [i for i, e in enumerate(elems) if e % m != 0]
     if not non_mult:
         raise StrategyPreconditionError("step A1: every element is a multiple of m")

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import tracemalloc
@@ -21,7 +22,7 @@ from cubesieve.cube import (
     residue_constraint_check,
     verify,
 )
-from cubesieve.primes import PrimeSet
+from cubesieve.primes import PrimeSet, bitset
 
 
 def naive_max_dimension(member, limit, subset_sum=False):
@@ -331,3 +332,50 @@ def test_semigroup_search_smoke():
     res = max_dimension_exact(sg, 100)
     assert res.exact and res.best_dimension >= 2
     assert verify(res.witness, sg, 100) == (True, None)
+
+
+def _no_bitset(*args):
+    raise AssertionError("a sparse set must not build a bitset")
+
+
+@pytest.mark.parametrize("text", ["rfull:2,inert:1,1,1", "semigroup:class:1,4"])
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_exact_route_keeps_bitsets_for_dense_sets(text, n, monkeypatch):
+    # span / |A| is at most 2.8 and 9.3 here, under the rule's 16
+    built = []
+    monkeypatch.setattr(cube, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
+    res = max_dimension_exact(parse_set_descriptor(text), n, budget=1000)
+    assert (res.exact, len(built)) == (False, 1)
+
+
+@pytest.mark.parametrize("text, n, subset_sum", [
+    ("squareful", 10**4, False),
+    ("purepowers", 10**4, False),
+    ("purepowers", 10**6, True),
+])
+def test_exact_route_takes_pair_lists_for_sparse_sets(text, n, subset_sum, monkeypatch):
+    members = enumerate_members(parse_set_descriptor(text), n)
+    assert members[-1] - members[0] > cube._PAIR_DENSITY * len(members)
+    monkeypatch.setattr(cube, "bitset", _no_bitset)
+    res = max_dimension_exact(parse_set_descriptor(text), n, subset_sum_mode=subset_sum)
+    assert res.exact and verify(res.witness, parse_set_descriptor(text), n) == (True, None)
+
+
+def test_exact_search_frees_its_pair_table():
+    # the search's recursive closure refers to itself; were that cycle left
+    # standing, the pair table (about 0.35 MiB here) would outlive the call
+    # until the next cyclic collection
+    s = Squareful()
+    max_dimension_exact(s, 10**4)  # fills any enumeration cache first
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = max_dimension_exact(s, 10**4)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert res.best_dimension == 5
+    assert after - before < 64 * 1024

@@ -1,4 +1,4 @@
-"""Differential tests: the bitset search core in cubesieve.cube against the
+"""Differential tests: the search core in cubesieve.cube against the
 list-based search it replaced, and the distinct-sum `verify` against the
 multiset loop it replaced. Both are kept below as reference implementations
 (function bodies unchanged, docstrings dropped).
@@ -10,13 +10,19 @@ subset of the reference's states and spends no more nodes. Where the
 reference completes, the new core must complete too, with the same
 dimension and witness and no more nodes. Where the reference runs out of
 budget, the new core's witness must verify, and if it completed, its
-dimension must be at least the reference's."""
+dimension must be at least the reference's.
+
+The exact search has two routes, bitsets and pair lists. Each is forced in
+turn, and the two must return equal results field by field, including the
+node count and where a budget runs out; the pair-list route is also held to
+the list-based reference above."""
 
 import dataclasses
 import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +36,7 @@ from cubesieve.arithsets import (
     parse_set_descriptor,
 )
 from cubesieve.cube import CubeSearchResult, HilbertCube
+from cubesieve.primes import bitset
 
 # ---------------------------------------------------------------------------
 # reference implementation (list-based candidate loop)
@@ -242,6 +249,118 @@ def test_fixed_grid_matches_reference(text, n, subset_sum, distinct, budget):
     _check_exact(s, n, budget=budget, **kw)
     assert cube.max_dimension_greedy(s, n, seed=budget, **kw) == \
         max_dimension_greedy(s, n, seed=budget, **kw)
+
+
+# ---------------------------------------------------------------------------
+# the exact search's two routes, bitsets and pair lists, each forced through
+# the density rule's constant (span > _PAIR_DENSITY * |A| takes pair lists)
+
+_LISTS, _BITS = -1, 10**9
+
+
+def _both_routes(s: SetDescriptor, limit: int, **kw) -> CubeSearchResult:
+    """The exact search under the density rule and with each route forced:
+    the three results are equal field by field."""
+    results = []
+    for density in (cube._PAIR_DENSITY, _LISTS, _BITS):
+        with mock.patch.object(cube, "_PAIR_DENSITY", density):
+            results.append(cube.max_dimension_exact(s, limit, **kw))
+    assert results[1] == results[2] == results[0]
+    return results[0]
+
+
+@st.composite
+def sparse_sets(draw):
+    """A sparse listed set up to a few thousand holding the sums of a planted
+    cube, so the search goes a few steps deep, plus random members."""
+    a0 = draw(st.sampled_from((0, 1)) | st.integers(0, 300))
+    steps = draw(st.lists(st.integers(1, 400), min_size=1, max_size=5))
+    values = {v for v in HilbertCube(a0, tuple(steps)).sums() if v}
+    values |= draw(st.frozensets(st.integers(1, 4000), max_size=60))
+    limit = draw(st.sampled_from((max(values), 4000)) | st.integers(1, 4000))
+    return Listed(frozenset(values)), limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_sets() | sparse_sets(), st.booleans(), st.booleans(), st.integers(0, 3000))
+def test_exact_routes_agree(case, subset_sum, distinct, budget):
+    s, limit = case
+    kw = dict(subset_sum_mode=subset_sum, distinct=distinct, budget=budget)
+    _both_routes(s, limit, **kw)
+    with mock.patch.object(cube, "_PAIR_DENSITY", _LISTS):
+        _check_exact(s, limit, **kw)
+
+
+# every set descriptor kind, including each prime-set kind
+_ROUTE_DESCRIPTORS = _DESCRIPTORS + (
+    "semigroup:all", "semigroup:complement:list:2,3", "quadform:1,1,1",
+)
+
+
+@pytest.mark.parametrize("text", _ROUTE_DESCRIPTORS)
+@pytest.mark.parametrize("subset_sum", [False, True])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_exact_routes_agree_on_every_descriptor(text, subset_sum, distinct):
+    s = parse_set_descriptor(text)
+    kw = dict(subset_sum_mode=subset_sum, distinct=distinct)
+    for n, budget in ((60, 10**8), (1000, 37), (1000, 4000), (3000, 20000)):
+        res = _both_routes(s, n, budget=budget, **kw)
+        if not res.exact:
+            assert (res.mode, res.nodes_expanded) == ("greedy", budget + 1)
+
+
+@pytest.mark.parametrize("text, n, subset_sum, budget", [
+    ("squareful", 10**4, False, 5000),
+    ("squareful", 10**4, False, 100000),
+    ("purepowers", 10**5, True, 3000),
+    ("purepowers", 10**4, False, 20000),
+])
+def test_exact_routes_stop_at_the_same_state(text, n, subset_sum, budget):
+    # both routes run out of budget at the same state, with the same best cube
+    res = _both_routes(parse_set_descriptor(text), n, subset_sum_mode=subset_sum, budget=budget)
+    assert (res.exact, res.nodes_expanded) == (False, budget + 1)
+    assert res.witness is not None and res.best_dimension >= 2
+
+
+def _pairs_by_definition(members: list[int], gap: int) -> dict[int, list[int]]:
+    present = set(members)
+    table: dict[int, list[int]] = {}
+    for a in range(1, members[-1] + 1):
+        entries = [y for y in members if y >= a + gap and y + a in present]
+        if entries:
+            table[a] = entries
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_sets(), st.booleans())
+def test_pair_table_matches_its_definition(case, distinct):
+    s, limit = case
+    members = enumerate_members(s, limit)
+    gap = 1 if distinct else 0
+    with mock.patch.object(cube, "_PAIR_DENSITY", _LISTS):
+        table = cube._pair_table(members, gap, False)
+        one_base = cube._pair_table(members, gap, True)
+    if not members:  # nothing to search: the bitset route's empty sentinel
+        assert table is one_base is None
+        return
+    assert one_base == {}  # a search from one base keeps no table
+    assert dict(table) == _pairs_by_definition(members, gap)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_pair_cap_falls_back_to_bitsets(distinct, monkeypatch):
+    s = parse_set_descriptor("squareful")
+    members = enumerate_members(s, 1000)  # span 18.5 |A|: pair lists
+    count = sum(map(len, _pairs_by_definition(members, 1 if distinct else 0).values()))
+    built = []
+    monkeypatch.setattr(cube, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
+    monkeypatch.setattr(cube, "_MAX_PAIRS", count)
+    at_cap = cube.max_dimension_exact(s, 1000, distinct=distinct)
+    assert built == []
+    monkeypatch.setattr(cube, "_MAX_PAIRS", count - 1)
+    assert cube.max_dimension_exact(s, 1000, distinct=distinct) == at_cap
+    assert built == [members[-1]]
 
 
 # ---------------------------------------------------------------------------

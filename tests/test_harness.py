@@ -852,6 +852,19 @@ def test_cli_schwarzwald_direct_refuses_before_the_power(capsys):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("p, err", [
+    ("7", "error: step A1: need 7 distinct residues mod 7, have 3\n"),
+    ("4", "error: 4 is not prime\n"),
+])
+def test_cli_schwarzwald_paper_checks_step_a1_before_the_modulus(p, err, capsys, monkeypatch):
+    # step A1 reads only the residues mod p, so it refuses before the
+    # cofactor p^2999999 and its Modulus are built
+    monkeypatch.setattr(harness, "Modulus", _unreachable)
+    argv = ["schwarzwald", "--p", p, "--ell", "3000000", "--a0", "1", "--elements", "1,2,3",
+            "--strategy", "paper"]
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", err)
+
+
 @pytest.mark.parametrize("p, ell, err", [
     # 2^24 > 10^7 >= 2^23: every ell >= 24 is refused from p and ell alone
     ("2", "23", ""),
