@@ -17,6 +17,15 @@ from itertools import compress
 from .primes import PrimeSet, check_table, parse_prime_set, validate_definite_form
 
 _MAX_N = 2**63 - 1
+# largest limit of the squareful and pure-power member lists (about 2*10**6
+# members at 10**12); past it the list alone grows until memory runs out
+_MAX_SPARSE = 10**12
+
+
+def _check_sparse(limit: int, name: str) -> None:
+    """Refuse a limit past _MAX_SPARSE before any enumeration loop runs."""
+    if limit > _MAX_SPARSE:
+        raise ValueError(f"limit N = {limit} is too large for the {name} enumeration (max 10**12)")
 
 
 @dataclass(frozen=True)
@@ -107,6 +116,7 @@ class Squareful(SetDescriptor):
     def members_up_to(self, limit: int) -> list[int]:
         # every squareful number is a^2 * b^3 with b squarefree; this keeps
         # enumeration O(sqrt(limit)) instead of factoring every integer
+        _check_sparse(limit, "squareful")
         out = set()
         b = 1
         while b**3 <= limit:
@@ -166,16 +176,12 @@ class PurePowers(SetDescriptor):
         return n >= 1 and is_perfect_power(n)
 
     def members_up_to(self, limit: int) -> list[int]:
+        _check_sparse(limit, "pure-power")
         if limit < 1:
             return []
         out = {1}
-        e = 2
-        while 1 << e <= limit:
-            a = 2
-            while a**e <= limit:
-                out.add(a**e)
-                a += 1
-            e += 1
+        for e in range(2, limit.bit_length()):  # 2**e <= limit
+            out.update(a**e for a in range(2, iroot(limit, e) + 1))
         return sorted(out)
 
     def describe(self) -> str:

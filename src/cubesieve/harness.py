@@ -36,6 +36,7 @@ from .cube import (
 )
 from .primes import MAX_TABLE, PrimeSet, ceil_two_sqrt, check_table, parse_prime_set, primes_up_to
 from .sieve import (
+    NU_MODELS,
     _check_log_n,
     gallagher_bound,
     gallagher_bound_weighted,
@@ -452,9 +453,12 @@ def _ints(text: str) -> list[int]:
 def _parse_y_grid(text: str) -> list[int]:
     """`a:b:step` inclusive, or a comma-separated list."""
     if ":" in text:
-        a, b, step = (int(t) for t in text.split(":"))
-        if step < 1 or b < a:
-            raise ValueError(f"bad grid spec {text!r}")
+        try:
+            a, b, step = (int(t) for t in text.split(":"))
+            if step < 1 or b < a:
+                raise ValueError
+        except ValueError:  # also too few or too many parts, or a non-integer one
+            raise ValueError(f"bad grid spec {text!r}") from None
         return list(range(a, b + 1, step))
     return _ints(text)
 
@@ -715,8 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     measured.add_argument("--elements-file")
     sp.add_argument("--primes", default="all")
     sp.add_argument("--y-grid", required=True)
-    sp.add_argument("--nu", default="measured",
-                    choices=("measured", "five_ceil_sqrt", "two_sqrt", "half_p_plus_one"))
+    sp.add_argument("--nu", default="measured", choices=("measured", *NU_MODELS))
     sp.add_argument("--log-n", type=float, required=True)
     sp.add_argument("--variant", choices=("plain", "weighted"), default="plain")
     sp.add_argument("--out")

@@ -1,16 +1,14 @@
-"""Prime generation, prime-set descriptors, weighted prime density,
-quadratic-residue tools for positive definite binary quadratic forms, and
-the bitset codec the other layers share: one int with bit v set for each
-value v of a set. `bitset` builds it through a bytearray and
-`int.from_bytes`; `set_bits` reads it back from its binary string (whose
-last character is bit 0) with `str.rfind`, not one big-int operation per
-bit."""
+"""Prime generation, prime-set descriptors, the validation of positive
+definite binary quadratic forms, and the bitset codec the other layers
+share: one int with bit v set for each value v of a set. `bitset` builds it
+through a bytearray and `int.from_bytes`; `set_bits` reads it back from its
+binary string (whose last character is bit 0) with `str.rfind`, not one
+big-int operation per bit."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -89,18 +87,6 @@ def ceil_two_sqrt(p: int) -> int:
     if t * t < 4 * p:
         t += 1
     return t
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion.
-
-    Returns 0 iff p | a, else +1/-1 per quadratic residuosity."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus must be an odd prime, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def _is_square(n: int) -> bool:
@@ -215,24 +201,3 @@ def parse_prime_set(text: str) -> PrimeSet:
     if head == "complement":
         return PrimeSet.complement(parse_prime_set(rest))
     raise ValueError(f"unrecognized prime-set spec: {text!r}")
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Weighted prime density of a set T up to y: sum of log(p)/sqrt(p) over
-    p in T, p <= y, and the same sum normalized by sqrt(y).
-
-    Over all primes the normalized value tends to 2, so a set of relative
-    density tau normalizes to about 2*tau."""
-    y: int
-    weighted_sum: float
-    normalized: float
-
-
-def density(t: PrimeSet, y: int) -> DensityReport:
-    if y < 2:
-        raise ValueError(f"cutoff must be >= 2, got {y}")
-    ws = 0.0
-    for p in t.primes_up_to(y):
-        ws += math.log(p) / math.sqrt(p)
-    return DensityReport(y, ws, ws / math.sqrt(y))

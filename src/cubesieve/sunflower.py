@@ -1,5 +1,5 @@
 """Sunflower search in set families, representation counts of subset sums,
-the dimension-bound evaluator, and homogeneous-AP extraction.
+and homogeneous-AP extraction.
 
 A sunflower with v petals is a subfamily whose pairwise intersections all
 equal the intersection of the whole subfamily (the kernel). Discarding the
@@ -120,13 +120,6 @@ def sunflower_threshold(h: int, v: int) -> int:
     return math.ceil((v * math.log(h)) ** h)
 
 
-def erdos_rado_threshold(h: int, v: int) -> int:
-    """Classical h! * (v-1)^h threshold, for comparison."""
-    if h < 1 or v < 2:
-        raise ValueError(f"need h >= 1 and v >= 2, got ({h}, {v})")
-    return math.factorial(h) * (v - 1) ** h
-
-
 def rep_count_g(steps: Iterable[int], h: int, limit: int) -> tuple[int, int | None]:
     """Maximum number of h-element subsets of `steps` (distinct elements,
     unordered) sharing one sum <= limit, plus the least extremal target.
@@ -149,14 +142,6 @@ def rep_count_g(steps: Iterable[int], h: int, limit: int) -> tuple[int, int | No
             g = table[h][s]
             target = s
     return g, target
-
-
-def dimension_bound(h: int, f_n: float, g: int) -> float:
-    """(5 * h! * f_n * g)^(1/h) + 5h + 4, the cube-dimension bound implied
-    by a representation count g at summand count h; pure evaluator."""
-    if h < 1 or f_n < 1 or g < 1:
-        raise ValueError(f"need h >= 1, f_n >= 1, g >= 1, got ({h}, {f_n}, {g})")
-    return (5.0 * math.factorial(h) * f_n * g) ** (1.0 / h) + 5 * h + 4
 
 
 def extract_ap(family: SetFamily, witness: SunflowerWitness) -> tuple[int, int]:

@@ -58,23 +58,11 @@ class Modulus:
     def q(self) -> int:
         return self.p * self.m
 
-    def _exponent(self) -> int:
-        """k with q = p^k, else 0: one log estimate (math.log reads a big int
-        by its bit length) confirmed by one power, not k divisions."""
-        k = round(math.log(self.q, self.p))
-        return k if self.p ** k == self.q else 0
-
     @property
     def is_prime_power(self) -> bool:
-        return self._exponent() > 0
-
-    @property
-    def ell(self) -> int:
-        """Exponent when q = p^ell."""
-        k = self._exponent()
-        if not k:
-            raise ValueError(f"q = p * m is not a power of p = {self.p}")
-        return k
+        """Whether q = p^k: one log estimate of k (math.log reads a big int
+        by its bit length) confirmed by one power, not k divisions."""
+        return self.p ** round(math.log(self.q, self.p)) == self.q
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
 import math
+import signal
 import time
 from pathlib import Path
 
 import pytest
 
 from cubesieve import arithsets, cube, harness, primes
-from cubesieve.arithsets import Squareful
+from cubesieve.arithsets import PurePowers, Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
     EXIT_BUDGET,
@@ -23,7 +25,7 @@ from cubesieve.harness import (
     run_verify_all,
     _emit_csv,
 )
-from cubesieve.sieve import prescribed_cutoff
+from cubesieve.sieve import NU_MODELS, prescribed_cutoff
 from cubesieve.sunflower import SunflowerWitness
 
 
@@ -633,6 +635,23 @@ def test_cli_sieve_bound_rejects_bad_log_n(argv, message, capsys, monkeypatch):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec", ["10:1:1", "10:20:0", "1:2", "1:2:3:4", "a:b:c", "1:x:1"])
+def test_cli_sieve_bound_bad_grid_spec(spec, capsys):
+    # the wrong number of parts or a non-integer part reads as the same spec error
+    argv = ["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", spec,
+            "--log-n", "5"]
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: bad grid spec {spec!r}\n")
+
+
+def test_cli_nu_choices_are_the_models():
+    # one list: the measured profile first, then the model names in their order
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    nu = next(a for a in sub.choices["sieve-bound"]._actions if a.dest == "nu")
+    assert nu.choices == ("measured", "five_ceil_sqrt", "two_sqrt", "half_p_plus_one")
+    assert nu.choices[1:] == tuple(NU_MODELS)
+
+
 @pytest.mark.parametrize("grid, n", [("0", "0"), ("-3", "-3"), ("1", "1"), ("1,100", "1")])
 def test_cli_sieve_compare_refuses_n_below_two(grid, n, capsys, monkeypatch):
     # log N is not positive below N = 2 (a math domain error at N <= 0)
@@ -738,6 +757,12 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
     # 2 * 10^9 + 1 values of x, one isqrt each, would take many minutes
     (["membership", "--set", "quadform:1,0,1", "--n", str(10**18 + 7)],
      "limit N = 2000000001 is too large for the form's scan over x (max 10**8)"),
+    # about 2 * 10**10 members: the list alone grows until memory runs out
+    (["enumerate", "--set", "squareful", "--limit", str(10**20)],
+     "limit N = 100000000000000000000 is too large for the squareful enumeration (max 10**12)"),
+    (["enumerate", "--set", "purepowers", "--limit", str(10**20)],
+     "limit N = 100000000000000000000 is too large for the pure-power enumeration "
+     "(max 10**12)"),
 ])
 def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     # each path builds a limit-byte table or runs a limit-step loop; the step
@@ -746,7 +771,34 @@ def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
     monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
     monkeypatch.setattr(cube, "enumerate_members", _unreachable)
-    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+    with _deadline(1.0):
+        assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a call still running after `seconds`: a loop past its guard that
+    makes no call the test can patch then fails the test, not hangs it."""
+    def expire(signum, frame):
+        raise AssertionError("ran past the size guard")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("s", [Squareful(), PurePowers()])
+def test_sparse_enumeration_bound_is_inclusive(s, monkeypatch):
+    # a limit of 10**12 passes the guard and reaches the loop; one more does not
+    monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
+    with pytest.raises(AssertionError, match="past the size guard"):
+        s.members_up_to(10**12)
+    with pytest.raises(ValueError, match=r"\(max 10\*\*12\)$"):
+        s.members_up_to(10**12 + 1)
 
 
 def test_cli_cube_verify_past_the_sums_cap(capsys):

@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from cubesieve import primes
 from cubesieve.primes import (
-    DensityReport,
     PrimeSet,
     bitset,
-    density,
     is_prime,
-    legendre,
     parse_prime_set,
     primes_up_to,
     set_bits,
@@ -30,6 +27,19 @@ def trial_division_primes(y):
 
 def brute_residues(p):
     return {x * x % p for x in range(1, p)}
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion: the
+    oracle for inert membership, kept apart from the code it checks.
+
+    Returns 0 iff p | a, else +1/-1 per quadratic residuosity."""
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"modulus must be an odd prime, got {p}")
+    a %= p
+    if a == 0:
+        return 0
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def test_primes_up_to_small():
@@ -165,40 +175,6 @@ def test_cache_regrow():
     assert t.primes_up_to(10) == [2, 3, 5, 7]
     assert t.primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert t.primes_up_to(10) == [2, 3, 5, 7]
-
-
-def test_density_empty():
-    rep = density(PrimeSet.explicit([]), 100)
-    assert rep == DensityReport(100, 0.0, 0.0)
-
-
-def test_density_all_primes():
-    rep = density(PrimeSet.all_primes(), 10**4)
-    assert 1.8 <= rep.normalized <= 2.2
-
-
-def test_density_residue_class():
-    rep = density(PrimeSet.residue_class(3, 4), 10**4)
-    assert 0.8 <= rep.normalized <= 1.2
-
-
-def test_density_normalized_stays_small():
-    for y in (100, 1000, 10**4):
-        assert density(PrimeSet.all_primes(), y).normalized <= 3
-
-
-def test_density_additivity():
-    t = PrimeSet.inert_of_form(1, 0, 1)
-    comp = PrimeSet.complement(t)
-    for y in (100, 5000):
-        whole = density(PrimeSet.all_primes(), y).weighted_sum
-        split = density(t, y).weighted_sum + density(comp, y).weighted_sum
-        assert math.isclose(whole, split, rel_tol=1e-12)
-
-
-def test_density_rejects_tiny_cutoff():
-    with pytest.raises(ValueError):
-        density(PrimeSet.all_primes(), 1)
 
 
 def test_parse_round_trip():

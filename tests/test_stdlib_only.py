@@ -1,8 +1,11 @@
 """cubesieve is pure standard library: every import in src/cubesieve names a
-standard-library module or cubesieve itself."""
+standard-library module or cubesieve itself. Its layers import downwards
+only, one module owns the bitset codec, and every definition has a program
+caller."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubesieve"
@@ -85,3 +88,46 @@ def test_bitset_codec_lives_in_primes():
     assert offenders == []
     assert any(_encodes_bitset(node)
                for node in ast.walk(ast.parse((SRC / "primes.py").read_text(encoding="utf-8"))))
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+# names a program reads without naming them: argparse calls _Parser.error
+_CALLED_FROM_OUTSIDE = {"harness._Parser.error"}
+
+
+def _reads(tree: ast.AST):
+    """Each name the tree reads: a Name, an Attribute, an import alias, or a
+    string constant (the tracer patches functions by attribute name)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_has_a_program_caller():
+    # a def or class that only tests read is surface no program path needs
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(f"{path.stem}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            # a read inside its own definition (a recursive call) does not count
+            unread += [label for label, d in defs
+                       if read[d.name] == Counter(_reads(d))[d.name]
+                       and label not in _CALLED_FROM_OUTSIDE]
+    assert not unread, f"read by no program path: {', '.join(unread)}"

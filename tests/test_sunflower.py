@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -8,9 +7,7 @@ from cubesieve.cube import HilbertCube
 from cubesieve.sunflower import (
     SetFamily,
     SunflowerWitness,
-    dimension_bound,
     equal_sum_buckets,
-    erdos_rado_threshold,
     extract_ap,
     find_sunflower,
     homogeneous_ap_via_sunflower,
@@ -135,7 +132,6 @@ def test_thresholds():
     assert sunflower_threshold(1, 3) == 3
     assert sunflower_threshold(2, 3) == 5
     assert sunflower_threshold(3, 3) == 36
-    assert erdos_rado_threshold(3, 3) == 48
     with pytest.raises(ValueError):
         sunflower_threshold(0, 3)
     with pytest.raises(ValueError):
@@ -178,19 +174,6 @@ def test_rep_count_full_subset():
 def test_rep_count_validation():
     with pytest.raises(ValueError):
         rep_count_g([1, 2], 3, 10)
-
-
-def test_dimension_bound_values():
-    assert dimension_bound(1, 1, 1) == 14.0
-    assert math.isclose(dimension_bound(2, 1, 1), math.sqrt(10) + 14)
-    with pytest.raises(ValueError):
-        dimension_bound(0, 1, 1)
-
-
-def test_dimension_bound_monotone_in_g():
-    for h in (1, 2, 3):
-        bounds = [dimension_bound(h, 2.5, g) for g in (1, 2, 4, 9)]
-        assert bounds == sorted(bounds)
 
 
 def test_extract_ap_disjoint_pairs():

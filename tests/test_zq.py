@@ -49,25 +49,21 @@ def brute_covers(subset, p):
 
 def test_modulus():
     m = Modulus(5, 5)
-    assert m.q == 25 and m.is_prime_power and m.ell == 2
-    assert Modulus(5, 1).ell == 1
+    assert m.q == 25 and m.is_prime_power
+    assert Modulus(5, 1).is_prime_power
     assert not Modulus(5, 3).is_prime_power
     with pytest.raises(ValueError):
         Modulus(6, 2)
     with pytest.raises(ValueError):
         Modulus(5, 0)
-    with pytest.raises(ValueError):
-        Modulus(5, 3).ell
 
 
 @pytest.mark.parametrize("p, k", [(2, 100000), (3, 60000), (7, 50000), (10007, 3000)])
 def test_modulus_exponent_at_large_ell(p, k):
     # one logarithm and one exact power, however large ell is
-    assert Modulus(p, p ** (k - 1)).ell == k
+    assert Modulus(p, p ** (k - 1)).is_prime_power
     for m in (p ** (k - 1) * (p + 1), p ** (k - 1) + 1, p ** (k - 1) - 1, p ** k // 2 + 1):
         assert not Modulus(p, m).is_prime_power
-        with pytest.raises(ValueError, match="is not a power of"):
-            Modulus(p, m).ell
 
 
 def test_residue_multiset():

@@ -115,7 +115,7 @@ def find_lift_zero(b: ResidueMultiset, distinct_mod_p: bool = False) -> SubsetWi
 
 def schwarzwald(b: ResidueMultiset, a0: int, strategy: str = "direct") -> SubsetWitness | None:
     mod = b.modulus
-    if not mod.is_prime_power or mod.ell < 2:
+    if not mod.is_prime_power or mod.m == 1:
         raise ValueError(f"modulus q = p * m must be p^ell with ell > 1 for p = {mod.p}")
     p, q, m = mod.p, mod.q, mod.m
     a0 %= q
