@@ -301,6 +301,7 @@ def max_dimension_exact(
     subset_sum_mode: bool = False,
     distinct: bool = False,
     budget: int = DEFAULT_BUDGET,
+    members: list[int] | None = None,
 ) -> CubeSearchResult:
     """Exhaustive depth-first branch and bound for the largest cube dimension.
 
@@ -315,9 +316,13 @@ def max_dimension_exact(
 
     `children` lists a state's candidate steps up to the step cap, each with
     its child state and that child's popcount. On the pair-list route a
-    state is (values, k), standing for the sums values[k:]."""
+    state is (values, k), standing for the sums values[k:].
+
+    `members` is `_members(s, limit)` when the caller has listed it already;
+    the search only reads it."""
     _check_budget(budget)
-    members = _members(s, limit)
+    if members is None:
+        members = _members(s, limit)
     gap = 1 if distinct else 0
     pairs = _pair_table(members, gap, subset_sum_mode)
     bits = _bits(members) if pairs is None else 0
@@ -385,6 +390,7 @@ def max_dimension_greedy(
     subset_sum_mode: bool = False,
     seed: int = 0,
     distinct: bool = False,
+    members: list[int] | None = None,
 ) -> CubeSearchResult:
     """Randomized greedy extension with restarts; a certified lower bound.
 
@@ -395,8 +401,10 @@ def max_dimension_greedy(
     bisection, without listing the candidates. CPython's rng.choice(seq)
     is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
     rng._randbelow(n), so this draws the same random stream and picks the
-    same steps as choosing from the ascending candidate list."""
-    members = _members(s, limit)
+    same steps as choosing from the ascending candidate list. `members` is
+    read as in `max_dimension_exact`."""
+    if members is None:
+        members = _members(s, limit)
     bits = _bits(members)
     rng = random.Random(seed)
     best, nodes = None, 0

@@ -3,7 +3,14 @@
 
 Reruns with identical flags and seed produce byte-identical CSV output.
 Exit codes: 0 success, 1 usage error, 2 counterexample found, 3 node budget
-exhausted on a run that required exactness."""
+exhausted on a run that required exactness.
+
+Each command is one row of `_COMMANDS`: its handler, help text and flags.
+`main` builds the parser of the one command its first argument names, so
+a run does not pay for the other twelve. The full parser is built for
+top-level `-h` or `--version`, an empty or unknown command, and to report
+any usage error the one-command parse meets, so every usage line, help
+text and exit code is the full parser's."""
 
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .cube import (
     DEFAULT_BUDGET,
     HilbertCube,
     _check_budget,
+    _members,
     max_dimension_exact,
     max_dimension_greedy,
     max_homogeneous_ap,
@@ -143,13 +151,16 @@ def _recheck(cube: HilbertCube, s, limit: int, what: str) -> None:
 def run_dimension_scan(descriptor, cfg: ExperimentConfig):
     """Maximal cube dimension in a set, one row per grid point: exact search,
     degrading to the better of the truncated search and a seeded greedy
-    probe when the budget runs out. Every witness is re-verified in a
-    post-pass before the row is emitted."""
+    probe when the budget runs out. Both searches at a grid point read the
+    one list of its members. Every witness is re-verified in a post-pass
+    before the row is emitted."""
+    _check_budget(cfg.budget)  # before the first enumeration, as the exact search checks it
     rows = []
     for n in cfg.n_grid:
-        res = max_dimension_exact(descriptor, n, budget=cfg.budget)
+        members = _members(descriptor, n)
+        res = max_dimension_exact(descriptor, n, budget=cfg.budget, members=members)
         if not res.exact:
-            probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}")
+            probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}", members=members)
             if probe.best_dimension > res.best_dimension:
                 res = probe
         if res.witness is not None:
@@ -446,8 +457,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _ints(text: str, where: str) -> list[int]:
+    """A comma-separated list of integers; `where` names the flag, config key
+    or file line it came from in the error on a bad entry."""
+    values = []
+    for t in text.split(","):
+        if t.strip():
+            try:
+                values.append(int(t))
+            except ValueError:
+                raise ValueError(f"{where}: invalid integer {t.strip()[:40]!r} "
+                                 f"in the list {text.strip()[:40]!r}") from None
+    return values
 
 
 def _parse_y_grid(text: str) -> list[int]:
@@ -460,7 +481,7 @@ def _parse_y_grid(text: str) -> list[int]:
         except ValueError:  # also too few or too many parts, or a non-integer one
             raise ValueError(f"bad grid spec {text!r}") from None
         return list(range(a, b + 1, step))
-    return _ints(text)
+    return _ints(text, "--y-grid")
 
 
 def cmd_membership(args) -> int:
@@ -476,14 +497,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_olson(args) -> int:
-    elements = _ints(args.elements)
+    elements = _ints(args.elements, "--elements")
     w = subset_sum_find(elements, args.target, args.p)
     _emit_witness(args, w, elements)
     return EXIT_OK
 
 
 def cmd_liftzero(args) -> int:
-    b = ResidueMultiset(Modulus(args.p, args.m), tuple(_ints(args.elements)))
+    b = ResidueMultiset(Modulus(args.p, args.m), tuple(_ints(args.elements, "--elements")))
     w = find_lift_zero(b, distinct_mod_p=args.distinct_mod_p)
     _emit_witness(args, w, b.elements)
     return EXIT_OK
@@ -492,7 +513,7 @@ def cmd_liftzero(args) -> int:
 def cmd_schwarzwald(args) -> int:
     if args.ell < 2:
         raise ValueError(f"modulus must be p^ell with ell > 1, got p={args.p}, ell={args.ell}")
-    elements = tuple(_ints(args.elements))
+    elements = tuple(_ints(args.elements, "--elements"))
     # each strategy's refusal reads p, ell or the elements, not the power
     if args.strategy == "direct":
         check_dp_power(args.p, args.ell)
@@ -549,7 +570,7 @@ def cmd_sieve_bound(args) -> int:
 
 
 def cmd_cube_verify(args) -> int:
-    cube = HilbertCube(args.a0, tuple(_ints(args.steps)), args.distinct)
+    cube = HilbertCube(args.a0, tuple(_ints(args.steps, "--steps")), args.distinct)
     ok, offender = verify(cube, parse_set_descriptor(args.set), args.limit)
     _write("verified\n" if ok else f"offender:{offender}\n", None)
     return EXIT_OK
@@ -590,7 +611,8 @@ def cmd_ap_max(args) -> int:
 
 def cmd_sunflower(args) -> int:
     with open(args.family_file, encoding="utf-8") as fh:
-        sets = [_ints(line) for line in fh if line.strip()]
+        sets = [_ints(line, f"{args.family_file} line {number}")
+                for number, line in enumerate(fh, 1) if line.strip()]
     fam = SetFamily.from_iterables(sets)
     w = find_sunflower(fam, args.petals, mode=args.mode)
     if w is None:
@@ -606,7 +628,7 @@ def cmd_sunflower(args) -> int:
 
 
 def cmd_repcount(args) -> int:
-    g, target = rep_count_g(_ints(args.elements), args.h, args.limit)
+    g, target = rep_count_g(_ints(args.elements, "--elements"), args.h, args.limit)
     _emit_csv(["g", "target"], [[g, target if target is not None else "-"]], None)
     return EXIT_OK
 
@@ -633,10 +655,15 @@ _CONFIG_CASTS = {
 
 
 def cmd_experiment(args) -> int:
+    grid_from = "--grid" if args.grid is not None else f"grid= in {args.config}"
     if args.config:
         for key, value in _read_config_file(args.config).items():
             if getattr(args, key) is None:
-                setattr(args, key, _CONFIG_CASTS[key](value))
+                try:
+                    setattr(args, key, _CONFIG_CASTS[key](value))
+                except ValueError:
+                    raise ValueError(f"{key}= in {args.config}: invalid value "
+                                     f"{value[:40]!r}") from None
 
     if args.grid is None:
         raise ValueError("experiment needs --grid (or grid= in the config file)")
@@ -647,7 +674,7 @@ def cmd_experiment(args) -> int:
     unread = [f"--{k}" for k in given if k not in reads]
     if unread:
         raise ValueError(f"experiment {args.name} does not read {', '.join(unread)}")
-    header, rows = run(ExperimentConfig(tuple(_ints(args.grid)), **given))
+    header, rows = run(ExperimentConfig(tuple(_ints(args.grid, grid_from)), **given))
     _emit_csv(header, rows, args.out)
     return EXIT_OK
 
@@ -669,116 +696,153 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
 
-def _sub(subparsers, name: str, handler, help_text: str):
-    # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
-    sp = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
-    sp.add_argument("--version", action="version", version=f"cubesieve {__version__}")
-    sp.set_defaults(func=handler)
-    return sp
+def _arg(*names, **kwargs):
+    """One flag or positional of a command, added when its parser is built."""
+    return lambda parser: parser.add_argument(*names, **kwargs)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cubesieve", description=__doc__)
+def _one_of(*flags):
+    """Flags of which at most one may be given."""
+    def add(parser):
+        group = parser.add_mutually_exclusive_group()
+        for flag in flags:
+            flag(group)
+    return add
+
+
+# name -> (handler, help text, flags), in the order `cubesieve -h` lists them
+_COMMANDS = {
+    "membership": (cmd_membership, "test set membership of one integer", (
+        _arg("--set", required=True),
+        _arg("--n", type=int, required=True),
+    )),
+    "enumerate": (cmd_enumerate, "list members of a set up to a limit", (
+        _arg("--set", required=True),
+        _arg("--limit", type=int, required=True),
+        _arg("--out"),
+    )),
+    "olson": (cmd_olson, "nonempty subset with a prescribed sum mod p", (
+        _arg("--p", type=int, required=True),
+        _arg("--elements", required=True),
+        _arg("--target", type=int, required=True),
+        _arg("--out"),
+    )),
+    "liftzero": (cmd_liftzero, "subset sum divisible by p but not q = p*m", (
+        _arg("--p", type=int, required=True),
+        _arg("--m", type=int, required=True),
+        _arg("--elements", required=True),
+        _arg("--distinct-mod-p", action="store_true"),
+        _arg("--out"),
+    )),
+    "schwarzwald": (cmd_schwarzwald, "subset with a0 + sum = 0 mod p but not mod p^ell", (
+        _arg("--p", type=int, required=True),
+        _arg("--ell", type=int, required=True),
+        _arg("--a0", type=int, required=True),
+        _arg("--elements", required=True),
+        _arg("--strategy", choices=("direct", "paper"), default="direct"),
+        _arg("--out"),
+    )),
+    "sieve-bound": (cmd_sieve_bound, "evaluate the larger-sieve bound", (
+        _one_of(_arg("--set"), _arg("--elements-file")),
+        _arg("--primes", default="all"),
+        _arg("--y-grid", required=True),
+        _arg("--nu", default="measured", choices=("measured", *NU_MODELS)),
+        _arg("--log-n", type=float, required=True),
+        _arg("--variant", choices=("plain", "weighted"), default="plain"),
+        _arg("--out"),
+    )),
+    "cube-verify": (cmd_cube_verify, "verify a cube against a set", (
+        _arg("--a0", type=int, required=True),
+        _arg("--steps", required=True),
+        _arg("--set", required=True),
+        _arg("--limit", type=int, required=True),
+        _arg("--distinct", action="store_true"),
+    )),
+    "cube-search": (cmd_cube_search, "search for the maximal cube dimension", (
+        _arg("--set", required=True),
+        _arg("--limit", type=int, required=True),
+        _arg("--mode", choices=("exact", "greedy"), default="exact"),
+        _arg("--budget", type=int, default=DEFAULT_BUDGET),
+        _arg("--seed", type=int, default=0),
+        _arg("--subset-sum", action="store_true"),
+        _arg("--distinct", action="store_true"),
+        _arg("--out"),
+    )),
+    "ap-max": (cmd_ap_max, "longest homogeneous progression in a set", (
+        _arg("--set", required=True),
+        _arg("--limit", type=int, required=True),
+        _arg("--out"),
+    )),
+    "sunflower": (cmd_sunflower, "find a sunflower in a set family", (
+        _arg("--family-file", required=True),
+        _arg("--petals", type=int, required=True),
+        _arg("--mode", choices=("exact", "greedy"), default="greedy"),
+    )),
+    "repcount": (cmd_repcount, "maximal equal-sum representation count", (
+        _arg("--elements", required=True),
+        _arg("--h", type=int, required=True),
+        _arg("--limit", type=int, required=True),
+    )),
+    "experiment": (cmd_experiment, "run a scripted experiment", (
+        _arg("name", choices=_EXPERIMENTS),
+        _arg("--grid"),
+        _arg("--budget", type=int),
+        _arg("--seed", type=int),
+        _arg("--out"),
+        _arg("--r", type=int),
+        _arg("--primes"),
+        _arg("--tau", type=float),
+        _arg("--config"),
+    )),
+    "verify": (cmd_verify, "run verification suites", (
+        _arg("suite", nargs="?", default="all", choices=("all", "olson")),
+        _arg("--p", type=int),
+        _arg("--inject-fault", action="store_true",
+             help="self-test: corrupt witnesses to prove faults are caught"),
+    )),
+}
+
+
+class _UsageError(Exception):
+    """A usage error met by a one-command parser, for the full parser to report."""
+
+
+class _OneCommandParser(_Parser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `cubesieve` parser with every command, or with only the named one.
+
+    A one-command parser raises _UsageError instead of reporting a usage
+    error, since its usage line would list that one command; `main` then
+    parses again with the full parser, which reports it."""
+    cls = _Parser if command is None else _OneCommandParser
+    parser = cls(prog="cubesieve", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cubesieve {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    sp = _sub(sub, "membership", cmd_membership, "test set membership of one integer")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = _sub(sub, "enumerate", cmd_enumerate, "list members of a set up to a limit")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "olson", cmd_olson, "nonempty subset with a prescribed sum mod p")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--target", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "liftzero", cmd_liftzero, "subset sum divisible by p but not q = p*m")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--distinct-mod-p", action="store_true")
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "schwarzwald", cmd_schwarzwald,
-              "subset with a0 + sum = 0 mod p but not mod p^ell")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--a0", type=int, required=True)
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--strategy", choices=("direct", "paper"), default="direct")
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "sieve-bound", cmd_sieve_bound, "evaluate the larger-sieve bound")
-    measured = sp.add_mutually_exclusive_group()
-    measured.add_argument("--set")
-    measured.add_argument("--elements-file")
-    sp.add_argument("--primes", default="all")
-    sp.add_argument("--y-grid", required=True)
-    sp.add_argument("--nu", default="measured", choices=("measured", *NU_MODELS))
-    sp.add_argument("--log-n", type=float, required=True)
-    sp.add_argument("--variant", choices=("plain", "weighted"), default="plain")
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "cube-verify", cmd_cube_verify, "verify a cube against a set")
-    sp.add_argument("--a0", type=int, required=True)
-    sp.add_argument("--steps", required=True)
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--distinct", action="store_true")
-
-    sp = _sub(sub, "cube-search", cmd_cube_search, "search for the maximal cube dimension")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--subset-sum", action="store_true")
-    sp.add_argument("--distinct", action="store_true")
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "ap-max", cmd_ap_max, "longest homogeneous progression in a set")
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = _sub(sub, "sunflower", cmd_sunflower, "find a sunflower in a set family")
-    sp.add_argument("--family-file", required=True)
-    sp.add_argument("--petals", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "greedy"), default="greedy")
-
-    sp = _sub(sub, "repcount", cmd_repcount, "maximal equal-sum representation count")
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--h", type=int, required=True)
-    sp.add_argument("--limit", type=int, required=True)
-
-    sp = _sub(sub, "experiment", cmd_experiment, "run a scripted experiment")
-    sp.add_argument("name", choices=_EXPERIMENTS)
-    sp.add_argument("--grid")
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--primes")
-    sp.add_argument("--tau", type=float)
-    sp.add_argument("--config")
-
-    sp = _sub(sub, "verify", cmd_verify, "run verification suites")
-    sp.add_argument("suite", nargs="?", default="all", choices=("all", "olson"))
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--inject-fault", action="store_true",
-                    help="self-test: corrupt witnesses to prove faults are caught")
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cls)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_text, flags = _COMMANDS[name]
+        # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        sp.add_argument("--version", action="version", version=f"cubesieve {__version__}")
+        sp.set_defaults(func=handler)
+        for add in flags:
+            add(sp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        try:
+            args = build_parser(argv[0]).parse_args(argv)
+        except _UsageError:
+            pass  # the full parser below reports it
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CounterexampleError as exc:

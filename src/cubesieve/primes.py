@@ -7,6 +7,7 @@ big-int operation per bit."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from typing import Callable, Iterable
@@ -53,7 +54,7 @@ def primes_up_to(y: int) -> list[int]:
         if sieve[i]:
             start = i * i
             sieve[start::i] = b"\x00" * ((y - start) // i + 1)
-    return [i for i in range(y + 1) if sieve[i]]
+    return list(itertools.compress(range(y + 1), sieve))
 
 
 def is_prime(n: int) -> bool:
@@ -158,10 +159,26 @@ class PrimeSet:
         """Odd primes p, coprime to the discriminant, with (disc/p) = -1.
 
         For such p, p | a*x^2+b*x*y+c*y^2 forces p^2 | a*x^2+b*x*y+c*y^2.
-        p = 2 and primes dividing the discriminant are set aside."""
+        p = 2 and primes dividing the discriminant are set aside.
+
+        disc = b^2 - 4ac is 0 or 1 mod 4, so the Kronecker symbol (disc/n)
+        has period |disc| in n; for odd p it is the Legendre symbol. So the
+        answer depends only on p mod |disc|, and Euler's criterion runs once
+        per residue class. A class that shares a factor with disc holds only
+        primes dividing disc, which are all set aside alike."""
         disc = validate_definite_form(a, b, c)
-        return cls(f"inert:{a},{b},{c}",
-                   lambda p: p != 2 and disc % p != 0 and pow(disc, (p - 1) // 2, p) == p - 1)
+        by_class: dict[int, bool] = {}
+
+        def inert(p: int) -> bool:
+            if p == 2:
+                return False
+            r = p % -disc
+            hit = by_class.get(r)
+            if hit is None:
+                hit = by_class[r] = disc % p != 0 and pow(disc, (p - 1) // 2, p) == p - 1
+            return hit
+
+        return cls(f"inert:{a},{b},{c}", inert)
 
     @classmethod
     def complement(cls, inner: "PrimeSet") -> "PrimeSet":
@@ -170,7 +187,7 @@ class PrimeSet:
     def primes_up_to(self, y: int) -> list[int]:
         """Members of the set that are <= y, ascending."""
         if y > self._cache_limit:
-            self._cache = [p for p in primes_up_to(y) if self.contains_prime(p)]
+            self._cache = list(filter(self.contains_prime, primes_up_to(y)))
             self._cache_limit = y
         return self._cache[: bisect_right(self._cache, y)]
 

@@ -59,6 +59,22 @@ def test_f2_scan_rows():
         assert math.isclose(ratio, d / log_n, rel_tol=1e-9)
 
 
+def test_scan_enumerates_each_grid_point_once(monkeypatch):
+    # every row of this dense scan falls back to greedy, and both searches
+    # read the one member list of their grid point
+    calls = []
+
+    def spy(s, limit):
+        calls.append(limit)
+        return arithsets.enumerate_members(s, limit)
+
+    monkeypatch.setattr(cube, "enumerate_members", spy)
+    cfg = ExperimentConfig((100, 1000), budget=50)
+    _, rows = run_dimension_scan(arithsets.parse_set_descriptor("semigroup:class:1,4"), cfg)
+    assert [row[2] for row in rows] == ["greedy", "greedy"]
+    assert calls == [100, 1000]
+
+
 def test_f2_scan_witnesses_reverify():
     cfg = ExperimentConfig((10, 32, 100))
     _, rows = run_dimension_scan(Squareful(), cfg)
@@ -298,6 +314,45 @@ def test_cli_experiment_config_rejects_unknown_key(capsys, tmp_path):
                    "known: grid, budget, seed, out, r, primes, tau\n")
 
 
+def test_cli_experiment_config_names_a_bad_value(capsys, tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text("grid=10,32\nbudget=lots\n")
+    code, out, err = run_cli(["experiment", "f2", "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: budget= in {config}: invalid value 'lots'\n"
+
+
+# one case for each caller of harness._ints: the argv (a file name in it
+# stands for a file of the given text) and where the error says the list was
+_BAD_LISTS = [
+    (["olson", "--p", "7", "--elements", "1,x", "--target", "3"], "--elements", "1,x"),
+    (["liftzero", "--p", "71", "--m", "2", "--elements", "1,x"], "--elements", "1,x"),
+    (["schwarzwald", "--p", "7", "--ell", "2", "--a0", "1", "--elements", "1,x"],
+     "--elements", "1,x"),
+    (["schwarzwald", "--p", "7", "--ell", "2", "--a0", "1", "--elements", "1,x",
+      "--strategy", "paper"], "--elements", "1,x"),
+    (["repcount", "--elements", "1,x", "--h", "2", "--limit", "7"], "--elements", "1,x"),
+    (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "10,x", "--log-n", "5"],
+     "--y-grid", "10,x"),
+    (["cube-verify", "--a0", "1", "--steps", "1,z", "--set", "squareful", "--limit", "32"],
+     "--steps", "1,z"),
+    (["experiment", "f2", "--grid", "10,y"], "--grid", "10,y"),
+    (["experiment", "f2", "--config", "exp.cfg"], "grid= in exp.cfg", "10,y"),
+    (["sunflower", "--family-file", "fam.txt", "--petals", "3"], "fam.txt line 3", "4, x"),
+]
+_FILES = {"exp.cfg": "seed=1\ngrid=10,y\n", "fam.txt": "1,2\n\n4, x\n1,3\n"}
+
+
+@pytest.mark.parametrize("argv, where, text", _BAD_LISTS)
+def test_cli_bad_list_entry_names_its_flag(argv, where, text, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, body in _FILES.items():
+        (tmp_path / name).write_text(body)
+    bad = next(t.strip() for t in text.split(",") if not t.strip().isdigit())
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "", f"error: {where}: invalid integer {bad!r} in the list {text!r}\n")
+
+
 def test_cli_experiment_f1_f4(capsys):
     code, out, _ = run_cli(
         ["experiment", "f1", "--grid", "10,50", "--r", "2", "--primes", "all"], capsys
@@ -414,18 +469,23 @@ _CLI_SURFACE = {
 }
 
 
-def test_cli_surface_is_pinned():
-    parser = build_parser()
+def _surface(parser) -> dict[str, tuple[str, ...]]:
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    surface = {
+    return {
         name: tuple(a.option_strings[0] if a.option_strings else a.dest for a in sp._actions
                     if not isinstance(a, (argparse._HelpAction, argparse._VersionAction)))
         for name, sp in sub.choices.items()
     }
-    assert surface == _CLI_SURFACE  # 62 values
 
 
-@pytest.mark.parametrize("argv, message", [
+def test_cli_surface_is_pinned():
+    assert _surface(build_parser()) == _CLI_SURFACE  # 62 values
+    # the one-command parser `main` builds for each command
+    for name, flags in _CLI_SURFACE.items():
+        assert _surface(build_parser(name)) == {name: flags}
+
+
+_REMOVED_FLAGS = [
     (["sieve-bound", "--set", "squareful", "--y", "100", "--log-n", "5"],
      "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
     (["sieve-bound", "--set", "squareful", "--y-grid", "100", "--y", "100", "--log-n", "5"],
@@ -435,13 +495,65 @@ def test_cli_surface_is_pinned():
     # no flag is taken by an abbreviation of its name
     (["sieve-bound", "--set", "squareful", "--y-gr", "100", "--log-n", "5"],
      "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", _REMOVED_FLAGS)
 def test_cli_removed_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (EXIT_USAGE, "")
     assert captured.err.endswith(f"{message}\n")
+
+
+def _exit_outcome(parse, argv, capsys):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for argv, _ in _REMOVED_FLAGS),
+    ["membership", "--set", "squareful"],  # a required flag missing
+    ["sieve-bound", "--set", "squareful", "--y-grid", "100", "--log-n", "5", "--nu", "bogus"],
+    ["schwarzwald", "--p", "7", "--ell", "2", "--a0", "1", "--elements", "1,2",
+     "--strategy", "bogus"],
+    ["olson", "--p", "seven", "--elements", "1", "--target", "1"],
+    ["frobnicate"],
+    [],
+    ["-h"],
+    ["--version"],
+    *([name, flag] for name in _CLI_SURFACE for flag in ("-h", "--version")),
+])
+def test_cli_one_command_parse_matches_full_parser(argv, capsys):
+    # stdout, stderr and exit code are those of the parser with every command
+    full = _exit_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert _exit_outcome(main, argv, capsys) == full
+    assert full[0] == (EXIT_OK if {"-h", "--version"} & set(argv) else EXIT_USAGE)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["membership", "--set", "squareful", "--n", "72"], ["membership"]),
+    (["experiment", "f2", "--grid", "10"], ["experiment"]),
+    # a usage error is re-reported by the full parser
+    (["membership", "--set", "squareful"], ["membership", *_CLI_SURFACE]),
+    (["frobnicate"], list(_CLI_SURFACE)),
+])
+def test_cli_main_builds_only_the_invoked_subparser(argv, built, monkeypatch, capsys):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert names == built
 
 
 def test_budget_default_is_one_constant():

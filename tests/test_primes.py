@@ -115,15 +115,26 @@ def test_inert_primes_brute_crosscheck():
             assert (p in got) == (disc % p not in brute_residues(p))
 
 
-@pytest.mark.parametrize("form", [(1, 1, 1), (1, 0, 1), (1, 1, 2), (1, 0, 5), (1, 1, 6)])
+@pytest.mark.parametrize("form", [(1, 1, 1), (1, 0, 1), (1, 1, 2), (1, 0, 5), (1, 1, 6),
+                                  (1, 0, 4), (1, 0, 9)])
 def test_inert_membership_matches_legendre(form):
-    # discriminants -3, -4, -7, -20, -23; every prime below 10^5, including
-    # 2 and the primes dividing the discriminant
-    ps = PrimeSet.inert_of_form(*form)
+    # discriminants -3, -4, -7, -20, -23 and the non-fundamental -16, -36;
+    # every prime below 10^5, including 2 and the primes dividing the
+    # discriminant. The set answers once per class of p mod |disc|, so it is
+    # also queried descending, listed, and complemented.
     disc = validate_definite_form(*form)
-    for p in primes_up_to(10**5):
-        expected = p != 2 and disc % p != 0 and legendre(disc, p) == -1
-        assert ps.contains_prime(p) == expected, p
+    primes_below = primes_up_to(10**5)
+    expected = [p for p in primes_below
+                if p != 2 and disc % p != 0 and legendre(disc, p) == -1]
+    ps = PrimeSet.inert_of_form(*form)
+    assert [p for p in primes_below if ps.contains_prime(p)] == expected
+    descending = PrimeSet.inert_of_form(*form)
+    assert [p for p in reversed(primes_below) if descending.contains_prime(p)] == expected[::-1]
+    spec = "inert:{},{},{}".format(*form)
+    assert parse_prime_set(spec).primes_up_to(10**5) == expected
+    inert = set(expected)
+    assert parse_prime_set("complement:" + spec).primes_up_to(10**5) == \
+        [p for p in primes_below if p not in inert]
 
 
 def test_form_validation():

@@ -91,8 +91,8 @@ def test_bitset_codec_lives_in_primes():
 
 
 PERFBENCH = SRC.parent.parent / "perfbench"
-# names a program reads without naming them: argparse calls _Parser.error
-_CALLED_FROM_OUTSIDE = {"harness._Parser.error"}
+# names a program reads without naming them: argparse calls each parser's error
+_CALLED_FROM_OUTSIDE = {"harness._Parser.error", "harness._OneCommandParser.error"}
 
 
 def _reads(tree: ast.AST):
