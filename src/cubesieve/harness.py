@@ -819,12 +819,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     error, since its usage line would list that one command; `main` then
     parses again with the full parser, which reports it."""
     cls = _Parser if command is None else _OneCommandParser
-    parser = cls(prog="cubesieve", description=__doc__)
+    # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
+    # and `--vers` is not `--version`
+    parser = cls(prog="cubesieve", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"cubesieve {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=cls)
     for name in _COMMANDS if command is None else (command,):
         handler, help_text, flags = _COMMANDS[name]
-        # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--version", action="version", version=f"cubesieve {__version__}")
         sp.set_defaults(func=handler)

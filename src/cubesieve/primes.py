@@ -198,23 +198,39 @@ class PrimeSet:
         return f"PrimeSet({self.describe()!r})"
 
 
+_SPEC_FIELDS = {"class": "a,q", "list": "p1,p2,...", "inert": "a,b,c"}
+
+
 def parse_prime_set(text: str) -> PrimeSet:
-    """Parse `all`, `class:a,q`, `list:p1,p2,...`, `inert:a,b,c`, `complement:<spec>`."""
+    """Parse `all`, `class:a,q`, `list:p1,p2,...`, `inert:a,b,c`, `complement:<spec>`.
+    A malformed spec raises a ValueError that names it and the field expected."""
     text = text.strip()
     if text == "all":
         return PrimeSet.all_primes()
     head, sep, rest = text.partition(":")
-    if not sep:
-        raise ValueError(f"unrecognized prime-set spec: {text!r}")
-    if head == "class":
-        a, q = (int(t) for t in rest.split(","))
-        return PrimeSet.residue_class(a, q)
-    if head == "list":
-        parts = [t for t in rest.split(",") if t.strip()]
-        return PrimeSet.explicit(int(t) for t in parts)
-    if head == "inert":
-        a, b, c = (int(t) for t in rest.split(","))
-        return PrimeSet.inert_of_form(a, b, c)
-    if head == "complement":
+    if sep and head == "complement":
         return PrimeSet.complement(parse_prime_set(rest))
-    raise ValueError(f"unrecognized prime-set spec: {text!r}")
+    if not sep or head not in _SPEC_FIELDS:
+        raise ValueError(f"unrecognized prime-set spec: {text!r}")
+    form = f"{head}:{_SPEC_FIELDS[head]}"
+    parts = rest.split(",")
+    if head == "list":
+        parts = [t for t in parts if t.strip()]
+        names = [f"p{i}" for i in range(1, len(parts) + 1)]
+    else:
+        names = _SPEC_FIELDS[head].split(",")
+        if len(parts) != len(names):
+            raise ValueError(f"prime-set spec {text[:40]!r}: expected the {len(names)} "
+                             f"fields of {form}, got {len(parts)}")
+    fields = []
+    for name, t in zip(names, parts):
+        try:
+            fields.append(int(t))
+        except ValueError:
+            raise ValueError(f"prime-set spec {text[:40]!r}: expected an integer {name} "
+                             f"in {form}, got {t.strip()[:40]!r}") from None
+    if head == "list":
+        return PrimeSet.explicit(fields)
+    if head == "class":
+        return PrimeSet.residue_class(*fields)
+    return PrimeSet.inert_of_form(*fields)

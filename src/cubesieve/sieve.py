@@ -26,21 +26,39 @@ O(log(span/p)) rounds of big-int operations of at most span/64 words each.
 - The weighted count keeps the multiplicities as binary bit-planes: plane j
   holds the positions whose multiplicity has bit j set, so a set without
   repeats is that one bitset. A round adds the two halves plane by plane
-  with a ripple carry (x = lo ^ hi, out = x ^ carry, carry = (lo & hi) |
-  (carry & x)), which may add one plane. The folded planes P_j give
-  sumsq = sum_j 4^j |P_j| + sum_{j<k} 2^(j+k+1) |P_j & P_k|, an exact int,
+  with a ripple carry (`_sum`: x = lo ^ hi, out = x ^ carry, carry =
+  (lo & hi) | (carry & x)), which may add one plane. The folded planes P_j
+  give sumsq = sum_j 4^j |P_j| + sum_{j<k} 2^(j+k+1) |P_j & P_k|, an exact int,
   so the bound's floats are those of a per-class count.
+
+The first rounds over the whole set cost the most: each builds a mask of
+half the set and shifts the other half. So a set at least 2^18 wide
+(`_SPLIT_SPAN`) splits its planes once, when the counter is built, into 16
+chunks of w = ceil((span + 1) / 16) bits, one extra copy of the planes.
+Bit x of chunk j is bit j w + x of the set, in the class of
+(j w mod p) + x, so for a prime with 4p <= w the fold starts from the
+chunks shifted left by j w mod p into w + p bits: OR'ed for the plain
+count, and for the weighted one summed by full adders column by column
+(the carries of one plane join the next). The cuts then finish from there.
+On the squareful numbers up to e^13.81 (2,021 values, span about 10^6)
+this took the plain count over the primes up to 10^4 from 138 to 81 ms and
+the weighted one from 250 to 173 ms (best of five on a 2-core host). A
+narrower set keeps the whole-set fold: split, the squares of
+`sieve-compare` (spans of 10^4 and 10^5, primes up to 400 (log N)^2)
+gained nothing measurable, as few of their primes are below w/4. So does a
+prime with 4p > w, whose chunks would be too narrow to gain.
 
 A sparser set, such as values near 10**18 from a file, would need a bitset
 too large to fold cheaply, or to allocate at all, so both counts reduce
 every value mod p instead (|A| interpreted steps per prime), the weighted
-one through `profile`'s Counter. For the plain count the two costs cross
-near span/|A| = 1000 on random sets of 200 to 2000 values. The additive
-fold costs more per round: on random sets of 500 to 2000 values and the
-primes up to 10**4 it took 0.18 of the Counter's time at span/|A| = 64,
-about half at 256 to 384, and 0.75 to 1.15 at 512, so the one rule of 512
-sits near its crossing and keeps every set it folds from being much slower
-than the Counter."""
+one through `profile`'s Counter. On random sets of 1,000 and 2,000 values
+and the primes up to 10**4 (best of five, building the counter included),
+the plain fold took 0.25 to 0.39 of the per-value time at span/|A| = 256,
+0.39 to 0.50 at 384 and 0.40 to 0.55 at 512 (all but 1,000 values at 256
+split). The weighted fold took 0.35 to 0.46 of the Counter's time at 256,
+0.31 to 0.66 at 384 and 0.41 to 0.65 at 512. So both folds still win at
+the one rule of 512; for the plain count alone the two routes cross near
+1000, on random sets of 200 to 2000 values measured before the split."""
 
 from __future__ import annotations
 
@@ -57,6 +75,7 @@ from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
 
 DENOM_TOL = 1e-9
 _FOLD_DENSITY = 512  # fold a measured set into a bitset when span <= this * |A|
+_SPLIT_SPAN = 1 << 18  # split a folded set this wide or wider into 16 chunks
 
 
 @dataclass(frozen=True)
@@ -105,6 +124,17 @@ def _planes(vals: list[int]) -> tuple[list[int], int] | None:
             for j in range(max(counts.values()).bit_length())], span
 
 
+def _split(planes: list[int], span: int) -> tuple[int, list[list[int]]]:
+    """(width, split): bits 0..span of each plane cut into 16 chunks of
+    `width` bits (the last one shorter), chunk j holding bits j * width up;
+    (0, []) when the span is below _SPLIT_SPAN."""
+    if span < _SPLIT_SPAN:
+        return 0, []
+    width = -(-(span + 1) // 16)
+    mask = (1 << width) - 1
+    return width, [[plane >> j * width & mask for j in range(16)] for plane in planes]
+
+
 def _cuts(top: int, p: int) -> Iterator[int]:
     """The cut positions of a fold of bits 0..top onto p bits: each a
     multiple of p in [len/2, len), so a fold keeps every class mod p and
@@ -115,6 +145,32 @@ def _cuts(top: int, p: int) -> Iterator[int]:
         top = cut - 1
 
 
+def _sum(columns: list[list[int]]) -> list[int]:
+    """The bit-planes (low plane first) of a sum of multiplicities, where
+    column j lists bit-planes of weight 2^j. Each column is reduced to one
+    plane by full adders (two planes and a third, or a half adder for the
+    last two), whose carries join the next column. Consumes `columns`."""
+    j = 0
+    while j < len(columns):
+        col = columns[j]
+        while len(col) > 1:
+            a, b = col.pop(), col.pop()
+            x = a ^ b
+            if col:
+                c = col.pop()
+                carry = (a & b) | (x & c)
+                x ^= c
+            else:
+                carry = a & b
+            col.append(x)
+            if carry:
+                if j + 1 == len(columns):
+                    columns.append([])
+                columns[j + 1].append(carry)
+        j += 1
+    return [col[0] for col in columns]
+
+
 def _class_counter(vals: list[int]) -> Callable[[int], int]:
     """p -> the number of classes mod p that `vals` occupies (see the module
     docstring)."""
@@ -123,10 +179,14 @@ def _class_counter(vals: list[int]) -> Callable[[int], int]:
         return lambda p: len({v % p for v in vals})
     planes, span = dense
     full = reduce(or_, planes)
+    width, split = _split([full], span)
 
     def count(p: int) -> int:
-        bits = full
-        for cut in _cuts(span, p):
+        bits, top = full, span
+        if 4 * p <= width:
+            bits = reduce(or_, (chunk << j * width % p for j, chunk in enumerate(split[0])))
+            top = width + p - 2
+        for cut in _cuts(top, p):
             bits = (bits >> cut) | (bits & ((1 << cut) - 1))
         return bits.bit_count()
 
@@ -139,19 +199,18 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
     if dense is None:
         return lambda p: _occupancy(vals, p)[1]
     initial, span = dense
+    width, split = _split(initial, span)
 
     def sumsq(p: int) -> int:
-        planes = initial
-        for cut in _cuts(span, p):
+        planes, top = initial, span
+        if 4 * p <= width:
+            shifts = [j * width % p for j in range(16)]
+            planes = _sum([[chunk << shift for chunk, shift in zip(chunks, shifts)]
+                           for chunks in split])
+            top = width + p - 2
+        for cut in _cuts(top, p):
             low = (1 << cut) - 1
-            carry = 0
-            added = []
-            for plane in planes:
-                lo, hi = plane & low, plane >> cut
-                x = lo ^ hi
-                added.append(x ^ carry)
-                carry = (lo & hi) | (carry & x)
-            planes = added + [carry] if carry else added
+            planes = _sum([[plane & low, plane >> cut] for plane in planes])
         return sum((a & b).bit_count() << (j + k + (j != k))
                    for j, a in enumerate(planes) for k, b in enumerate(planes[:j + 1]))
 

@@ -495,6 +495,10 @@ _REMOVED_FLAGS = [
     # no flag is taken by an abbreviation of its name
     (["sieve-bound", "--set", "squareful", "--y-gr", "100", "--log-n", "5"],
      "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
+    # nor a top-level flag: `--vers` is not `--version`
+    (["--vers"], "cubesieve: error: the following arguments are required: command"),
+    (["--vers", "membership", "--set", "squareful", "--n", "72"],
+     "cubesieve: error: unrecognized arguments: --vers"),
 ]
 
 
@@ -637,6 +641,22 @@ def test_cli_sieve_bound_empty_elements_file(capsys, tmp_path):
         )
         assert code == EXIT_USAGE and out == ""
         assert err == "error: cannot profile an empty set\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sieve-bound", "--primes", "class:1,x", "--nu", "two_sqrt", "--y-grid", "10",
+      "--log-n", "5"], "prime-set spec 'class:1,x': expected an integer q in class:a,q, got 'x'"),
+    (["experiment", "f1", "--grid", "10", "--primes", "inert:1,x,1"],
+     "prime-set spec 'inert:1,x,1': expected an integer b in inert:a,b,c, got 'x'"),
+    (["cube-search", "--set", "rfull:2,inert:1,x,1", "--limit", "100"],
+     "prime-set spec 'inert:1,x,1': expected an integer b in inert:a,b,c, got 'x'"),
+    (["sieve-bound", "--primes", "list:2,x", "--nu", "two_sqrt", "--y-grid", "10",
+      "--log-n", "5"], "prime-set spec 'list:2,x': expected an integer p2 in list:p1,p2,..., got 'x'"),
+    (["sieve-bound", "--primes", "class:1", "--nu", "two_sqrt", "--y-grid", "10",
+      "--log-n", "5"], "prime-set spec 'class:1': expected the 2 fields of class:a,q, got 1"),
+])
+def test_cli_prime_set_spec_errors_name_the_spec(argv, message, capsys):
+    assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("text, line, shown", [

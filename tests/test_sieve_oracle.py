@@ -6,11 +6,16 @@ The reference builds a dense profile for every modulus, sums each bound in
 its own loop, and re-evaluates the bound on each prefix of the primes in a
 scan; it shares no summing code with cubesieve.sieve. Both must return equal
 reports and CutoffScans, every float compared with ==, so the CSV bytes stay
-the same."""
+the same. The fold counters that start every fold from the whole set, before
+the shared chunk split, are kept too: the split counters must give the same
+nu(p) and sumsq(p) at every prime."""
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 from unittest import mock
 
@@ -177,6 +182,64 @@ def optimize_cutoff(
     return CutoffScan(tuple(rows), best_y, best)
 
 
+def _planes(vals: list[int]) -> tuple[list[int], int] | None:
+    lo = min(vals)
+    span = max(vals) - lo
+    if span > 512 * len(vals):
+        return None
+    counts = Counter(v - lo for v in vals)
+    return [bitset((x for x, c in counts.items() if c >> j & 1), span)
+            for j in range(max(counts.values()).bit_length())], span
+
+
+def _cuts(top: int, p: int):
+    while p <= top:
+        cut = -(-(top + 1) // (2 * p)) * p
+        yield cut
+        top = cut - 1
+
+
+def class_counter(vals: list[int]) -> Callable[[int], int]:
+    # every fold starts from the whole bitset
+    dense = _planes(vals)
+    if dense is None:
+        return lambda p: len({v % p for v in vals})
+    planes, span = dense
+    full = reduce(or_, planes)
+
+    def count(p: int) -> int:
+        bits = full
+        for cut in _cuts(span, p):
+            bits = (bits >> cut) | (bits & ((1 << cut) - 1))
+        return bits.bit_count()
+
+    return count
+
+
+def sumsq_counter(vals: list[int]) -> Callable[[int], int]:
+    dense = _planes(vals)
+    if dense is None:
+        return lambda p: sum(c * c for c in Counter(v % p for v in vals).values())
+    initial, span = dense
+
+    def sumsq(p: int) -> int:
+        planes = initial
+        for cut in _cuts(span, p):
+            low = (1 << cut) - 1
+            carry = 0
+            added = []
+            for plane in planes:
+                lo, hi = plane & low, plane >> cut
+                x = lo ^ hi
+                added.append(x ^ carry)
+                carry = (lo & hi) | (carry & x)
+            planes = added + [carry] if carry else added
+        return sum((a & b).bit_count() << (j + k + (j != k))
+                   for j, a in enumerate(planes) for k, b in enumerate(planes[:j + 1]))
+
+    return sumsq
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -274,9 +337,13 @@ _FOLD_CASES = [
 
 def _both_routes(ps, log_n, grid, vals, variant):
     old = optimize_cutoff(ps, "measured", log_n, grid, values=vals, variant=variant)
-    # the density rule, then each route alone on either side of the switch
-    for density in (sieve._FOLD_DENSITY, -1, 10**6):
-        with mock.patch.object(sieve, "_FOLD_DENSITY", density):
+    # the density rule, then each route alone on either side of the switch; a
+    # folded set also splits at any span, so the primes up to width/4 start
+    # from the chunk sum
+    for density, split in ((sieve._FOLD_DENSITY, sieve._SPLIT_SPAN), (sieve._FOLD_DENSITY, 0),
+                           (-1, sieve._SPLIT_SPAN), (10**6, sieve._SPLIT_SPAN), (10**6, 0)):
+        with mock.patch.object(sieve, "_FOLD_DENSITY", density), \
+                mock.patch.object(sieve, "_SPLIT_SPAN", split):
             assert sieve.optimize_cutoff(ps, "measured", log_n, grid, values=vals,
                                          variant=variant) == old
 
@@ -321,13 +388,74 @@ def test_sumsq_route_follows_density(monkeypatch):
 
 
 def test_sumsq_fold_at_benchmark_size():
-    # the benchmark's measured weighted scan: squareful up to e^13.81, every
-    # prime up to 10^4, a dense set of 2,021 values folded 1,229 times
+    # the benchmark's measured plain and weighted scans: squareful up to
+    # e^13.81, every prime up to 10^4, a dense set of 2,021 values folded
+    # 1,229 times by each counter
     vals = enumerate_members(Squareful(), int(round(math.exp(13.81))))
     assert sieve._planes(vals) is not None
-    sumsq = sieve._sumsq_counter(vals)
+    nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
     for p in primes_up_to(10**4):
-        assert sumsq(p) == sieve._occupancy(vals, p)[1]
+        assert (nu(p), sumsq(p)) == sieve._occupancy(vals, p)
+
+
+_PRIMES = primes_up_to(10**4)
+
+
+def _width(vals: list[int]) -> int:
+    return -(-(max(vals) - min(vals) + 1) // 16)
+
+
+@st.composite
+def _split_sets(draw) -> list[int]:
+    """Values whose span reaches the split: a minimum that may be negative,
+    a span from _SPLIT_SPAN up that mostly leaves a short last chunk, values
+    on both sides of chunk edges, and repeats of up to 9 (four bit-planes)."""
+    lo = draw(st.integers(-10**6, 10**6))
+    span = draw(st.integers(sieve._SPLIT_SPAN, sieve._SPLIT_SPAN + 5000))
+    width = -(-(span + 1) // 16)
+    edges = [j * width + d for j in range(1, 16) for d in (-1, 0)]
+    inner = draw(st.lists(st.sampled_from(edges) | st.integers(0, span), max_size=30))
+    offsets = [0, span, *inner]
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(offsets), max_size=len(offsets)))
+    return draw(st.permutations([lo + x for x, c in zip(offsets, counts) for _ in range(c)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_sets(), st.lists(st.sampled_from(_PRIMES), max_size=8))
+def test_split_counters_match_reference(vals, drawn):
+    # two primes on each side of width/4, where the chunk sum stops
+    q = bisect_right(_PRIMES, _width(vals) // 4)
+    primes = sorted({2, 3, *_PRIMES[q - 2:q + 2], *drawn})
+    with mock.patch.object(sieve, "_FOLD_DENSITY", 10**6):  # fold however few values
+        nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
+    old_nu, old_sumsq = class_counter(vals), sumsq_counter(vals)
+    for p in primes:
+        assert (nu(p), sumsq(p)) == (old_nu(p), old_sumsq(p)) == sieve._occupancy(vals, p)
+
+
+@pytest.mark.parametrize("counter", [sieve._class_counter, sieve._sumsq_counter])
+def test_split_route_at_benchmark_sizes(counter, monkeypatch):
+    # the (top, p) each fold starts from
+    tops = []
+    cuts = sieve._cuts
+    monkeypatch.setattr(sieve, "_cuts", lambda top, p: tops.append((top, p)) or cuts(top, p))
+    # the measured squareful scans: every prime up to 10^4 starts from the
+    # chunk sum, width + p - 1 bits
+    vals = enumerate_members(Squareful(), int(round(math.exp(13.81))))
+    width = _width(vals)
+    assert 4 * _PRIMES[-1] <= width
+    count = counter(vals)
+    for p in (2, 101, _PRIMES[-1]):
+        count(p)
+    assert tops == [(width + p - 2, p) for p in (2, 101, _PRIMES[-1])]
+    # sieve-compare's squares (spans below 10^5) fold the whole set
+    for n in (10**4, 10**5):
+        tops.clear()
+        squares = [a * a for a in range(1, math.isqrt(n) + 1)]
+        count = counter(squares)
+        for p in (2, 101, _PRIMES[-1]):
+            count(p)
+        assert tops == [(squares[-1] - 1, p) for p in (2, 101, _PRIMES[-1])]
 
 
 def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch):
