@@ -8,9 +8,9 @@ exhausted on a run that required exactness.
 Each command is one row of `_COMMANDS`: its handler, help text and flags.
 `main` builds the parser of the one command its first argument names, so
 a run does not pay for the other twelve. The full parser is built for
-top-level `-h` or `--version`, an empty or unknown command, and to report
-any usage error the one-command parse meets, so every usage line, help
-text and exit code is the full parser's."""
+top-level `-h` or `--version` and an empty or unknown command. Both name
+every command in their usage line, so every usage error, help text and
+exit code is the full parser's."""
 
 from __future__ import annotations
 
@@ -43,15 +43,7 @@ from .cube import (
     verify,
 )
 from .primes import MAX_TABLE, PrimeSet, ceil_two_sqrt, check_table, parse_prime_set, primes_up_to
-from .sieve import (
-    NU_MODELS,
-    _check_log_n,
-    gallagher_bound,
-    gallagher_bound_weighted,
-    optimize_cutoff,
-    prescribed_cutoff,
-    profile,
-)
+from .sieve import NU_MODELS, _check_log_n, optimize_cutoff, prescribed_cutoff
 from .sunflower import (
     SetFamily,
     find_sunflower,
@@ -366,15 +358,17 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
         return True, "exhaustive over p in (3,5,7)"
 
     def sieve_soundness():
+        # the measured scan of the CLI, at one cutoff over the primes in (40, 600]
+        moduli = PrimeSet.explicit(p for p in primes_up_to(600) if p > 40)
         for _ in range(10):
             n = 10**4
             a = sorted(rng.sample(range(1, n + 1), rng.randrange(20, 40)))
-            moduli = [p for p in primes_up_to(600) if p > 40]
-            profs = [profile(a, p) for p in moduli]
-            plain = gallagher_bound(profs, math.log(n))
+            plain, weighted = (
+                optimize_cutoff(moduli, "measured", math.log(n), [600], values=a,
+                                variant=variant).rows[0][1]
+                for variant in ("plain", "weighted"))
             if plain.bound is not None and len(a) > plain.bound + 1e-9:
                 return False, f"|A|={len(a)} exceeds certified bound {plain.bound:.3f}"
-            weighted = gallagher_bound_weighted(profs, math.log(n))
             if plain.bound is not None and weighted.bound is not None:
                 if weighted.bound > plain.bound + 1e-9:
                     return False, "weighted bound exceeds plain bound"
@@ -803,27 +797,19 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    """A usage error met by a one-command parser, for the full parser to report."""
-
-
-class _OneCommandParser(_Parser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The `cubesieve` parser with every command, or with only the named one.
 
-    A one-command parser raises _UsageError instead of reporting a usage
-    error, since its usage line would list that one command; `main` then
-    parses again with the full parser, which reports it."""
-    cls = _Parser if command is None else _OneCommandParser
+    Both list every command in their usage line, so a usage error reads the
+    same whichever of them meets it."""
     # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
     # and `--vers` is not `--version`
-    parser = cls(prog="cubesieve", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="cubesieve", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"cubesieve {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=cls)
+    # not required: `main` reports a missing command after any unknown flag
+    sub = parser.add_subparsers(
+        dest="command", parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
     for name in _COMMANDS if command is None else (command,):
         handler, help_text, flags = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
@@ -836,14 +822,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = None
-    if argv and argv[0] in _COMMANDS:
-        try:
-            args = build_parser(argv[0]).parse_args(argv)
-        except _UsageError:
-            pass  # the full parser below reports it
-    if args is None:
-        args = build_parser().parse_args(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
+    if args.command is None:
+        parser.error("the following arguments are required: command")
     try:
         return args.func(args)
     except CounterexampleError as exc:

@@ -1,16 +1,14 @@
-"""Larger-sieve bound evaluation over primes and prime powers.
+"""Larger-sieve bound evaluation over primes.
 
-The plain bound certifies, for a set lying in at most nu(p^i) residue
-classes modulo each chosen prime power, that its count up to N is at most
+The plain bound certifies, for a set lying in at most nu(p) residue
+classes modulo each chosen prime p, that its count up to N is at most
 
-    (-log N + sum log p) / (-log N + sum log p / nu(p^i))
+    (-log N + sum log p) / (-log N + sum log p / nu(p))
 
-whenever the denominator is positive (the numerator's log p is the log of
-the prime base, not of the prime power). The weighted variant replaces
-1/nu with the normalized second moment sum_h Z(h)^2 / |A|^2 of the
-occupancy counts. Both are one running sum of per-prime terms from -log N,
-which `gallagher_bound`, `gallagher_bound_weighted` and `optimize_cutoff`
-all evaluate through `_bounds`.
+whenever the denominator is positive. The weighted variant replaces 1/nu
+with the normalized second moment sum_h Z(h)^2 / |A|^2 of the occupancy
+counts. Both are one running sum of per-prime terms from -log N, which
+`optimize_cutoff` evaluates through `_bounds`.
 
 A measured scan needs, at every prime p up to y, nu(p) (the number of
 classes mod p that the set occupies) for the plain bound, or the second
@@ -51,7 +49,7 @@ prime with 4p > w, whose chunks would be too narrow to gain.
 A sparser set, such as values near 10**18 from a file, would need a bitset
 too large to fold cheaply, or to allocate at all, so both counts reduce
 every value mod p instead (|A| interpreted steps per prime), the weighted
-one through `profile`'s Counter. On random sets of 1,000 and 2,000 values
+one through `_occupancy`'s Counter. On random sets of 1,000 and 2,000 values
 and the primes up to 10**4 (best of five, building the counter included),
 the plain fold took 0.25 to 0.39 of the per-value time at span/|A| = 256,
 0.39 to 0.50 at 384 and 0.40 to 0.55 at 512 (all but 1,000 values at 256
@@ -70,39 +68,11 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arithsets import factorize
 from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
 
 DENOM_TOL = 1e-9
 _FOLD_DENSITY = 512  # fold a measured set into a bitset when span <= this * |A|
 _SPLIT_SPAN = 1 << 18  # split a folded set this wide or wider into 16 chunks
-
-
-@dataclass(frozen=True)
-class ResidueProfile:
-    """Occupied residue classes of a multiset modulo a prime power.
-
-    `nu` is the number of occupied classes, `sumsq` the second moment
-    sum_h Z(h)^2 of the occupancies and `size` the number of profiled
-    integers. The modulus is prime exactly when `modulus == prime`."""
-    modulus: int
-    prime: int
-    nu: int
-    sumsq: int
-    size: int
-
-
-def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
-    """Exact occupancy counts of `values` modulo a prime power."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("cannot profile an empty set")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    factors = factorize(modulus).factors
-    if len(factors) != 1:
-        raise ValueError(f"{modulus} is not a prime power")
-    return ResidueProfile(modulus, factors[0][0], *_occupancy(vals, modulus), len(vals))
 
 
 def _occupancy(vals: list[int], modulus: int) -> tuple[int, int]:
@@ -233,14 +203,6 @@ class SieveBoundReport:
         return self.bound is None
 
 
-def _check_moduli(profiles: Sequence[ResidueProfile]) -> list[ResidueProfile]:
-    profs = sorted(profiles, key=lambda r: r.modulus)
-    for a, b in zip(profs, profs[1:]):
-        if a.modulus == b.modulus:
-            raise ValueError(f"duplicate modulus {a.modulus}")
-    return profs
-
-
 def _check_log_n(log_n: float) -> None:
     if not (math.isfinite(log_n) and log_n > 0):
         raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
@@ -286,33 +248,6 @@ def _bounds(log_n: float, terms: Iterable[tuple[float, float]], moduli: Sequence
         bound = num / den if den > DENOM_TOL else None
         reports.append(SieveBoundReport(log_n, num, den, bound, tuple(moduli[:k]), variant))
     return reports
-
-
-def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBoundReport:
-    """Plain larger-sieve bound from per-modulus class counts."""
-    _check_log_n(log_n)
-    profs = _check_moduli(profiles)
-    terms = (_plain_term(r.prime, r.nu) for r in profs)
-    return _bounds(log_n, terms, [r.modulus for r in profs], [len(profs)], "plain")[0]
-
-
-def gallagher_bound_weighted(
-    profiles: Sequence[ResidueProfile], log_n: float
-) -> SieveBoundReport:
-    """Weighted refinement over prime moduli: the denominator uses
-    sum_p log p * sum_h Z(p,h)^2 / count^2, which dominates the plain
-    log p / nu term by Cauchy-Schwarz. Every profile must cover the same
-    count of integers."""
-    _check_log_n(log_n)
-    profs = _check_moduli(profiles)
-    for r in profs:
-        if r.modulus != r.prime:
-            raise ValueError(f"weighted variant needs prime moduli, got {r.modulus}")
-        if r.size != profs[0].size:
-            raise ValueError(f"profile at {r.modulus} covers {r.size} integers, "
-                             f"the one at {profs[0].modulus} covers {profs[0].size}")
-    terms = (_weighted_term(r.prime, r.sumsq, r.size) for r in profs)
-    return _bounds(log_n, terms, [r.modulus for r in profs], [len(profs)], "weighted")[0]
 
 
 NU_MODELS: dict[str, Callable[[int], float]] = {

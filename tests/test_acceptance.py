@@ -24,12 +24,7 @@ from cubesieve.harness import (
     _emit_csv,
 )
 from cubesieve.primes import PrimeSet, primes_up_to
-from cubesieve.sieve import (
-    gallagher_bound,
-    gallagher_bound_weighted,
-    optimize_cutoff,
-    profile,
-)
+from cubesieve.sieve import optimize_cutoff
 from cubesieve.sunflower import SetFamily, extract_ap, find_sunflower, rep_count_g
 from cubesieve.zq import (
     ResidueMultiset,
@@ -123,14 +118,14 @@ def test_criterion_05_sieve_soundness():
     done = 0
     while done < 50:
         a = sorted(rng.sample(range(1, 10**4 + 1), rng.randrange(20, 40)))
-        moduli = sorted(rng.sample(pool, rng.randrange(60, len(pool) + 1)))
-        profs = [profile(a, p) for p in moduli]
+        moduli = PrimeSet.explicit(rng.sample(pool, rng.randrange(60, len(pool) + 1)))
         log_n = math.log(10**4)
-        plain = gallagher_bound(profs, log_n)
+        plain, weighted = (optimize_cutoff(moduli, "measured", log_n, [600], values=a,
+                                           variant=variant).rows[0][1]
+                           for variant in ("plain", "weighted"))
         if plain.bound is None:
             continue  # only instances with a positive denominator count
         assert len(a) <= plain.bound + 1e-9
-        weighted = gallagher_bound_weighted(profs, log_n)
         if weighted.bound is not None:
             assert weighted.bound <= plain.bound + 1e-9
             assert len(a) <= weighted.bound + 1e-9

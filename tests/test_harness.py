@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cubesieve import arithsets, cube, harness, primes
+from cubesieve import arithsets, cube, harness, primes, sieve
 from cubesieve.arithsets import PurePowers, Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
@@ -436,6 +436,15 @@ def test_cli_verify_fault_injection(capsys):
     assert "FAIL witness-revalidation" in out
 
 
+def test_cli_verify_reads_the_fold_counter(capsys, monkeypatch):
+    # one class at every prime certifies a count of 1, which every set the
+    # check draws exceeds: the check must fail if it reads the CLI's counter
+    monkeypatch.setattr(sieve, "_class_counter", lambda vals: lambda p: 1)
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == EXIT_COUNTEREXAMPLE
+    assert "FAIL sieve-soundness" in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--p", "7"], "verify all does not read --p"),
     (["verify", "all", "--p", "5"], "verify all does not read --p"),
@@ -495,8 +504,9 @@ _REMOVED_FLAGS = [
     # no flag is taken by an abbreviation of its name
     (["sieve-bound", "--set", "squareful", "--y-gr", "100", "--log-n", "5"],
      "cubesieve sieve-bound: error: the following arguments are required: --y-grid"),
-    # nor a top-level flag: `--vers` is not `--version`
-    (["--vers"], "cubesieve: error: the following arguments are required: command"),
+    # nor a top-level flag: `--vers` is not `--version`, and is named before
+    # the missing command
+    (["--vers"], "cubesieve: error: unrecognized arguments: --vers"),
     (["--vers", "membership", "--set", "squareful", "--n", "72"],
      "cubesieve: error: unrecognized arguments: --vers"),
 ]
@@ -527,7 +537,6 @@ def _exit_outcome(parse, argv, capsys):
      "--strategy", "bogus"],
     ["olson", "--p", "seven", "--elements", "1", "--target", "1"],
     ["frobnicate"],
-    [],
     ["-h"],
     ["--version"],
     *([name, flag] for name in _CLI_SURFACE for flag in ("-h", "--version")),
@@ -542,8 +551,8 @@ def test_cli_one_command_parse_matches_full_parser(argv, capsys):
 @pytest.mark.parametrize("argv, built", [
     (["membership", "--set", "squareful", "--n", "72"], ["membership"]),
     (["experiment", "f2", "--grid", "10"], ["experiment"]),
-    # a usage error is re-reported by the full parser
-    (["membership", "--set", "squareful"], ["membership", *_CLI_SURFACE]),
+    # a usage error is reported by the one-command parser
+    (["membership", "--set", "squareful"], ["membership"]),
     (["frobnicate"], list(_CLI_SURFACE)),
 ])
 def test_cli_main_builds_only_the_invoked_subparser(argv, built, monkeypatch, capsys):
@@ -566,10 +575,22 @@ def test_budget_default_is_one_constant():
         == cube.DEFAULT_BUDGET
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == EXIT_USAGE
+    # no command at all: the full parser's usage line (wrapped at 80 columns),
+    # then the missing command
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "usage: cubesieve [-h] [--version]\n"
+        "                 {" + ",".join(_CLI_SURFACE) + "}\n"
+        "                 ...\n"
+        "cubesieve: error: the following arguments are required: command\n")
     with pytest.raises(SystemExit) as exc:
         main(["membership", "--set", "squareful"])
     assert exc.value.code == EXIT_USAGE

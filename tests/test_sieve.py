@@ -7,100 +7,71 @@ from cubesieve import primes
 from cubesieve.primes import PrimeSet, primes_up_to
 from cubesieve.sieve import (
     NU_MODELS,
-    gallagher_bound,
-    gallagher_bound_weighted,
+    _class_counter,
+    _sumsq_counter,
     optimize_cutoff,
     prescribed_cutoff,
-    profile,
 )
 
 
+def _bound(moduli, log_n, values, variant="plain"):
+    """The measured bound over exactly the primes `moduli`."""
+    scan = optimize_cutoff(PrimeSet.explicit(moduli), "measured", log_n, [max(moduli)],
+                           values=values, variant=variant)
+    return scan.rows[0][1]
+
+
 def test_profile_examples():
-    r = profile({1, 2, 3}, 5)
-    assert (r.nu, r.sumsq, r.size) == (3, 3, 3)
-
-    # squares 1..100 mod 7 fall in classes 0, 1, 2, 4 with counts 1, 3, 3, 3
-    squares = [a * a for a in range(1, 11)]
-    r = profile(squares, 7)
-    assert (r.nu, r.sumsq, r.size) == (4, 28, 10)
-
-    r = profile([5, 10, 15], 5)
-    assert (r.nu, r.sumsq, r.size) == (1, 9, 3)
-
-
-def test_profile_prime_power_modulus():
-    r = profile([1, 9, 10], 9)
-    assert (r.modulus, r.prime, r.nu) == (9, 3, 2)
-    r = profile([1, 9, 10], 3)
-    assert r.modulus == r.prime == 3
-    with pytest.raises(ValueError):
-        profile([1], 12)
-    with pytest.raises(ValueError):
-        profile([], 5)
+    for vals, p, nu, sumsq in [
+        ([1, 2, 3], 5, 3, 3),
+        # squares 1..100 mod 7 fall in classes 0, 1, 2, 4 with counts 1, 3, 3, 3
+        ([a * a for a in range(1, 11)], 7, 4, 28),
+        ([5, 10, 15], 5, 1, 9),
+    ]:
+        assert (_class_counter(vals)(p), _sumsq_counter(vals)(p)) == (nu, sumsq)
 
 
 def test_profile_invariants():
     rng = random.Random(5)
     for _ in range(50):
         vals = [rng.randrange(-500, 1000) for _ in range(rng.randrange(1, 50))]
-        mod = rng.choice([2, 3, 4, 5, 7, 9, 25, 27])
-        r = profile(vals, mod)
-        counts = [sum(1 for v in vals if v % mod == h) for h in range(mod)]
-        assert r.nu == sum(1 for c in counts if c)
-        assert r.size == len(vals) == sum(counts)
-        assert r.sumsq == sum(c * c for c in counts)
-        assert r.modulus == mod and mod % r.prime == 0 and r.prime in (2, 3, 5, 7)
+        p = rng.choice([2, 3, 5, 7, 11])
+        counts = [sum(1 for v in vals if v % p == h) for h in range(p)]
+        assert _class_counter(vals)(p) == sum(1 for c in counts if c)
+        assert _sumsq_counter(vals)(p) == sum(c * c for c in counts)
 
 
 def test_plain_bound_nu_one_is_one():
-    profs = [profile([3, 6], 3), profile([5, 10], 5)]
-    rep = gallagher_bound(profs, 1.0)
+    rep = _bound([3, 5], 1.0, [15, 30])
     assert rep.numerator == rep.denominator
     assert rep.bound == 1.0
 
 
 def test_plain_bound_unbounded_guard():
-    rep = gallagher_bound([profile([1, 2, 3], 5)], 10.0)
+    rep = _bound([5], 10.0, [1, 2, 3])
     assert rep.denominator <= 0 and rep.bound is None and rep.unbounded
-
-
-def test_plain_bound_rejects_duplicates():
-    with pytest.raises(ValueError):
-        gallagher_bound([profile([1], 5), profile([2], 5)], 1.0)
-    with pytest.raises(ValueError):
-        gallagher_bound([], 0.0)
-
-
-def test_plain_bound_mixes_prime_powers():
-    # numerator adds log p per modulus p^i, not log p^i
-    profs = [profile([1], 3), profile([1], 9)]
-    rep = gallagher_bound(profs, 0.5)
-    assert math.isclose(rep.numerator, -0.5 + 2 * math.log(3), rel_tol=1e-12)
-    assert rep.moduli_used == (3, 9)
 
 
 def test_squares_bound_close_to_truth():
     # squares up to 1e6 profiled over primes up to 1e4: the certified count
     # must trap the true count 1000 from above, within a decade
     squares = [a * a for a in range(1, 1001)]
-    profs = [profile(squares, p) for p in primes_up_to(10**4)]
-    rep = gallagher_bound(profs, math.log(10**6))
+    rep = _bound(primes_up_to(10**4), math.log(10**6), squares)
     assert rep.bound is not None
     assert 10**3 <= rep.bound <= 10**4
 
 
 def test_weighted_equals_plain_when_equidistributed():
     vals = [1, 8, 15, 22, 2, 9, 16, 23, 3, 10, 17, 24]  # 3 classes x 4 mod 7
-    prof = profile(vals, 7)
-    plain = gallagher_bound([prof], 0.5)
-    weighted = gallagher_bound_weighted([prof], 0.5)
+    plain = _bound([7], 0.5, vals)
+    weighted = _bound([7], 0.5, vals, "weighted")
     assert math.isclose(plain.bound, weighted.bound, rel_tol=1e-12)
 
 
 def test_weighted_concentrated_bound_one():
-    prof = profile([7, 14, 21, 28], 7)
-    plain = gallagher_bound([prof], 0.5)
-    weighted = gallagher_bound_weighted([prof], 0.5)
+    vals = [7, 14, 21, 28]
+    plain = _bound([7], 0.5, vals)
+    weighted = _bound([7], 0.5, vals, "weighted")
     assert plain.bound == 1.0 and weighted.bound == 1.0
 
 
@@ -108,35 +79,23 @@ def test_weighted_dominated_by_plain():
     rng = random.Random(6)
     for _ in range(20):
         vals = sorted(rng.sample(range(1, 3000), 100))
-        moduli = [p for p in primes_up_to(50)]
-        profs = [profile(vals, p) for p in moduli]
+        moduli = primes_up_to(50)
         log_n = math.log(3000)
-        plain = gallagher_bound(profs, log_n)
-        weighted = gallagher_bound_weighted(profs, log_n)
+        plain = _bound(moduli, log_n, vals)
+        weighted = _bound(moduli, log_n, vals, "weighted")
         if plain.bound is not None and weighted.bound is not None:
             assert weighted.bound <= plain.bound + 1e-9
 
 
-def test_weighted_rejects_inconsistency():
-    profs = [profile([1, 2], 5), profile([1, 2, 3], 7)]
-    with pytest.raises(ValueError, match="profile at 7 covers 3 integers, the one at 5 covers 2"):
-        gallagher_bound_weighted(profs, 1.0)
-    with pytest.raises(ValueError):
-        gallagher_bound_weighted([profile([1, 2], 9)], 1.0)
-
-
 def test_log_n_must_be_finite_and_positive():
-    profs = [profile([1, 2], 5)]
     allp = PrimeSet.all_primes()
     for bad, message in [(math.inf, "finite, got inf"), (math.nan, "positive, got nan"),
                          (-math.inf, "positive, got -inf"), (0.0, "positive, got 0.0")]:
-        with pytest.raises(ValueError, match=f"log N must be {message}"):
-            gallagher_bound(profs, bad)
-        with pytest.raises(ValueError, match=f"log N must be {message}"):
-            gallagher_bound_weighted(profs, bad)
         for nu in ("measured", "two_sqrt"):
             with pytest.raises(ValueError, match=f"log N must be {message}"):
                 optimize_cutoff(allp, nu, bad, [10], values=[1, 4, 9])
+        with pytest.raises(ValueError, match=f"log N must be {message}"):
+            optimize_cutoff(allp, "measured", bad, [10], values=[1, 4, 9], variant="weighted")
 
 
 def test_soundness_random_instances():
@@ -145,11 +104,10 @@ def test_soundness_random_instances():
     for _ in range(25):
         n = 10**4
         a = sorted(rng.sample(range(1, n + 1), rng.randrange(20, 40)))
-        profs = [profile(a, p) for p in moduli]
-        plain = gallagher_bound(profs, math.log(n))
+        plain = _bound(moduli, math.log(n), a)
         assert plain.bound is not None
         assert len(a) <= plain.bound + 1e-9
-        weighted = gallagher_bound_weighted(profs, math.log(n))
+        weighted = _bound(moduli, math.log(n), a, "weighted")
         assert weighted.bound is not None
         assert len(a) <= weighted.bound + 1e-9
         assert weighted.bound <= plain.bound + 1e-9
@@ -159,14 +117,13 @@ def test_soundness_survives_uninformative_modulus():
     # a modulus where every class is occupied adds log p to both sides and
     # must not push the certified bound below the true count
     rng = random.Random(8)
+    moduli = [p for p in primes_up_to(200) if p > 20]
     for _ in range(50):
         n = 500
-        a = sorted(rng.sample(range(1, n + 1), rng.randrange(5, 15)))
-        moduli = [p for p in primes_up_to(200) if p > 20]
-        profs = [profile(a, p) for p in moduli]
-        base = gallagher_bound(profs, math.log(n))
-        extra = profs + [profile(list(range(1, 3)), 2)]  # nu(2) = 2, no information
-        grown = gallagher_bound(extra, math.log(n))
+        a = sorted({1, 2, *rng.sample(range(3, n + 1), rng.randrange(5, 15))})
+        base = _bound(moduli, math.log(n), a)
+        grown = _bound([2, *moduli], math.log(n), a)  # nu(2) = 2, no information
+        assert grown.numerator - base.numerator == pytest.approx(math.log(2))
         for rep in (base, grown):
             if rep.bound is not None:
                 assert len(a) <= rep.bound + 1e-9

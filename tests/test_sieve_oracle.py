@@ -2,7 +2,7 @@
 cutoff scan in cubesieve.sieve against the code they replaced, which is kept
 below as a reference implementation (bodies unchanged but for the prescribed
 cutoff, which a CutoffScan no longer carries; docstrings dropped).
-The reference builds a dense profile for every modulus, sums each bound in
+The reference builds a profile for every modulus, sums each bound in
 its own loop, and re-evaluates the bound on each prefix of the primes in a
 scan; it shares no summing code with cubesieve.sieve. Both must return equal
 reports and CutoffScans, every float compared with ==, so the CSV bytes stay
@@ -52,20 +52,6 @@ class ResidueProfile:
     counts: tuple[int, ...] | None
     size: int
     sumsq: int | None = None
-
-
-def profile(values: Iterable[int], modulus: int) -> ResidueProfile:
-    vals = list(values)
-    if not vals:
-        raise ValueError("cannot profile an empty set")
-    p, i = _prime_power(modulus)
-    counts = [0] * modulus
-    for v in vals:
-        counts[v % modulus] += 1
-    nu = sum(1 for c in counts if c)
-    return ResidueProfile(
-        modulus, p, i, nu, tuple(counts), len(vals), sum(c * c for c in counts)
-    )
 
 
 def model_profile(modulus: int, nu: float) -> ResidueProfile:
@@ -491,36 +477,6 @@ def test_scan_weighted_refuses_model_nu(nu_model):
 @given(prime_sets(), _models, _grids, _log_ns)
 def test_scan_model_matches_reference(ps, model, grid, log_n):
     _both(ps, model, log_n, grid)
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return "ValueError", str(exc)
-
-
-_moduli = st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 25, 27, 31, 49, 97, 125]),
-                   max_size=10, unique=True)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_values, _moduli, _log_ns)
-def test_bounds_match_reference(vals, moduli, log_n):
-    new = [sieve.profile(vals, m) for m in moduli]
-    old = [profile(vals, m) for m in moduli]
-    for a, b in zip(new, old):
-        assert (a.modulus, a.prime, a.nu, a.sumsq, a.size) == (
-            b.modulus, b.prime, b.nu, b.sumsq, b.size)
-        assert (a.modulus == a.prime) == (b.exponent == 1)
-    assert sieve.gallagher_bound(new, log_n) == gallagher_bound(old, log_n)
-    # prime powers make both refuse, with the same message
-    assert (_outcome(sieve.gallagher_bound_weighted, new, log_n)
-            == _outcome(gallagher_bound_weighted, old, len(vals), log_n))
-    new_p = [r for r in new if r.modulus == r.prime]
-    old_p = [r for r in old if r.exponent == 1]
-    assert (sieve.gallagher_bound_weighted(new_p, log_n)
-            == gallagher_bound_weighted(old_p, len(vals), log_n))
 
 
 @pytest.mark.parametrize("spec", ["all", "class:1,4", "inert:1,1,1", "complement:inert:1,0,1"])

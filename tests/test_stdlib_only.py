@@ -92,7 +92,7 @@ def test_bitset_codec_lives_in_primes():
 
 PERFBENCH = SRC.parent.parent / "perfbench"
 # names a program reads without naming them: argparse calls each parser's error
-_CALLED_FROM_OUTSIDE = {"harness._Parser.error", "harness._OneCommandParser.error"}
+_CALLED_FROM_OUTSIDE = {"harness._Parser.error"}
 
 
 def _reads(tree: ast.AST):
