@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .primes import PrimeSet, check_table, parse_prime_set, validate_definite_form
+from .primes import PrimeSet, check_table, parse_prime_set, spec_ints, validate_definite_form
 
 _MAX_N = 2**63 - 1
 # largest limit of the squareful and pure-power member lists (about 2*10**6
@@ -28,14 +28,9 @@ def _check_sparse(limit: int, name: str) -> None:
         raise ValueError(f"limit N = {limit} is too large for the {name} enumeration (max 10**12)")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent), primes ascending
-
-
-def factorize(n: int) -> Factorization:
-    """Canonical prime factorization by trial division with a 6k+-1 wheel."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Canonical prime factorization by trial division with a 6k+-1 wheel:
+    the (prime, exponent) pairs, primes ascending."""
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"factorize expects 1 <= n < 2**63, got {n}")
     m = n
@@ -59,7 +54,7 @@ def factorize(n: int) -> Factorization:
         f += 6
     if m > 1:
         out.append((m, 1))
-    return Factorization(n, tuple(out))
+    return tuple(out)
 
 
 def iroot(n: int, e: int) -> int:
@@ -111,7 +106,7 @@ class Squareful(SetDescriptor):
     def contains(self, n: int) -> bool:
         if n < 1:
             return False
-        return all(e >= 2 for _, e in factorize(n).factors)
+        return all(e >= 2 for _, e in factorize(n))
 
     def members_up_to(self, limit: int) -> list[int]:
         # every squareful number is a^2 * b^3 with b squarefree; this keeps
@@ -120,7 +115,7 @@ class Squareful(SetDescriptor):
         out = set()
         b = 1
         while b**3 <= limit:
-            if all(e == 1 for _, e in factorize(b).factors):  # b squarefree
+            if all(e == 1 for _, e in factorize(b)):  # b squarefree
                 bb = b**3
                 for a in range(1, math.isqrt(limit // bb) + 1):
                     out.add(a * a * bb)
@@ -145,7 +140,7 @@ class RFull(SetDescriptor):
         if n < 1:
             return False
         return all(e >= self.r or not self.primes.contains_prime(p)
-                   for p, e in factorize(n).factors)
+                   for p, e in factorize(n))
 
     def members_up_to(self, limit: int) -> list[int]:
         """Sieve out each n that some p in T divides, but fewer than r times."""
@@ -249,7 +244,7 @@ class Semigroup(SetDescriptor):
     def contains(self, n: int) -> bool:
         if n < 1:
             return False
-        return all(self.primes.contains_prime(p) for p, _ in factorize(n).factors)
+        return all(self.primes.contains_prime(p) for p, _ in factorize(n))
 
     def members_up_to(self, limit: int) -> list[int]:
         if limit < 1:
@@ -289,7 +284,8 @@ def enumerate_members(s: SetDescriptor, limit: int) -> list[int]:
 
 def parse_set_descriptor(text: str) -> SetDescriptor:
     """Parse `squareful`, `rfull:r,<primeset>`, `purepowers`, `quadform:a,b,c`,
-    `semigroup:<primeset>`."""
+    `semigroup:<primeset>`. A malformed integer field raises a ValueError
+    that names the descriptor and the field expected."""
     text = text.strip()
     if text == "squareful":
         return Squareful()
@@ -298,14 +294,15 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
     head, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"unrecognized set descriptor: {text!r}")
+    where = f"set descriptor {text[:40]!r}"
     if head == "rfull":
         rtext, sep2, pset = rest.partition(",")
         if not sep2:
             raise ValueError(f"rfull needs `rfull:r,<primeset>`, got {text!r}")
-        return RFull(int(rtext), parse_prime_set(pset))
+        return RFull(spec_ints(where, "rfull:r,<primeset>", ["r"], [rtext])[0],
+                     parse_prime_set(pset))
     if head == "quadform":
-        a, b, c = (int(t) for t in rest.split(","))
-        return QuadForm(a, b, c)
+        return QuadForm(*spec_ints(where, "quadform:a,b,c", ["a", "b", "c"], rest.split(",")))
     if head == "semigroup":
         return Semigroup(parse_prime_set(rest))
     raise ValueError(f"unrecognized set descriptor: {text!r}")

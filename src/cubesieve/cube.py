@@ -170,24 +170,15 @@ class ResidueCheckRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class ResidueCheckReport:
-    rule: str
-    rows: tuple[ResidueCheckRow, ...]
-
-    @property
-    def violations(self) -> tuple[ResidueCheckRow, ...]:
-        return tuple(r for r in self.rows if not r.ok)
-
-
 def residue_constraint_check(
     cube: HilbertCube,
     prime_set: PrimeSet,
     y: int,
     rule: str = "rfull",
-) -> ResidueCheckReport:
+) -> tuple[ResidueCheckRow, ...]:
     """Count the residue classes hit by the steps modulo each prime of the
-    set up to y and compare with the applicable local bound.
+    set up to y and compare with the applicable local bound, one row per
+    prime.
 
     rule `rfull` (cube verified in an r-full set, any r >= 2): a cube whose
     steps span 5*ceil(2*sqrt(p)) + 2 classes contains an element divisible
@@ -203,7 +194,7 @@ def residue_constraint_check(
         count = len({a % p for a in cube.steps})
         bound = 5 * ceil_two_sqrt(p) + 1 if rule == "rfull" else 2 * math.sqrt(p)
         rows.append(ResidueCheckRow(p, count, bound, count <= bound))
-    return ResidueCheckReport(rule, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -221,13 +212,11 @@ class CubeSearchResult:
     same states and charge them alike, so every field is the same on both,
     also when the budget runs out."""
     limit: int
-    descriptor: str
     mode: str
     best_dimension: int
     witness: HilbertCube | None
     nodes_expanded: int
     exact: bool
-    subset_sum_mode: bool
 
 
 def _check_budget(budget: int) -> None:
@@ -287,12 +276,10 @@ def _nth_bit(x: int, i: int) -> int:
     return lo
 
 
-def _result(s: SetDescriptor, limit: int, best, nodes: int, exact: bool,
-            subset_sum_mode: bool, distinct: bool) -> CubeSearchResult:
+def _result(limit: int, best, nodes: int, exact: bool, distinct: bool) -> CubeSearchResult:
     witness = HilbertCube(best[0], best[1], distinct) if best else None
-    return CubeSearchResult(limit, s.describe(), "exact" if exact else "greedy",
-                            witness.dimension if witness else -1, witness, nodes,
-                            exact, subset_sum_mode)
+    return CubeSearchResult(limit, "exact" if exact else "greedy",
+                            witness.dimension if witness else -1, witness, nodes, exact)
 
 
 def max_dimension_exact(
@@ -381,7 +368,7 @@ def max_dimension_exact(
         k = bisect_right(members, a0)
         extend(a0, a0, bits >> a0 if pairs is None else (members, k), len(members) - k, [])
     del extend  # it refers to itself: drop that cycle so the table is freed now
-    return _result(s, limit, best, nodes, not exhausted, subset_sum_mode, distinct)
+    return _result(limit, best, nodes, not exhausted, distinct)
 
 
 def max_dimension_greedy(
@@ -424,7 +411,7 @@ def max_dimension_greedy(
             steps.append(a)
         if best is None or len(steps) > len(best[1]):
             best = (a0, tuple(steps))
-    return _result(s, limit, best, nodes, False, subset_sum_mode, distinct)
+    return _result(limit, best, nodes, False, distinct)
 
 
 def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:

@@ -385,9 +385,10 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
             ok, off = verify(res.witness, Squareful(), res.limit)
             if not ok:
                 return False, f"witness {res.witness.describe()} fails at {off}"
-        check = residue_constraint_check(r32.witness, PrimeSet.all_primes(), 100)
-        if check.violations:
-            return False, f"residue constraint violated: {check.violations}"
+        bad = tuple(r for r in residue_constraint_check(r32.witness, PrimeSet.all_primes(), 100)
+                    if not r.ok)
+        if bad:
+            return False, f"residue constraint violated: {bad}"
         return True, "exact dimensions 1 @ N=10 and 2 @ N=32; witnesses verify"
 
     def sunflower_suite():
@@ -804,7 +805,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     same whichever of them meets it."""
     # no abbreviations: each flag has one spelling, so `--y` is not `--y-grid`
     # and `--vers` is not `--version`
-    parser = _Parser(prog="cubesieve", description=__doc__, allow_abbrev=False)
+    parser = _Parser(prog="cubesieve", description=__doc__.split("\n\n")[0], allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"cubesieve {__version__}")
     # not required: `main` reports a missing command after any unknown flag
     sub = parser.add_subparsers(

@@ -198,6 +198,22 @@ class PrimeSet:
         return f"PrimeSet({self.describe()!r})"
 
 
+def spec_ints(where: str, form: str, names: list[str], parts: list[str]) -> list[int]:
+    """The integer fields `parts` of a spec written as `form`, one per name.
+    A wrong count or a non-integer field raises a ValueError that starts
+    with `where` (the spec quoted) and names the field expected."""
+    if len(parts) != len(names):
+        raise ValueError(f"{where}: expected the {len(names)} fields of {form}, got {len(parts)}")
+    fields = []
+    for name, t in zip(names, parts):
+        try:
+            fields.append(int(t))
+        except ValueError:
+            raise ValueError(f"{where}: expected an integer {name} in {form}, "
+                             f"got {t.strip()[:40]!r}") from None
+    return fields
+
+
 _SPEC_FIELDS = {"class": "a,q", "list": "p1,p2,...", "inert": "a,b,c"}
 
 
@@ -212,23 +228,14 @@ def parse_prime_set(text: str) -> PrimeSet:
         return PrimeSet.complement(parse_prime_set(rest))
     if not sep or head not in _SPEC_FIELDS:
         raise ValueError(f"unrecognized prime-set spec: {text!r}")
-    form = f"{head}:{_SPEC_FIELDS[head]}"
     parts = rest.split(",")
     if head == "list":
         parts = [t for t in parts if t.strip()]
         names = [f"p{i}" for i in range(1, len(parts) + 1)]
     else:
         names = _SPEC_FIELDS[head].split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"prime-set spec {text[:40]!r}: expected the {len(names)} "
-                             f"fields of {form}, got {len(parts)}")
-    fields = []
-    for name, t in zip(names, parts):
-        try:
-            fields.append(int(t))
-        except ValueError:
-            raise ValueError(f"prime-set spec {text[:40]!r}: expected an integer {name} "
-                             f"in {form}, got {t.strip()[:40]!r}") from None
+    fields = spec_ints(f"prime-set spec {text[:40]!r}", f"{head}:{_SPEC_FIELDS[head]}",
+                       names, parts)
     if head == "list":
         return PrimeSet.explicit(fields)
     if head == "class":

@@ -191,12 +191,10 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
 class SieveBoundReport:
     """Evaluated sieve inequality; bound is None when the denominator is
     not positive (the inequality then certifies nothing)."""
-    log_n: float
     numerator: float
     denominator: float
     bound: float | None
     moduli_used: tuple[int, ...]
-    variant: str
 
     @property
     def unbounded(self) -> bool:
@@ -233,7 +231,7 @@ def _weighted_term(p: int, sumsq: int, size: int) -> tuple[float, float]:
 
 
 def _bounds(log_n: float, terms: Iterable[tuple[float, float]], moduli: Sequence[int],
-            cuts: Iterable[int], variant: str) -> list[SieveBoundReport]:
+            cuts: Iterable[int]) -> list[SieveBoundReport]:
     """The bound over the first k moduli for each k in `cuts`. Numerator and
     denominator start at -log N and add the per-prime terms in order."""
     num = den = -log_n
@@ -246,7 +244,7 @@ def _bounds(log_n: float, terms: Iterable[tuple[float, float]], moduli: Sequence
     for k in cuts:
         num, den = sums[k]
         bound = num / den if den > DENOM_TOL else None
-        reports.append(SieveBoundReport(log_n, num, den, bound, tuple(moduli[:k]), variant))
+        reports.append(SieveBoundReport(num, den, bound, tuple(moduli[:k])))
     return reports
 
 
@@ -316,7 +314,7 @@ def optimize_cutoff(
                 yield _plain_term(p, float(nu))
 
     cuts = [bisect_right(primes, y) for y in grid]
-    rows = tuple(zip(grid, _bounds(log_n, terms(), primes, cuts, variant)))
+    rows = tuple(zip(grid, _bounds(log_n, terms(), primes, cuts)))
     best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
                        key=lambda row: row[1].bound, default=(None, None))
     return CutoffScan(rows, best_y, best)

@@ -407,7 +407,6 @@ class OlsonReport:
     """Outcome of exhaustively checking that every large-enough subset of
     Z_p reaches every target through nonempty subset sums."""
     p: int
-    min_size: int
     subsets_checked: int
     cases_checked: int
     counterexamples: tuple
@@ -435,4 +434,4 @@ def verify_olson_exhaustive(p: int) -> OlsonReport:
                 if w is None or not w.validate(b):
                     counters.append((b, a))
     counters.sort()
-    return OlsonReport(p, min_size, subsets, cases, tuple(counters))
+    return OlsonReport(p, subsets, cases, tuple(counters))

@@ -189,8 +189,8 @@ def test_criterion_08_local_lemma_consistency(squareful_scan):
     allp = PrimeSet.all_primes()
     for n, res in squareful_scan.items():
         assert res.witness is not None
-        rep = residue_constraint_check(res.witness, allp, 100)
-        assert rep.violations == (), f"N={n}: {rep.violations}"
+        bad = [r for r in residue_constraint_check(res.witness, allp, 100) if not r.ok]
+        assert bad == [], f"N={n}: {bad}"
     print("ACCEPTANCE 08 PASS - 0 residue-constraint violations for p <= 100")
 
 

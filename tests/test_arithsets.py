@@ -4,7 +4,6 @@ import pytest
 
 from cubesieve import arithsets, primes
 from cubesieve.arithsets import (
-    Factorization,
     PurePowers,
     QuadForm,
     RFull,
@@ -21,9 +20,9 @@ from cubesieve.primes import PrimeSet, primes_up_to
 
 
 def test_factorize_examples():
-    assert factorize(1) == Factorization(1, ())
-    assert factorize(72).factors == ((2, 3), (3, 2))
-    assert factorize(9991).factors == ((97, 1), (103, 1))
+    assert factorize(1) == ()
+    assert factorize(72) == ((2, 3), (3, 2))
+    assert factorize(9991) == ((97, 1), (103, 1))
 
 
 def test_factorize_reconstructs():
@@ -33,11 +32,11 @@ def test_factorize_reconstructs():
     for n in samples:
         f = factorize(n)
         prod = 1
-        for p, e in f.factors:
+        for p, e in f:
             assert e >= 1
             prod *= p**e
         assert prod == n
-        assert list(f.factors) == sorted(f.factors)
+        assert list(f) == sorted(f)
 
 
 def test_factorize_range():
@@ -155,7 +154,7 @@ def test_two_squares_criterion():
     members = set(enumerate_members(s, 10**4))
     for n in range(1, 10**4 + 1):
         classical = all(
-            e % 2 == 0 for p, e in factorize(n).factors if p % 4 == 3
+            e % 2 == 0 for p, e in factorize(n) if p % 4 == 3
         )
         assert (n in members) == classical, n
 

@@ -152,14 +152,14 @@ def test_nth_bit_matches_listed_bits(x):
 def test_residue_constraint_check_examples():
     allp = PrimeSet.all_primes()
     rep = residue_constraint_check(HilbertCube(9, ()), allp, 50)
-    assert not rep.violations and all(r.residues == 0 for r in rep.rows)
+    assert all(r.ok and r.residues == 0 for r in rep)
 
     rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 5)
-    row5 = [r for r in rep.rows if r.p == 5][0]
+    row5 = [r for r in rep if r.p == 5][0]
     assert row5.residues == 2 and row5.bound == 26 and row5.ok
 
     rep = residue_constraint_check(HilbertCube(1, (7, 24)), allp, 100)
-    assert not rep.violations
+    assert all(r.ok for r in rep)
 
 
 def test_residue_constraint_semigroup_rule():
@@ -167,7 +167,7 @@ def test_residue_constraint_semigroup_rule():
     rep = residue_constraint_check(
         HilbertCube(1, (1, 2, 3, 4, 5)), outside, 10, rule="semigroup"
     )
-    row = rep.rows[0]
+    row = rep[0]
     assert row.bound == 2 * math.sqrt(5) and row.residues == 5
     assert not row.ok  # 5 classes mod 5 exceed 2*sqrt(5)
 

@@ -96,13 +96,11 @@ def max_dimension_exact(
         witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
     return CubeSearchResult(
         limit=limit,
-        descriptor=s.describe(),
         mode="greedy" if exhausted else "exact",
         best_dimension=best["d"],
         witness=witness,
         nodes_expanded=nodes,
         exact=not exhausted,
-        subset_sum_mode=subset_sum_mode,
     )
 
 
@@ -147,13 +145,11 @@ def max_dimension_greedy(
         witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
     return CubeSearchResult(
         limit=limit,
-        descriptor=s.describe(),
         mode="greedy",
         best_dimension=best["d"],
         witness=witness,
         nodes_expanded=nodes,
         exact=False,
-        subset_sum_mode=subset_sum_mode,
     )
 
 

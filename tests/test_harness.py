@@ -680,6 +680,26 @@ def test_cli_prime_set_spec_errors_name_the_spec(argv, message, capsys):
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("quadform:1,0", "expected the 3 fields of quadform:a,b,c, got 2"),
+    ("quadform:1,0,1,2", "expected the 3 fields of quadform:a,b,c, got 4"),
+    ("quadform:1,x,1", "expected an integer b in quadform:a,b,c, got 'x'"),
+    ("rfull:x,all", "expected an integer r in rfull:r,<primeset>, got 'x'"),
+])
+def test_cli_set_descriptor_errors_name_the_descriptor(text, message, capsys):
+    assert run_cli(["membership", "--set", text, "--n", "5"], capsys) == (
+        EXIT_USAGE, "", f"error: set descriptor {text!r}: {message}\n")
+
+
+def test_cli_help_describes_without_implementation_notes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = " ".join(capsys.readouterr().out.split())  # argparse rewraps to the terminal
+    assert exc.value.code == EXIT_OK
+    assert " ".join(harness.__doc__.split("\n\n")[0].split()) in out
+    assert "_COMMANDS" not in out
+
+
 @pytest.mark.parametrize("text, line, shown", [
     ("1\n4\n\nx\n9\n", 4, "'x'"),
     ("2.5\n", 1, "'2.5'"),

@@ -37,7 +37,7 @@ DENOM_TOL = 1e-9
 def _prime_power(modulus: int) -> tuple[int, int]:
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    factors = factorize(modulus).factors
+    factors = factorize(modulus)
     if len(factors) != 1:
         raise ValueError(f"{modulus} is not a prime power")
     return factors[0]
@@ -96,7 +96,7 @@ def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBo
         num += lp
         den += lp / r.nu
     bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "plain")
+    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs))
 
 
 def gallagher_bound_weighted(
@@ -120,7 +120,7 @@ def gallagher_bound_weighted(
         num += lp
         den += lp * r.sumsq / (count_b * count_b)
     bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(log_n, num, den, bound, tuple(r.modulus for r in profs), "weighted")
+    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs))
 
 
 def optimize_cutoff(

@@ -1,7 +1,7 @@
 """cubesieve is pure standard library: every import in src/cubesieve names a
 standard-library module or cubesieve itself. Its layers import downwards
-only, one module owns the bitset codec, and every definition has a program
-caller."""
+only, one module owns the bitset codec, and every definition and every
+record field has a program reader."""
 
 import ast
 import sys
@@ -130,4 +130,51 @@ def test_every_definition_has_a_program_caller():
             unread += [label for label, d in defs
                        if read[d.name] == Counter(_reads(d))[d.name]
                        and label not in _CALLED_FROM_OUTSIDE]
+    assert not unread, f"read by no program path: {', '.join(unread)}"
+
+
+# fields a program reads without naming them: verify's cube-ground-truth
+# failure detail prints the rows through their dataclass repr
+_READ_BY_REPR = {"cube.ResidueCheckRow.residues"}
+
+
+def _field_reads(tree: ast.AST):
+    """Each field name the tree reads: a loaded attribute, except one off the
+    argparse namespace `args` (flags share names with fields), or the
+    string-constant name given to getattr. Keyword arguments do not count."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "args")):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def _unread_fields(modules: dict[str, ast.AST], readers) -> list[str]:
+    """`module.Class.field` for each annotated class field in `modules` whose
+    name no tree in `readers` reads."""
+    read = {name for tree in readers for name in _field_reads(tree)}
+    return [f"{stem}.{cls.name}.{f.target.id}" for stem, tree in modules.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+            and f.target.id not in read]
+
+
+def test_unread_fields_detector():
+    record = ast.parse("class R:\n    x: int\n")
+    assert _unread_fields({"m": record}, [record]) == ["m.R.x"]
+    assert _unread_fields({"m": record}, [record, ast.parse("r.x")]) == []
+    assert _unread_fields({"m": record}, [record, ast.parse("args.x")]) == ["m.R.x"]
+    assert _unread_fields({"m": record}, [record, ast.parse("R(x=1)")]) == ["m.R.x"]
+
+
+def test_every_field_has_a_program_reader():
+    # a record field no program reads only echoes an input back
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    readers = [*modules.values(), *(ast.parse(path.read_text(encoding="utf-8"))
+                                    for path in sorted(PERFBENCH.glob("*.py")))]
+    unread = [label for label in _unread_fields(modules, readers) if label not in _READ_BY_REPR]
     assert not unread, f"read by no program path: {', '.join(unread)}"

@@ -453,12 +453,11 @@ def test_cauchy_davenport_exhaustive():
 
 def test_verify_olson_p5():
     rep = verify_olson_exhaustive(5)
-    assert rep == OlsonReport(5, 5, 1, 5, ())  # only B = Z_5 itself
+    assert rep == OlsonReport(5, 1, 5, ())  # only B = Z_5 itself
 
 
 def test_verify_olson_p7():
     rep = verify_olson_exhaustive(7)
-    assert rep.min_size == 6
     assert rep.subsets_checked == 8  # C(7,6) + C(7,7)
     assert not rep.counterexamples
 
