@@ -505,6 +505,17 @@ def cmd_liftzero(args) -> int:
     return EXIT_OK
 
 
+def _check_printable_power(p: int, ell: int) -> None:
+    """Refuse q = p^ell when its decimal digits pass Python's int-to-str
+    limit, since the certificate prints q: the count comes from one
+    logarithm, before the power is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = math.floor(ell * math.log10(p)) + 1
+    if limit and digits > limit:
+        raise ValueError(f"modulus q = {p}^{ell} has {digits} digits; a certificate prints "
+                         f"at most {limit} (Python's int-to-str limit)")
+
+
 def cmd_schwarzwald(args) -> int:
     if args.ell < 2:
         raise ValueError(f"modulus must be p^ell with ell > 1, got p={args.p}, ell={args.ell}")
@@ -514,6 +525,7 @@ def cmd_schwarzwald(args) -> int:
         check_dp_power(args.p, args.ell)
     else:
         step_a1_classes(args.p, elements)
+        _check_printable_power(args.p, args.ell)
     mod = Modulus(args.p, args.p ** (args.ell - 1))
     b = ResidueMultiset(mod, elements)
     w = schwarzwald(b, args.a0, strategy=args.strategy)

@@ -3,14 +3,15 @@ definite binary quadratic forms, and the bitset codec the other layers
 share: one int with bit v set for each value v of a set. `bitset` builds it
 through a bytearray and `int.from_bytes`; `set_bits` reads it back from its
 binary string (whose last character is bit 0) with `str.rfind`, not one
-big-int operation per bit."""
+big-int operation per bit; `iter_set_bits` reads a wide one 2^16 bits at a
+time."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from bisect import bisect_right
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 MAX_TABLE = 10**8  # largest limit of a table of one byte per integer
@@ -41,6 +42,15 @@ def set_bits(x: int, offset: int = 0) -> list[int]:
         out.append(top - k)
         k = bits.rfind("1", 0, k)
     return out
+
+
+def iter_set_bits(x: int, offset: int = 0) -> Iterator[int]:
+    """set_bits(x, offset) one value at a time, read 2^16 bits of x at a
+    time: a wide x costs one byte per 8 bits, not a string of one byte per
+    bit and a list of all its values at once."""
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    for j in range(0, len(data), 8192):
+        yield from set_bits(int.from_bytes(data[j:j + 8192], "little"), offset + 8 * j)
 
 
 def primes_up_to(y: int) -> list[int]:

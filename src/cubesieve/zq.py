@@ -11,24 +11,28 @@ class mod p less at most one state of Z_q: the target class itself for
 Olson (q = p), 0 mod p but not 0 mod q for lift-zero, -a0 mod p but not
 -a0 mod q for the shifted finder. The DP holds the targets and the reached
 states as q-bit bitsets (the codec of `primes`), so each element adds all
-its new states with one rotate. A state's witness follows from the step
-that first reached it, so the DP keeps only those steps: a table of 4
-bytes per state for the states reached in sparse steps, and at most 64
-snapshots of the reached set (q/8 bytes each) for the dense steps, at most
-12 bytes per state of Z_q together. Moduli above 10**7 are refused before
+its new states with one rotate. Each reached state has one parent, the
+state its first-reach witness came from, so the witnesses are the paths of
+one tree, and the DP keeps only each step's new states: one bitset per
+step, trimmed below its lowest bit, and past 4 bytes per state of those an
+int32 table, at most 8 bytes per state of Z_q together. The least witness
+over many targets is read down the tree, after one backward pass marks the
+states above a target. Moduli above 10**7 are refused before
 anything is allocated."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .primes import ceil_two_sqrt, is_prime, set_bits
+from .primes import bitset, ceil_two_sqrt, is_prime, iter_set_bits, set_bits
 
 _MAX_Q = 10**7  # largest modulus the reachability DP accepts
+_WALK_MAX = 4  # candidates whose chains are walked one by one
+_STEP_RECORD = 160  # bytes a kept step costs beside its bitset: tuple, list slot, ints
 
 
 class CounterexampleError(RuntimeError):
@@ -101,10 +105,9 @@ class SubsetWitness:
         idx = self.indices
         if not idx or any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
             return False
-        try:
-            s = sum(elements[i] for i in idx)
-        except IndexError:
+        if idx[0] < 0 or idx[-1] >= len(elements):  # ascending: the ends bound the rest
             return False
+        s = sum(elements[i] for i in idx)
         if s % self.q != self.sum_mod_q:
             return False
         for mod, op, target in self.facts:
@@ -154,20 +157,25 @@ def _least_witness(
     first reaches its singleton {i}, then each state reached before i plus
     values[i]. The reached states are one q-bit int R, so element i reaches
     new = (rotate(R, v_i) | 1 << v_i) & ~R at once. A state t first reached
-    at element i has exactly one predecessor: none when t == v_i (the
-    singleton wins), otherwise t - v_i, reached before i. So a witness,
-    frozen at first reach, needs only each state's first-reach step: a step
-    with fewer than q/64 new states writes them into an int32 table, a
-    denser one keeps a bytes snapshot of R (at most 64 of these, found by
-    bisection). Memory is O(q) bytes: 4q for the table and at most 8q for
-    the snapshots. The scan stops once every target is reached. Returns
+    at step i has exactly one parent: the empty set when t == v_i (the
+    singleton wins), otherwise t - v_i, reached before i. So the witnesses,
+    frozen at first reach, are the root-to-state paths of one tree, and the
+    DP keeps only each step's new states: one bitset per step that reaches
+    any, trimmed below its lowest bit. Once the bitsets would pass 4 bytes
+    per state of Z_q (plus 64 KiB), every later step writes its states
+    into an int32 table instead, so the steps take at most 8 bytes per
+    state together. The scan stops once every target is reached. Returns
     None when no target is reachable; refuses q above 10**7 up front.
+
+    A few candidate targets are walked up to the root one by one
+    (`_walk`); more are compared in one pass over the steps (`_descend`).
+    The first-reach witness of a state is its colex-least subset, so either
+    gives the least witness of the full per-state DP.
 
     The target mask repeats bit `residue` every p bits, doubling the span
     it covers at each shift: O(log(q/p)) big-int operations, where the one
     division (2^q - 1) // (2^p - 1) gives the same mask in O(q p) steps."""
     _check_dp_modulus(q)
-    nbytes = (q + 7) // 8
     full = (1 << q) - 1
     tmask, span = 1 << residue, p
     while span < q:
@@ -175,42 +183,105 @@ def _least_witness(
         span *= 2
     tmask &= full if excluded < 0 else full ^ (1 << excluded)
     left = tmask.bit_count()
-    first = memoryview(bytearray(b"\xff") * (4 * q)).cast("i")  # int32, all -1
-    snaps: list[bytes] = []
-    snap_steps: list[int] = []
-    reached = 0
+    budget = 4 * q + 2**16
+    steps: list[tuple[int, int, int, int | None]] = []  # (i, v_i, lo, bits, or None: tabled)
+    first = None  # the step number in `steps` of each tabled state, else -1
+    reached = untabled = 0
     for i, v in enumerate(values):
         if not left:
             break
         v %= q
         new = (_rotate(reached, v, q, full) | 1 << v) & ~reached
+        if not new:
+            continue
         reached |= new
-        if new.bit_count() * 64 < q:
-            for s in set_bits(new):
-                first[s] = i
-        else:
-            snaps.append(reached.to_bytes(nbytes, "little"))
-            snap_steps.append(i)
         left -= (new & tmask).bit_count()
+        if first is None:
+            lo = (new & -new).bit_length() - 1
+            bits = new >> lo
+            budget -= sys.getsizeof(bits) + _STEP_RECORD
+            if budget >= 0:
+                steps.append((i, v, lo, bits))
+                continue
+            first = memoryview(bytearray(b"\xff") * (4 * q)).cast("i")  # int32, all -1
+            untabled = reached ^ new
+        for s in iter_set_bits(new):
+            first[s] = len(steps)
+        steps.append((i, v, 0, None))
+    cands = reached & tmask
+    if not cands:
+        return None
+    if cands.bit_count() <= _WALK_MAX:
+        return min((_walk(steps, first, s, q), s) for s in set_bits(cands))
+    return _descend(steps, first, reached ^ untabled if first else 0, cands, q, full)
 
-    def witness(s: int) -> tuple[int, ...]:
-        idx = []
-        last = len(values)
-        while True:
-            i = first[s]
-            if i < 0:  # reached in a dense step: the first snapshot holding s
-                byte, bit = s >> 3, 1 << (s & 7)
-                i = snap_steps[bisect_left(snaps, True, key=lambda b: b[byte] & bit > 0)]
-            if i >= last:  # steps fall along a chain; a faulty table would loop here
-                raise RuntimeError(f"first-reach chain of state {s} does not descend")
-            last = i
+
+def _made(steps, k: int, s: int, first) -> bool:
+    """Whether state s was first reached at step k of `_least_witness`."""
+    _, _, lo, bits = steps[k]
+    if bits is None:
+        return first[s] == k
+    return s >= lo and bits >> (s - lo) & 1 == 1
+
+
+def _walk(steps, first, s: int, q: int) -> tuple[int, ...]:
+    """The witness of state s: its chain of parents, read by one backward
+    scan over the steps, since each parent was reached before its child."""
+    idx = []
+    for k in range(len(steps) - 1, -1, -1):
+        if _made(steps, k, s, first):
+            i, v = steps[k][:2]
             idx.append(i)
-            v = values[i] % q
             if s == v:
                 return tuple(reversed(idx))
             s = (s - v) % q
+    raise RuntimeError(f"first-reach chain of state {s} does not end in a singleton")
 
-    return min(((witness(s), s) for s in set_bits(reached & tmask)), default=None)
+
+def _descend(steps, first, tabled: int, cands: int, q: int, full: int):
+    """The least witness over the states in `cands`, read down the tree.
+
+    First `anc` marks each state whose subtree holds a candidate. Tabled
+    states come last in step order, so their chains are traced one state at
+    a time first, each state once. Then one backward pass over the bitset
+    steps: at step k, the marked states first reached there, less the
+    singleton v_k (its parent is the empty set), mark their parents
+    s - v_k with one rotate.
+
+    Then the witness is read from the root: at a marked state sigma, sigma
+    itself wins when it is a candidate (its witness is a prefix of the
+    others); otherwise the child sigma + v_k at the earliest step k that
+    holds a marked child leads on. Steps only move forward, so reading the
+    witness costs one scan over the steps."""
+    anc = cands
+    if tabled:
+        marked = bytearray(q)
+        for s in iter_set_bits(cands & tabled):
+            while not marked[s]:
+                marked[s] = 1
+                k = first[s]
+                if k < 0 or s == steps[k][1]:
+                    break
+                s = (s - steps[k][1]) % q
+        anc |= bitset(itertools.compress(range(q), marked), q - 1)
+    for _, v, lo, bits in reversed(steps):
+        if bits is None:
+            continue
+        h = (anc >> lo) & bits
+        if h and v >= lo and h >> (v - lo) & 1:
+            h ^= 1 << (v - lo)
+        if h:
+            anc |= _rotate(h, (lo - v) % q, q, full)
+    idx: list[int] = []
+    sigma = -1  # the empty set
+    for k, (i, v, _, _) in enumerate(steps):
+        t = v if sigma < 0 else (sigma + v) % q
+        if _made(steps, k, t, first) and anc >> t & 1:
+            idx.append(i)
+            sigma = t
+            if cands >> t & 1:
+                break
+    return tuple(idx), sigma
 
 
 def subset_sum_find(elements: Sequence[int], target: int, p: int) -> SubsetWitness | None:

@@ -1090,6 +1090,29 @@ def test_cli_schwarzwald_paper_checks_step_a1_before_the_modulus(p, err, capsys,
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", err)
 
 
+_PAPER_A1_PASSES = ["schwarzwald", "--p", "7", "--a0", "5", "--elements", "0,1,2,3,4,5,6,8",
+                    "--strategy", "paper"]
+
+
+@pytest.mark.parametrize("ell, digits", [("5200", 4395), ("1000000000", 845098041)])
+def test_cli_schwarzwald_paper_refuses_an_unprintable_modulus(ell, digits, capsys, monkeypatch):
+    # step A1 passes, and the certificate would print q = 7^ell: its digits
+    # come from p and ell, before the cofactor and its Modulus are built
+    monkeypatch.setattr(harness, "Modulus", _unreachable)
+    monkeypatch.setattr(harness.sys, "get_int_max_str_digits", lambda: 4300)  # Python's default
+    err = (f"error: modulus q = 7^{ell} has {digits} digits; a certificate prints at most 4300 "
+           "(Python's int-to-str limit)\n")
+    start = time.perf_counter()
+    assert run_cli(_PAPER_A1_PASSES + ["--ell", ell], capsys) == (EXIT_USAGE, "", err)
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_schwarzwald_paper_prints_a_long_modulus(capsys):
+    q = 7**5000  # 4,226 digits, under the default limit of 4,300
+    out = f"indices,sum,facts\n2,2,7==2|{q}!={q - 5}\n"
+    assert run_cli(_PAPER_A1_PASSES + ["--ell", "5000"], capsys) == (EXIT_OK, out, "")
+
+
 @pytest.mark.parametrize("p, ell, err", [
     # 2^24 > 10^7 >= 2^23: every ell >= 24 is refused from p and ell alone
     ("2", "23", ""),

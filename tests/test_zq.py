@@ -141,6 +141,17 @@ def test_witness_validation_catches_corruption():
     assert not bad.validate([1, 2, 3])
 
 
+@pytest.mark.parametrize("indices", [(-2,), (-1, 2), (0, 3)],
+                         ids=["negative", "doubled-element", "past-the-end"])
+def test_witness_validation_refuses_indices_outside_the_elements(indices):
+    # each sum is right under Python's indexing: -2 names 5, and -1 and 2 both
+    # name 9; (0, 3) reads past the end
+    elements = (3, 5, 9)
+    s = sum(elements[i % 3] for i in indices) % 7
+    assert SubsetWitness(7, (1,), 5, ((7, "==", 5),)).validate(elements)
+    assert not SubsetWitness(7, indices, s, ((7, "==", s),)).validate(elements)
+
+
 # --- minimal_cover_k ---------------------------------------------------------
 
 def test_minimal_cover_small_values():
@@ -351,6 +362,33 @@ def test_dp_memory_shifted_instance():
     w, peak = _peak_mib(lambda: schwarzwald(b, a0, "direct"))
     assert w is not None and w.validate(b.elements)
     assert peak < 8
+
+
+def test_least_witness_read_down_the_tree():
+    # more than four candidates each, so the witness is read down the tree.
+    # Odd states of Z_10 from [8, 2, 1, 7]: 8 + 2 = 0, and state 1 is first
+    # reached as the singleton {2}, whose parent is the empty set, not state
+    # 0; the least witness is {0, 2} (8 + 1 = 9)
+    assert _least_witness([8, 2, 1, 7], 10, 2, 1) == ((0, 2), 9)
+    # every state of Z_6 from [1, 1, 4]: {0} (state 1) is a prefix of every
+    # witness below it, so it wins
+    assert _least_witness([1, 1, 4], 6, 1, 0) == ((0,), 1)
+
+
+@pytest.mark.parametrize("p", (10**6, 1000))
+def test_dp_memory_past_the_bitset_budget(p):
+    # step j reaches j and 500000 + j, two states 500,000 bits apart: the step
+    # bitsets reach their 4 bytes per state within 70 steps, and the later
+    # steps go to the int32 table; p = 1000 leaves 1,000 targets to compare
+    q = 10**6
+    values = [500000] + [1] * 2000
+    found, peak = _peak_mib(lambda: _least_witness(values, q, p, 3 if p < q else q - 1))
+    if p == q:
+        assert found is None
+    else:
+        indices, state = found
+        assert state % p == 3 and sum(values[i] for i in indices) % q == state
+    assert peak < 12 * q / 2**20  # 12 bytes per state of Z_q
 
 
 def test_dp_refuses_huge_modulus():

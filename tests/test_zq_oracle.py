@@ -6,10 +6,15 @@ took the least witness over the reached admissible states. Each finder must
 give the same whole result as its reference: the SubsetWitness, None, or the
 type and message of the raised error. The core itself, a bitset DP that
 keeps only each state's first-reach step, must return what the reference
-per-state DP freezes for the same targets."""
+per-state DP freezes for the same targets, and what its previous witness
+recovery (kept below) returns on each of its routes: a few targets walked,
+many read down the tree, and steps past the bitset budget."""
 
+import math
 import random
+from bisect import bisect_left
 from typing import Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +22,15 @@ from hypothesis import strategies as st
 
 from cubesieve import zq
 from cubesieve.harness import random_lift_instance, random_shift_instance
-from cubesieve.primes import is_prime
+from cubesieve.primes import is_prime, iter_set_bits, set_bits
 from cubesieve.zq import (
     CounterexampleError,
     Modulus,
     ResidueMultiset,
     StrategyPreconditionError,
     SubsetWitness,
+    _check_dp_modulus,
+    _rotate,
     ceil_two_sqrt,
 )
 
@@ -316,6 +323,115 @@ def test_least_witness_matches_reference(data):
     targets = [s for s in range(residue, q, p) if s != excluded]
     assert (zq._least_witness(values, q, p, residue, excluded)
             == _least_witness(values, q, targets))
+
+
+# ---------------------------------------------------------------------------
+# the core's previous witness recovery: a first-reach table for sparse steps
+# and bisected snapshots of the reached set for dense ones, then every
+# target's chain walked (body unchanged, docstring dropped)
+
+
+def _least_witness_by_snapshots(
+    values: Sequence[int], q: int, p: int, residue: int, excluded: int = -1
+) -> tuple[tuple[int, ...], int] | None:
+    _check_dp_modulus(q)
+    nbytes = (q + 7) // 8
+    full = (1 << q) - 1
+    tmask, span = 1 << residue, p
+    while span < q:
+        tmask |= tmask << span
+        span *= 2
+    tmask &= full if excluded < 0 else full ^ (1 << excluded)
+    left = tmask.bit_count()
+    first = memoryview(bytearray(b"\xff") * (4 * q)).cast("i")  # int32, all -1
+    snaps: list[bytes] = []
+    snap_steps: list[int] = []
+    reached = 0
+    for i, v in enumerate(values):
+        if not left:
+            break
+        v %= q
+        new = (_rotate(reached, v, q, full) | 1 << v) & ~reached
+        reached |= new
+        if new.bit_count() * 64 < q:
+            for s in set_bits(new):
+                first[s] = i
+        else:
+            snaps.append(reached.to_bytes(nbytes, "little"))
+            snap_steps.append(i)
+        left -= (new & tmask).bit_count()
+
+    def witness(s: int) -> tuple[int, ...]:
+        idx = []
+        last = len(values)
+        while True:
+            i = first[s]
+            if i < 0:  # reached in a dense step: the first snapshot holding s
+                byte, bit = s >> 3, 1 << (s & 7)
+                i = snap_steps[bisect_left(snaps, True, key=lambda b: b[byte] & bit > 0)]
+            if i >= last:  # steps fall along a chain; a faulty table would loop here
+                raise RuntimeError(f"first-reach chain of state {s} does not descend")
+            last = i
+            idx.append(i)
+            v = values[i] % q
+            if s == v:
+                return tuple(reversed(idx))
+            s = (s - v) % q
+
+    return min(((witness(s), s) for s in set_bits(reached & tmask)), default=None)
+
+
+def _same_least_witness(values, q, p, residue, excluded, descends):
+    # `descends`: whether the candidates are many, so that the witness is read
+    # down the tree rather than walked from each candidate
+    with mock.patch.object(zq, "_descend", wraps=zq._descend) as descend:
+        got = zq._least_witness(values, q, p, residue, excluded)
+    assert got == _least_witness_by_snapshots(values, q, p, residue, excluded)
+    assert descend.called == descends
+    return got
+
+
+def test_least_witness_matches_snapshots_single_target():
+    rng = random.Random(3)
+    for q in (1009, 10007, 100003):
+        values = [rng.randrange(q) for _ in range(2 * math.isqrt(q) + 1)]
+        assert _same_least_witness(values, q, q, rng.randrange(q), -1, False) is not None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_least_witness_matches_snapshots_shifted_grid(seed):
+    # q = 71^3 with 5,040 targets: the witness is read down the tree
+    b, a0 = random_shift_instance(random.Random(seed), 71, 3, 120)
+    q = b.modulus.q
+    assert (-a0 % q) % 71 == -a0 % 71
+    assert _same_least_witness(b.elements, q, 71, -a0 % 71, -a0 % q, True) is not None
+
+
+@pytest.mark.parametrize("p", (1000, 250000, 500000))
+def test_least_witness_matches_snapshots_many_or_few_targets(p):
+    # q = 10^6 with 1,000 targets (read down the tree) or 2 to 4 (walked)
+    rng = random.Random(p)
+    values = [rng.randrange(10**6) for _ in range(40)]
+    for residue in (0, 1, rng.randrange(p)):
+        assert _same_least_witness(values, 10**6, p, residue, residue, p == 1000) is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_least_witness_matches_snapshots_past_the_bitset_budget(data):
+    # [q // 2] + [1] * k reaches j and q/2 + j at step j: two states q/2 bits
+    # apart, so the step bitsets pass their budget within 300 steps and the
+    # later steps go to the int32 table. Each target class keeps a state in
+    # (300, q/2), reached only after that.
+    q = data.draw(st.integers(1500, 2500))
+    values = [q // 2] + [1] * q + data.draw(st.lists(st.integers(0, q - 1), max_size=3))
+    p = data.draw(st.sampled_from([d for d in range(1, q // 4 + 1) if q % d == 0] + [q]))
+    residue = data.draw(st.integers(q // 2 - 200, q // 2 - 1) if p == q else st.integers(0, p - 1))
+    excluded = data.draw(st.sampled_from((-1, residue) if p < q else (-1,)))
+    with mock.patch.object(zq, "iter_set_bits", wraps=iter_set_bits) as decode:
+        _same_least_witness(values, q, p, residue, excluded,
+                            q // p - (excluded >= 0) > zq._WALK_MAX)
+    assert decode.called  # only the table decodes a step
 
 
 # ---------------------------------------------------------------------------
