@@ -25,10 +25,12 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
   the pair table: P[a] lists the members y with y + a a member and
   y >= a + gap, so the step-a child of base a0 is P[a] from a0 + a + gap
   on, found and counted by one bisection. The table is built only when the
-  search runs from every member as a base. Its entries are counted first,
-  one bisection per member, and past _MAX_PAIRS the search keeps bitsets
-  instead. A subset-sum search has the one base 0, so it builds each child
-  when it needs it, as it does deeper down.
+  search runs from every member as a base, and only for the steps
+  a <= limit // d that the step cap lets a base child take once the floor
+  below has dimension d. Its entries are counted first, one bisection per
+  member, and past _MAX_PAIRS the search keeps bitsets instead. A
+  subset-sum search has the one base 0, so it builds each child when it
+  needs it, as it does deeper down.
 
 Both ways list the same steps in the same order and charge the same nodes,
 so they return equal results; on both, a child that the popcount bound
@@ -44,6 +46,17 @@ the candidate a, so only candidates with smax + need * a <= N are tried
 (the step cap; smax is the current largest sum). The popcount bound counts
 every admissible step, not only those under the cap: a capped step can
 still be a later partial sum.
+
+Every exact search but a distinct one starts from a floor: the longest
+homogeneous progression s, 2s, ..., Ls among the members (the least s on
+ties), which is the cube H(s; s x (L - 1)), or H(0; s x L) in subset-sum
+mode. The search starts with that cube as its best and with the best depth
+one below its dimension, so it cuts only states that cannot reach the
+floor. It still keeps the first witness it finds at each new depth, so a
+complete search returns the same lexicographically least witness as from
+nothing, in fewer nodes; one that runs out of budget returns the floor
+unless it found a cube at least as large. A distinct search gets no floor,
+since the progression repeats its step.
 
 The greedy search draws each next step uniformly among the set bits of
 `fits >> low` by index (rng.randrange of their count, then the i-th set bit
@@ -202,15 +215,18 @@ class CubeSearchResult:
     """best_dimension is -1 with witness None when the set has no member in
     [1, limit] (no admissible base point). `exact` is False when the node
     budget ran out, in which case the result is a certified lower bound and
-    mode degrades to `greedy`. `nodes_expanded` counts members scanned as
-    candidate sums: each state the search enters is charged one node for
-    every member from smax + low upward (the current largest sum plus the
-    least admissible step). The exact search charges only the states that
-    pass its popcount bound; a state the bound cuts costs nothing. Its two
-    routes (bitsets, or pair lists when span > _PAIR_DENSITY * |A| and the
-    pair table holds at most _MAX_PAIRS entries; module docstring) enter the
-    same states and charge them alike, so every field is the same on both,
-    also when the budget runs out."""
+    mode degrades to `greedy`. The witness is then the search's floor
+    (module docstring) unless the search reached a cube at least as large,
+    so `greedy` also marks a result the floor won. `nodes_expanded` counts
+    members scanned as candidate sums: each state the search enters is
+    charged one node for every member from smax + low upward (the current
+    largest sum plus the least admissible step). The exact search charges
+    only the states that pass its popcount bound; a state the bound cuts
+    costs nothing. Its two routes (bitsets, or pair lists when
+    span > _PAIR_DENSITY * |A| and the pair table holds at most _MAX_PAIRS
+    entries; module docstring) start from the same floor, enter the same
+    states and charge them alike, so every field is the same on both, also
+    when the budget runs out."""
     limit: int
     mode: str
     best_dimension: int
@@ -236,17 +252,18 @@ def _bits(members: list[int]) -> int:
     return bitset(members, members[-1] if members else 0)
 
 
-def _pair_table(members: list[int], gap: int, one_base: bool) -> dict[int, list[int]] | None:
+def _pair_table(members: list[int], gap: int, top: int) -> dict[int, list[int]] | None:
     """The exact search's route (module docstring): None for bitsets, else
-    the pair table, left empty for a search from one base. P[a] lists,
-    ascending, the members y with y + a a member and y >= a + gap. A member
-    z pairs with the members y < z from (z + gap + 1) // 2 on, so the
-    entries are counted with one bisection per member before any is built."""
+    the pair table. P[a] lists, ascending, the members y with y + a a member
+    and y >= a + gap, for the steps a <= top that a base child can take; a
+    search from one base passes top = 0 and keeps the table empty. A member
+    z pairs with the members y < z from max((z + gap + 1) // 2, z - top) on,
+    so the entries are counted with one bisection per member before any is
+    built."""
     if not members or members[-1] - members[0] <= _PAIR_DENSITY * len(members):
         return None
-    if one_base:
-        return {}
-    firsts = [bisect_left(members, (z + gap + 1) // 2, 0, j) for j, z in enumerate(members)]
+    firsts = [bisect_left(members, max((z + gap + 1) // 2, z - top), 0, j)
+              for j, z in enumerate(members)]
     if sum(j - f for j, f in enumerate(firsts)) > _MAX_PAIRS:
         return None
     table = defaultdict(list)
@@ -254,6 +271,32 @@ def _pair_table(members: list[int], gap: int, one_base: bool) -> dict[int, list[
         for y in members[firsts[j]:j]:
             table[z - y].append(y)
     return table
+
+
+def _homogeneous_ap(members: list[int], limit: int) -> tuple[int, int | None]:
+    """The longest progression s, 2s, ..., Ls among the ascending members
+    up to the limit, as (L, least s achieving it); (0, None) without
+    members. s runs over the members while s * (L + 1) <= limit; a step is
+    tested for L + 1 terms from the top down, where a miss is likeliest,
+    and only one that passes is extended. Membership is a bisection of the
+    member list, so no table is built."""
+    def member(v: int) -> bool:
+        i = bisect_left(members, v)
+        return i < len(members) and members[i] == v
+
+    best_len, best_step = 0, None
+    for step in members:
+        k = best_len + 1
+        if step * k > limit:
+            break
+        while k > 1 and member(k * step):
+            k -= 1
+        if k == 1:  # step, 2 step, ..., (best_len + 1) step are all members
+            k = best_len + 1
+            while member((k + 1) * step):
+                k += 1
+            best_len, best_step = k, step
+    return best_len, best_step
 
 
 def _low(steps: list[int], distinct: bool) -> int:
@@ -295,7 +338,8 @@ def max_dimension_exact(
     States are (a0, a1 <= a2 <= ... ) with candidates generated as
     differences member - (current largest sum); every new sum must land in
     the member set. The popcount bound and the step cap (module docstring)
-    only cut states that cannot beat the best depth found so far. The first
+    only cut states that cannot beat the best depth so far, which starts
+    one below the dimension of the floor (module docstring). The first
     witness found at each new depth is kept, so the reported witness is the
     lexicographically least maximal one (by (a0, steps)) whenever the search
     completes. Budget exhaustion is reported, never silent; a negative
@@ -311,9 +355,19 @@ def max_dimension_exact(
     if members is None:
         members = _members(s, limit)
     gap = 1 if distinct else 0
-    pairs = _pair_table(members, gap, subset_sum_mode)
+    length, step = (0, None) if distinct else _homogeneous_ap(members, limit)
+    if not length:
+        best = None
+    elif subset_sum_mode:
+        best = (0, (step,) * length)
+    else:
+        best = (step, (step,) * (length - 1))
+    best_d = len(best[1]) - 1 if best else -1
+    # a base child a can beat best_d, which is >= 0 once a base is entered,
+    # only if a0 + (best_d + 1) * a <= limit
+    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
     bits = _bits(members) if pairs is None else 0
-    best, best_d, nodes, exhausted = None, -1, 0, False
+    nodes, exhausted = 0, False
 
     def bit_children(a0, fits, depth, low, cap):
         for a in set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low):
@@ -417,20 +471,9 @@ def max_dimension_greedy(
 def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:
     """Longest homogeneous progression s, 2s, ..., Ls inside the set up to
     the limit; returns (L, least step s achieving it), (0, None) if the set
-    has no member in range."""
+    has no member in range. It is the exact search's floor, found by
+    `_homogeneous_ap` over the listed members."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     check_table(limit, "the progression scan")
-    member_set = set(enumerate_members(s, limit))
-    best_len = 0
-    best_step = None
-    step = 1
-    while step <= limit and step * (best_len + 1) <= limit:
-        k = 1
-        while k * step <= limit and k * step in member_set:
-            k += 1
-        if k - 1 > best_len:
-            best_len = k - 1
-            best_step = step
-        step += 1
-    return best_len, best_step
+    return _homogeneous_ap(enumerate_members(s, limit), limit)

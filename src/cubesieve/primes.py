@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from typing import Callable, Iterable, Iterator
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MAX_TABLE = 10**8  # largest limit of a table of one byte per integer
 
 
@@ -68,7 +68,10 @@ def primes_up_to(y: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin over the prime bases 2..41; exact for every
+    n below psi_13 = 3317044064679887385961981 (about 3.317e24), the least
+    strong pseudoprime to all of them. The bases 2..37 alone pass
+    psi_12 = 318665857834031151167461."""
     if n < 2:
         return False
     for p in _MR_BASES:

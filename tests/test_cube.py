@@ -238,6 +238,14 @@ def test_exact_completes_dense_sets(text, dimension, witness, max_nodes):
     assert res.nodes_expanded <= max_nodes
 
 
+def test_exact_squareful_1e5_starts_from_its_floor():
+    # the progression 900, 1800, ..., 5400 gives d = 5 before the search
+    # starts, so it only has to rule out d = 6; unseeded it spends 7,194,507
+    res = max_dimension_exact(Squareful(), 10**5)
+    assert (res.best_dimension, res.witness, res.exact) == (5, HilbertCube(900, (900,) * 5), True)
+    assert res.nodes_expanded <= 6_514_288
+
+
 def test_searches_refuse_huge_limit_before_enumerating(monkeypatch):
     def unreachable(s, n):
         raise AssertionError("enumerated past the size guard")
@@ -302,7 +310,7 @@ def test_max_homogeneous_ap_examples():
 
 
 def test_max_homogeneous_ap_refuses_huge_limit(monkeypatch):
-    # the step loop runs up to the limit; refused before any member is enumerated
+    # refused before any member is enumerated
     def unreachable(s, n):
         raise AssertionError("enumerated past the size guard")
 

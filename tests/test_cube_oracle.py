@@ -15,7 +15,12 @@ dimension must be at least the reference's.
 The exact search has two routes, bitsets and pair lists. Each is forced in
 turn, and the two must return equal results field by field, including the
 node count and where a budget runs out; the pair-list route is also held to
-the list-based reference above."""
+the list-based reference above.
+
+The exact search starts from a floor, the longest homogeneous progression.
+The scan that finds it is held to the step loop over every integer that it
+replaced, and a complete search must return the same witness with the floor
+as without it, in no more nodes."""
 
 import dataclasses
 import itertools
@@ -36,7 +41,7 @@ from cubesieve.arithsets import (
     parse_set_descriptor,
 )
 from cubesieve.cube import CubeSearchResult, HilbertCube
-from cubesieve.primes import bitset
+from cubesieve.primes import bitset, check_table
 
 # ---------------------------------------------------------------------------
 # reference implementation (list-based candidate loop)
@@ -318,10 +323,10 @@ def test_exact_routes_stop_at_the_same_state(text, n, subset_sum, budget):
     assert res.witness is not None and res.best_dimension >= 2
 
 
-def _pairs_by_definition(members: list[int], gap: int) -> dict[int, list[int]]:
+def _pairs_by_definition(members: list[int], gap: int, top: int) -> dict[int, list[int]]:
     present = set(members)
     table: dict[int, list[int]] = {}
-    for a in range(1, members[-1] + 1):
+    for a in range(1, min(top, members[-1]) + 1):
         entries = [y for y in members if y >= a + gap and y + a in present]
         if entries:
             table[a] = entries
@@ -329,26 +334,46 @@ def _pairs_by_definition(members: list[int], gap: int) -> dict[int, list[int]]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(sparse_sets(), st.booleans())
-def test_pair_table_matches_its_definition(case, distinct):
+@given(sparse_sets(), st.booleans(), st.integers(1, 8))
+def test_pair_table_matches_its_definition(case, distinct, d):
+    # the table a search seeded with a floor of dimension d builds: the
+    # steps a <= limit // d that a base child can take
     s, limit = case
     members = enumerate_members(s, limit)
     gap = 1 if distinct else 0
     with mock.patch.object(cube, "_PAIR_DENSITY", _LISTS):
-        table = cube._pair_table(members, gap, False)
-        one_base = cube._pair_table(members, gap, True)
+        table = cube._pair_table(members, gap, limit // d)
+        one_base = cube._pair_table(members, gap, 0)
     if not members:  # nothing to search: the bitset route's empty sentinel
         assert table is one_base is None
         return
     assert one_base == {}  # a search from one base keeps no table
-    assert dict(table) == _pairs_by_definition(members, gap)
+    assert dict(table) == _pairs_by_definition(members, gap, limit // d)
+
+
+@pytest.mark.parametrize("subset_sum, distinct, top", [
+    (False, False, 10**4 // 5),  # the floor H(900;900x5) has dimension 5
+    (False, True, 10**4),  # a distinct search has no floor
+    (True, False, 0),  # one base: no table
+])
+def test_search_trims_its_pair_table_to_the_floor(subset_sum, distinct, top, monkeypatch):
+    tops = []
+    build = cube._pair_table
+    monkeypatch.setattr(cube, "_pair_table",
+                        lambda members, gap, top: tops.append(top) or build(members, gap, top))
+    cube.max_dimension_exact(parse_set_descriptor("squareful"), 10**4,
+                             subset_sum_mode=subset_sum, distinct=distinct)
+    assert tops == [top]
 
 
 @pytest.mark.parametrize("distinct", [False, True])
 def test_pair_cap_falls_back_to_bitsets(distinct, monkeypatch):
     s = parse_set_descriptor("squareful")
     members = enumerate_members(s, 1000)  # span 18.5 |A|: pair lists
-    count = sum(map(len, _pairs_by_definition(members, 1 if distinct else 0).values()))
+    # the floor H(36;36x3) lets base steps up to 1000 // 3 through; a
+    # distinct search has no floor
+    top = 1000 if distinct else 1000 // 3
+    count = sum(map(len, _pairs_by_definition(members, 1 if distinct else 0, top).values()))
     built = []
     monkeypatch.setattr(cube, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
     monkeypatch.setattr(cube, "_MAX_PAIRS", count)
@@ -357,6 +382,92 @@ def test_pair_cap_falls_back_to_bitsets(distinct, monkeypatch):
     monkeypatch.setattr(cube, "_MAX_PAIRS", count - 1)
     assert cube.max_dimension_exact(s, 1000, distinct=distinct) == at_cap
     assert built == [members[-1]]
+
+
+# ---------------------------------------------------------------------------
+# the floor: every exact search but a distinct one starts from the longest
+# homogeneous progression s, 2s, ..., Ls, the cube H(s; s x (L - 1)) or, in
+# subset-sum mode, H(0; s x L); the progression scan below is the step loop
+# over every integer up to the limit that `cube._homogeneous_ap` replaced
+
+
+def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    check_table(limit, "the progression scan")
+    member_set = set(enumerate_members(s, limit))
+    best_len = 0
+    best_step = None
+    step = 1
+    while step <= limit and step * (best_len + 1) <= limit:
+        k = 1
+        while k * step <= limit and k * step in member_set:
+            k += 1
+        if k - 1 > best_len:
+            best_len = k - 1
+            best_step = step
+        step += 1
+    return best_len, best_step
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_sets() | sparse_sets())
+def test_homogeneous_ap_matches_reference(case):
+    s, limit = case
+    assert cube.max_homogeneous_ap(s, limit) == max_homogeneous_ap(s, limit)
+
+
+@pytest.mark.parametrize("text", _ROUTE_DESCRIPTORS)
+@pytest.mark.parametrize("n", [10**3, 10**4])
+def test_homogeneous_ap_matches_reference_on_every_descriptor(text, n):
+    s = parse_set_descriptor(text)
+    assert cube.max_homogeneous_ap(s, n) == max_homogeneous_ap(s, n)
+
+
+def _seeded_and_unseeded(s: SetDescriptor, limit: int, **kw):
+    seeded = cube.max_dimension_exact(s, limit, **kw)
+    with mock.patch.object(cube, "_homogeneous_ap", lambda members, limit: (0, None)):
+        unseeded = cube.max_dimension_exact(s, limit, **kw)
+    return seeded, unseeded
+
+
+def _check_floor_keeps_the_witness(s: SetDescriptor, limit: int, **kw) -> None:
+    # a complete search finds the same least witness from its floor as from
+    # nothing, and enters no state the unseeded search does not
+    seeded, unseeded = _seeded_and_unseeded(s, limit, **kw)
+    assert seeded.exact and unseeded.exact
+    assert seeded == dataclasses.replace(unseeded, nodes_expanded=seeded.nodes_expanded)
+    assert seeded.nodes_expanded <= unseeded.nodes_expanded
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_sets() | sparse_sets(), st.booleans(), st.booleans())
+def test_floor_keeps_the_witness(case, subset_sum, distinct):
+    s, limit = case
+    _check_floor_keeps_the_witness(s, limit, subset_sum_mode=subset_sum, distinct=distinct)
+
+
+@pytest.mark.parametrize("text, n, subset_sum", [
+    # a floor taken as the best depth itself would return its own H(36;36x3)
+    ("squareful", 1000, False),
+    ("squareful", 10**4, False),
+    ("rfull:3,all", 1000, False),
+    ("rfull:2,inert:1,1,1", 1000, False),
+    ("purepowers", 10**4, True),
+])
+def test_floor_keeps_the_witness_on_descriptors(text, n, subset_sum):
+    _check_floor_keeps_the_witness(parse_set_descriptor(text), n, subset_sum_mode=subset_sum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_sets() | sparse_sets(), st.booleans(), st.integers(0, 3000))
+def test_truncated_search_keeps_its_floor(case, subset_sum, budget):
+    # a search that runs out of budget returns the better of its floor and
+    # what it found (its witness is checked by _check_exact above)
+    s, limit = case
+    res = cube.max_dimension_exact(s, limit, subset_sum_mode=subset_sum, budget=budget)
+    length, _ = max_homogeneous_ap(s, limit)
+    assert res.best_dimension >= (length if subset_sum else length - 1)
 
 
 # ---------------------------------------------------------------------------

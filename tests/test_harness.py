@@ -146,6 +146,14 @@ def test_cli_enumerate(capsys, tmp_path):
     assert lines[0] == "n" and lines[1] == "1" and lines[-1] == "49"
 
 
+@pytest.mark.parametrize("entry", ["15", "318665857834031151167461"])
+def test_cli_enumerate_refuses_a_composite_prime_list(entry, capsys):
+    # the second is psi_12, a strong pseudoprime to every base up to 37
+    argv = ["enumerate", "--set", f"semigroup:list:{entry}", "--limit", "10"]
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "", f"error: explicit prime list contains composite {entry}\n")
+
+
 def test_cli_olson_witness(capsys):
     code, out, _ = run_cli(
         ["olson", "--p", "7", "--elements", "1,2,3", "--target", "6"], capsys
@@ -783,6 +791,55 @@ def test_cli_dense_csv_matches_golden(name, argvs, capsys):
         assert code == EXIT_OK and err == ""
         outs.append(out)
     assert "".join(outs) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+# the scan goldens' rows before every exact search started from its floor
+# (the longest homogeneous progression), with the set each scan searched
+_BEFORE_FLOOR = {
+    "experiment_f2": ("squareful", """\
+10,1,exact,H(1;3),5,1,2.302585,0.434294,0.659010
+32,2,exact,H(1;7+8),29,1,3.465736,0.577078,1.074317
+100,2,exact,H(1;7+8),117,1,4.605170,0.434294,0.931981
+1000,3,exact,H(8;28+28+64),5372,1,6.907755,0.434294,1.141439
+"""),
+    "experiment_f1_inert": ("rfull:2,inert:1,1,1", """\
+100,8,greedy,H(1;6+6+6+6+6+6+6+6),10001,0,4.605170,1.737178,3.727925
+1000,6,greedy,H(1;1+1+1+215+360+360),10001,0,6.907755,0.868589,2.282878
+"""),
+    "experiment_f1_inert_dense": ("rfull:2,inert:1,1,1", """\
+1000,13,greedy,H(1;1+60+60+60+60+60+60+60+60+60+60+60+60),300001,0,6.907755,1.881943,4.946237
+10000,6,greedy,H(1;1+1+1+215+360+360),300001,0,9.210340,0.651442,1.977031
+"""),
+    "experiment_f4_class": ("semigroup:class:1,4", """\
+100,5,exact,H(5;12+12+12+12+12),227,1,4.605170,1.085736,2.329953
+1000,6,greedy,H(1;4+84+84+228+228+228),10001,0,6.907755,0.868589,2.282878
+"""),
+    "experiment_f4_class_dense": ("semigroup:class:1,4", """\
+1000,10,greedy,H(29;44+84+84+84+84+84+84+84+84+84),300001,0,6.907755,1.447648,3.804797
+10000,7,greedy,H(1;4+84+84+228+228+228+924),300001,0,9.210340,0.760015,2.306536
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEFORE_FLOOR))
+def test_scan_goldens_only_gain_from_the_floor(name):
+    # no row's dimension drops, every witness verifies, and an exact row
+    # keeps every column but nodes
+    text, before = _BEFORE_FLOOR[name]
+    s = arithsets.parse_set_descriptor(text)
+    lines = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[4] == "nodes"
+    rows = [line.split(",") for line in lines[1:]]
+    old_rows = [line.split(",") for line in before.splitlines()]
+    assert [row[0] for row in rows] == [row[0] for row in old_rows]
+    for row, old in zip(rows, old_rows):
+        assert int(row[1]) >= int(old[1])
+        a0, steps = row[3][2:-1].split(";")
+        witness = HilbertCube(int(a0), tuple(int(a) for a in steps.split("+") if a))
+        assert witness.dimension == int(row[1])
+        assert verify(witness, s, int(row[0])) == (True, None)
+        if old[5] == "1":
+            assert row[:4] + row[5:] == old[:4] + old[5:]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -62,6 +62,11 @@ def test_is_prime():
         assert is_prime(n) == (n in ps)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every
+    # base up to 37, and the prime 2^61 - 1
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**61 - 1)
 
 
 def test_legendre_examples():
