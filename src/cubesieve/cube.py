@@ -33,8 +33,27 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
   needs it, as it does deeper down.
 
 Both ways list the same steps in the same order and charge the same nodes,
-so they return equal results; on both, a child that the popcount bound
-below would cut is skipped without being entered.
+so they return equal results. Three things keep the states that lead
+nowhere cheap:
+
+- (a) A listing yields only the viable children, those the popcount bound
+  below lets through. Each candidate is still tested at its position i
+  among all candidates, so the early cut (too few untried candidates) falls
+  where a full listing puts it. A pair listing below the base stops once
+  the slice of sums the step-a child could keep is shorter than the
+  popcount that child needs, since the slice only shrinks as a grows.
+- (b) On the pair-list route, a viable child at a depth the best already
+  reaches is settled without being entered when it has no viable child of
+  its own: its listing runs, with its own cap and cuts, up to the first
+  viable grandchild, and if there is none the child is charged the nodes
+  that entering it costs, the budget is checked as on entry, and the
+  listing moves on. A depth-1 state from base a0 with step a1 holds the
+  v >= a0 + a1 + gap with v and v + a1 both members, so its listing tests
+  v + a and v + a + a1 against one member set instead of building a set
+  of the state, as deeper listings do.
+- (c) The search runs from an explicit stack of frames, one per state on
+  the current path, each holding the state's largest sum and the listing
+  of its children, so a deep cube does not meet Python's recursion limit.
 
 The exact search cuts with two admissible bounds. k more steps, each at
 least `low`, give k distinct partial sums, each a kept offset from `low` on;
@@ -221,8 +240,9 @@ class CubeSearchResult:
     members scanned as candidate sums: each state the search enters is
     charged one node for every member from smax + low upward (the current
     largest sum plus the least admissible step). The exact search charges
-    only the states that pass its popcount bound; a state the bound cuts
-    costs nothing. Its two routes (bitsets, or pair lists when
+    only the states that pass its popcount bound, a state it settles
+    without entering as if it had entered it; a state the bound cuts costs
+    nothing. Its two routes (bitsets, or pair lists when
     span > _PAIR_DENSITY * |A| and the pair table holds at most _MAX_PAIRS
     entries; module docstring) start from the same floor, enter the same
     states and charge them alike, so every field is the same on both, also
@@ -345,9 +365,11 @@ def max_dimension_exact(
     completes. Budget exhaustion is reported, never silent; a negative
     budget is refused.
 
-    `children` lists a state's candidate steps up to the step cap, each with
-    its child state and that child's popcount. On the pair-list route a
-    state is (values, k), standing for the sums values[k:].
+    `children` lists a state's viable children (module docstring) up to
+    the step cap, each as its step, its state and its popcount; on the
+    pair-list route it settles the dead ones itself. A pair-list state is
+    (values, k), standing for the sums values[k:]. `frames` is the stack of
+    the states entered on the current path, `steps` their steps.
 
     `members` is `_members(s, limit)` when the caller has listed it already;
     the search only reads it."""
@@ -367,62 +389,92 @@ def max_dimension_exact(
     # only if a0 + (best_d + 1) * a <= limit
     pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
     bits = _bits(members) if pairs is None else 0
-    nodes, exhausted = 0, False
+    member_set = set(members) if pairs is not None else None
+    nodes = 0
 
-    def bit_children(a0, fits, depth, low, cap):
-        for a in set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low):
-            sub = fits & (fits >> a)
-            yield a, sub, (sub >> (a + gap)).bit_count()
-
-    def list_children(a0, state, depth, low, cap):
-        values, k = state
-        stop = bisect_right(values, a0 + cap, k)
-        if depth == 0 and pairs:  # a base's children; with no table, as deeper down
-            for y in values[k:stop]:
-                sub = pairs.get(y - a0, ())
-                j = bisect_left(sub, y + gap)
-                yield y - a0, (sub, j), len(sub) - j
-        else:
-            rest = values[k:]
-            have = set(rest)
-            for i, y in enumerate(values[k:stop]):
-                a = y - a0
-                sub = [v for v in rest[i + gap:bisect_right(rest, rest[-1] - a, i)]
-                       if v + a in have]
-                yield a, (sub, 0), len(sub)
-
-    children = bit_children if pairs is None else list_children
-
-    def extend(a0: int, smax: int, state, avail: int, steps: list[int]):
-        nonlocal best, best_d, nodes, exhausted
-        depth = len(steps)
-        if depth > best_d:
-            best, best_d = (a0, tuple(steps)), depth
-        if depth + avail <= best_d:
-            return
-        low = _low(steps, distinct)
-        nodes += len(members) - bisect_left(members, smax + low)
-        if nodes > budget:
-            nodes, exhausted = budget + 1, True
-            return
+    def bit_children(a0, smax, fits, depth, avail, low):
         cap = (limit - smax) // (best_d + 1 - depth)
-        for i, (a, sub, sub_avail) in enumerate(children(a0, state, depth, low, cap)):
+        for i, a in enumerate(set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low)):
             if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return
+            sub = fits & (fits >> a)
+            sub_avail = (sub >> (a + gap)).bit_count()
             if depth + 1 + sub_avail > best_d:  # else the popcount bound cuts it
-                steps.append(a)
-                extend(a0, smax + a, sub, sub_avail, steps)
-                steps.pop()
-                if exhausted:
-                    return
+                yield a, sub, sub_avail
 
+    def list_children(a0, smax, state, depth, avail, low, settle=True):
+        nonlocal nodes
+        values, k = state
+        stop = bisect_right(values, a0 + (limit - smax) // (best_d + 1 - depth), k)
+        a1, have = smax - a0, None
+        for i in range(k, stop):
+            a = values[i] - a0
+            if depth + avail - (i - k) <= best_d or smax + (best_d + 1 - depth) * a > limit:
+                return
+            need = best_d - depth  # the child's popcount must reach this
+            if depth == 0 and pairs:  # a base's children; with no table, as deeper down
+                sub = pairs.get(a, ())
+                j = bisect_left(sub, values[i] + gap)
+            else:
+                hi = bisect_right(values, values[-1] - a, i)
+                if need and hi - i - gap < need:  # hi - i only shrinks as a grows
+                    return
+                if depth == 1:  # v + a is kept iff v + a and v + a + a1 are members
+                    sub = [v for v in values[i + gap:hi]
+                           if v + a in member_set and v + a + a1 in member_set]
+                else:
+                    if have is None:
+                        have = set(values[k:])
+                    sub = [v for v in values[i + gap:hi] if v + a in have]
+                j = 0
+            if len(sub) - j < need:
+                continue
+            if settle and need and next(list_children(
+                    a0, smax + a, (sub, j), depth + 1, len(sub) - j, a + gap, False), None) is None:
+                # (b) no viable grandchild: charge the child as entering it
+                # would, at its smax + low = (smax + a) + (a + gap)
+                nodes += len(members) - bisect_left(members, smax + 2 * a + gap)
+                if nodes > budget:
+                    return
+                continue
+            yield a, (sub, j), len(sub) - j
+
+    children = bit_children if pairs is None else list_children
+    steps: list[int] = []
     for a0 in [0] if subset_sum_mode else members:
-        if exhausted:
-            break
         k = bisect_right(members, a0)
-        extend(a0, a0, bits >> a0 if pairs is None else (members, k), len(members) - k, [])
-    del extend  # it refers to itself: drop that cycle so the table is freed now
-    return _result(limit, best, nodes, not exhausted, distinct)
+        smax, state, avail = a0, bits >> a0 if pairs is None else (members, k), len(members) - k
+        frames = []  # (smax, children) of each state entered on the path
+        while True:
+            depth = len(steps)
+            if depth > best_d:
+                best, best_d = (a0, tuple(steps)), depth
+            if depth + avail > best_d:
+                low = _low(steps, distinct)
+                nodes += len(members) - bisect_left(members, smax + low)
+                if nodes > budget:
+                    break
+                frames.append((smax, children(a0, smax, state, depth, avail, low)))
+            elif steps:
+                steps.pop()
+            child = None
+            while frames:
+                smax, listing = frames[-1]
+                child = next(listing, None)
+                if child is not None or nodes > budget:  # (b) may end a listing there
+                    break
+                frames.pop()
+                if frames:
+                    steps.pop()
+            if child is None:
+                break
+            a, state, avail = child
+            smax += a
+            steps.append(a)
+        if nodes > budget:
+            break
+    del list_children  # it refers to itself: drop that cycle so the table is freed now
+    return _result(limit, best, min(nodes, budget + 1), nodes <= budget, distinct)
 
 
 def max_dimension_greedy(
@@ -472,8 +524,8 @@ def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:
     """Longest homogeneous progression s, 2s, ..., Ls inside the set up to
     the limit; returns (L, least step s achieving it), (0, None) if the set
     has no member in range. It is the exact search's floor, found by
-    `_homogeneous_ap` over the listed members."""
+    `_homogeneous_ap` over the listed members. It builds no table of its
+    own, so the only size guard is the set's enumeration guard."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    check_table(limit, "the progression scan")
     return _homogeneous_ap(enumerate_members(s, limit), limit)

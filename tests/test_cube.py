@@ -1,11 +1,12 @@
 import gc
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
 
-from cubesieve import cube
+from cubesieve import arithsets, cube, primes
 from cubesieve.arithsets import (
     PurePowers,
     QuadForm,
@@ -302,6 +303,15 @@ def test_exact_witness_lexicographically_least():
     assert res.witness.sums() == [1, 8, 9, 16]
 
 
+def test_exact_search_goes_deeper_than_the_recursion_limit():
+    # the search runs from an explicit stack, so depth is not bounded by
+    # Python's recursion limit
+    res = max_dimension_exact(parse_set_descriptor("semigroup:all"), 5000)
+    assert (res.exact, res.best_dimension) == (True, 4999)
+    assert res.witness == HilbertCube(1, (1,) * 4999)
+    assert res.nodes_expanded == 4999 * 5000 // 2
+
+
 def test_max_homogeneous_ap_examples():
     assert max_homogeneous_ap(Squareful(), 8) == (2, 4)
     length, step = max_homogeneous_ap(PurePowers(), 30)
@@ -310,15 +320,32 @@ def test_max_homogeneous_ap_examples():
 
 
 def test_max_homogeneous_ap_refuses_huge_limit(monkeypatch):
-    # refused before any member is enumerated
-    def unreachable(s, n):
-        raise AssertionError("enumerated past the size guard")
+    # the scan builds no table of its own, so each set's enumeration guard
+    # refuses what that set cannot list, before any table or loop
+    sets = [
+        ("rfull:2,all", 10**8 + 1, "the r-full sieve table (max 10**8)"),
+        ("quadform:1,0,1", 10**8 + 1, "the form's value table (max 10**8)"),
+        ("semigroup:all", 10**8 + 1, "the prime sieve table (max 10**8)"),
+        ("squareful", 10**12 + 1, "the squareful enumeration (max 10**12)"),
+        ("purepowers", 10**13, "the pure-power enumeration (max 10**12)"),
+    ]
+    descriptors = [parse_set_descriptor(text) for text, _, _ in sets]
 
-    monkeypatch.setattr(cube, "enumerate_members", unreachable)
-    for limit in (10**8 + 1, 10**11):
-        with pytest.raises(ValueError, match=rf"limit N = {limit} is too large for "
-                                             r"the progression scan \(max 10\*\*8\)"):
-            max_homogeneous_ap(Squareful(), limit)
+    def unreachable(*args):
+        raise AssertionError("ran past the size guard")
+
+    monkeypatch.setattr(arithsets, "bytearray", unreachable, raising=False)
+    monkeypatch.setattr(arithsets, "range", unreachable, raising=False)
+    monkeypatch.setattr(primes, "bytearray", unreachable, raising=False)
+    for s, (_, limit, table) in zip(descriptors, sets):
+        with pytest.raises(ValueError, match=re.escape(f"limit N = {limit} is too large for {table}")):
+            max_homogeneous_ap(s, limit)
+
+
+def test_max_homogeneous_ap_past_the_table_cap():
+    # sparse sets answer past 10**8, where no table is built
+    assert max_homogeneous_ap(Squareful(), 10**9) == (12, 5336100)
+    assert max_homogeneous_ap(parse_set_descriptor("semigroup:list:2,3"), 10**21) == (4, 1)
 
 
 def test_max_homogeneous_ap_brute():

@@ -12,6 +12,11 @@ dimension and witness and no more nodes. Where the reference runs out of
 budget, the new core's witness must verify, and if it completed, its
 dimension must be at least the reference's.
 
+The exact search runs from an explicit stack and settles dead children
+without entering them; the recursive search it replaced is kept below too,
+and the two must return equal results field by field, node count included,
+on every check here that runs an exact search against a reference.
+
 The exact search has two routes, bitsets and pair lists. Each is forced in
 turn, and the two must return equal results field by field, including the
 node count and where a budget runs out; the pair-list route is also held to
@@ -25,7 +30,7 @@ as without it, in no more nodes."""
 import dataclasses
 import itertools
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from unittest import mock
 
@@ -40,8 +45,19 @@ from cubesieve.arithsets import (
     is_member,
     parse_set_descriptor,
 )
-from cubesieve.cube import CubeSearchResult, HilbertCube
-from cubesieve.primes import bitset, check_table
+from cubesieve.cube import (
+    DEFAULT_BUDGET,
+    CubeSearchResult,
+    HilbertCube,
+    _bits,
+    _check_budget,
+    _homogeneous_ap,
+    _low,
+    _members,
+    _pair_table,
+    _result,
+)
+from cubesieve.primes import bitset, check_table, set_bits
 
 # ---------------------------------------------------------------------------
 # reference implementation (list-based candidate loop)
@@ -158,8 +174,98 @@ def max_dimension_greedy(
     )
 
 
+# ---------------------------------------------------------------------------
+# reference implementation (the recursive exact search the iterative one
+# replaced; the current core must return an equal CubeSearchResult, nodes and
+# all, also where the budget runs out)
+
+
+def recursive_exact(
+    s: SetDescriptor,
+    limit: int,
+    subset_sum_mode: bool = False,
+    distinct: bool = False,
+    budget: int = DEFAULT_BUDGET,
+    members: list[int] | None = None,
+) -> CubeSearchResult:
+    _check_budget(budget)
+    if members is None:
+        members = _members(s, limit)
+    gap = 1 if distinct else 0
+    length, step = (0, None) if distinct else _homogeneous_ap(members, limit)
+    if not length:
+        best = None
+    elif subset_sum_mode:
+        best = (0, (step,) * length)
+    else:
+        best = (step, (step,) * (length - 1))
+    best_d = len(best[1]) - 1 if best else -1
+    # a base child a can beat best_d, which is >= 0 once a base is entered,
+    # only if a0 + (best_d + 1) * a <= limit
+    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
+    bits = _bits(members) if pairs is None else 0
+    nodes, exhausted = 0, False
+
+    def bit_children(a0, fits, depth, low, cap):
+        for a in set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low):
+            sub = fits & (fits >> a)
+            yield a, sub, (sub >> (a + gap)).bit_count()
+
+    def list_children(a0, state, depth, low, cap):
+        values, k = state
+        stop = bisect_right(values, a0 + cap, k)
+        if depth == 0 and pairs:  # a base's children; with no table, as deeper down
+            for y in values[k:stop]:
+                sub = pairs.get(y - a0, ())
+                j = bisect_left(sub, y + gap)
+                yield y - a0, (sub, j), len(sub) - j
+        else:
+            rest = values[k:]
+            have = set(rest)
+            for i, y in enumerate(values[k:stop]):
+                a = y - a0
+                sub = [v for v in rest[i + gap:bisect_right(rest, rest[-1] - a, i)]
+                       if v + a in have]
+                yield a, (sub, 0), len(sub)
+
+    children = bit_children if pairs is None else list_children
+
+    def extend(a0: int, smax: int, state, avail: int, steps: list[int]):
+        nonlocal best, best_d, nodes, exhausted
+        depth = len(steps)
+        if depth > best_d:
+            best, best_d = (a0, tuple(steps)), depth
+        if depth + avail <= best_d:
+            return
+        low = _low(steps, distinct)
+        nodes += len(members) - bisect_left(members, smax + low)
+        if nodes > budget:
+            nodes, exhausted = budget + 1, True
+            return
+        cap = (limit - smax) // (best_d + 1 - depth)
+        for i, (a, sub, sub_avail) in enumerate(children(a0, state, depth, low, cap)):
+            if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
+                return
+            if depth + 1 + sub_avail > best_d:  # else the popcount bound cuts it
+                steps.append(a)
+                extend(a0, smax + a, sub, sub_avail, steps)
+                steps.pop()
+                if exhausted:
+                    return
+
+    for a0 in [0] if subset_sum_mode else members:
+        if exhausted:
+            break
+        k = bisect_right(members, a0)
+        extend(a0, a0, bits >> a0 if pairs is None else (members, k), len(members) - k, [])
+    del extend  # it refers to itself: drop that cycle so the table is freed now
+    return _result(limit, best, nodes, not exhausted, distinct)
+
+
+
 def _check_exact(s: SetDescriptor, limit: int, **kw) -> None:
     new, ref = cube.max_dimension_exact(s, limit, **kw), max_dimension_exact(s, limit, **kw)
+    assert new == recursive_exact(s, limit, **kw)
     if ref.exact:
         # everything but the node count matches, and the nodes are a subset
         assert new == dataclasses.replace(ref, nodes_expanded=new.nodes_expanded)
@@ -266,6 +372,7 @@ def _both_routes(s: SetDescriptor, limit: int, **kw) -> CubeSearchResult:
     for density in (cube._PAIR_DENSITY, _LISTS, _BITS):
         with mock.patch.object(cube, "_PAIR_DENSITY", density):
             results.append(cube.max_dimension_exact(s, limit, **kw))
+            assert results[-1] == recursive_exact(s, limit, **kw)
     assert results[1] == results[2] == results[0]
     return results[0]
 
@@ -308,6 +415,24 @@ def test_exact_routes_agree_on_every_descriptor(text, subset_sum, distinct):
         res = _both_routes(s, n, budget=budget, **kw)
         if not res.exact:
             assert (res.mode, res.nodes_expanded) == ("greedy", budget + 1)
+
+
+@pytest.mark.parametrize("text, n, kw, exact", [
+    ("squareful", 10**4, {}, True),
+    ("squareful", 10**4, dict(subset_sum_mode=True), True),
+    ("squareful", 10**4, dict(distinct=True, budget=10**6), True),
+    ("squareful", 10**5, {}, True),
+    ("squareful", 10**5, dict(subset_sum_mode=True), True),
+    ("squareful", 10**5, dict(distinct=True, budget=10**6), False),
+    ("purepowers", 10**6, dict(subset_sum_mode=True), True),
+])
+def test_exact_matches_recursive_reference_on_large_sets(text, n, kw, exact):
+    # the pair-list route, where most base children are settled without
+    # being entered; equal down to the node count and where the budget ends
+    s = parse_set_descriptor(text)
+    res = cube.max_dimension_exact(s, n, **kw)
+    assert res.exact is exact
+    assert res == recursive_exact(s, n, **kw)
 
 
 @pytest.mark.parametrize("text, n, subset_sum, budget", [

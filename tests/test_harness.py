@@ -241,6 +241,14 @@ def test_cli_cube_search_and_budget_exit(capsys):
     assert ",greedy," in out and out.splitlines()[1].endswith(",0")
 
 
+def test_cli_cube_search_deep_cube(capsys):
+    # every integer is a member: the search goes 999 steps deep, past
+    # Python's recursion limit, and prints H(1; 1 x 999)
+    code, out, err = run_cli(["cube-search", "--set", "semigroup:all", "--limit", "1000"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines()[1] == f"1000,exact,999,H(1;{'+'.join(['1'] * 999)}),499500,1"
+
+
 def test_cli_ap_max(capsys):
     code, out, _ = run_cli(["ap-max", "--set", "squareful", "--limit", "8"], capsys)
     assert code == EXIT_OK
@@ -982,8 +990,8 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
      "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
     (["enumerate", "--set", "semigroup:class:1,4", "--limit", "100000001"],
      "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
-    (["ap-max", "--set", "squareful", "--limit", "100000001"],
-     "limit N = 100000001 is too large for the progression scan (max 10**8)"),
+    (["ap-max", "--set", "rfull:2,all", "--limit", "100000001"],
+     "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
     # 2 * 10^9 + 1 values of x, one isqrt each, would take many minutes
     (["membership", "--set", "quadform:1,0,1", "--n", str(10**18 + 7)],
      "limit N = 2000000001 is too large for the form's scan over x (max 10**8)"),
@@ -993,6 +1001,9 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
     (["enumerate", "--set", "purepowers", "--limit", str(10**20)],
      "limit N = 100000000000000000000 is too large for the pure-power enumeration "
      "(max 10**12)"),
+    # ap-max builds no table of its own: each set's enumeration guard refuses
+    (["ap-max", "--set", "squareful", "--limit", str(10**13)],
+     "limit N = 10000000000000 is too large for the squareful enumeration (max 10**12)"),
 ])
 def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     # each path builds a limit-byte table or runs a limit-step loop; the step
@@ -1000,7 +1011,6 @@ def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(arithsets, "bytearray", _unreachable, raising=False)
     monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
     monkeypatch.setattr(primes, "bytearray", _unreachable, raising=False)
-    monkeypatch.setattr(cube, "enumerate_members", _unreachable)
     with _deadline(1.0):
         assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
