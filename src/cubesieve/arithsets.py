@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import Iterator
 
 from .primes import PrimeSet, check_table, parse_prime_set, spec_ints, validate_definite_form
 
@@ -28,30 +29,38 @@ def _check_sparse(limit: int, name: str) -> None:
         raise ValueError(f"limit N = {limit} is too large for the {name} enumeration (max 10**12)")
 
 
+def _check_factorable(n: int) -> None:
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"factorize expects 1 <= n < 2**63, got {n}")
+
+
+def _trial_divisors() -> Iterator[int]:
+    """2, 3 and then the 6k +- 1 wheel 5, 7, 11, 13, ...: every prime, and
+    composites whose prime factors were divided out before them."""
+    yield 2
+    yield 3
+    f = 5
+    while True:
+        yield f
+        yield f + 2
+        f += 6
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Canonical prime factorization by trial division with a 6k+-1 wheel:
     the (prime, exponent) pairs, primes ascending."""
-    if not 1 <= n <= _MAX_N:
-        raise ValueError(f"factorize expects 1 <= n < 2**63, got {n}")
+    _check_factorable(n)
     m = n
     out = []
-    for p in (2, 3):
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
+    for p in _trial_divisors():
+        if p * p > m:
+            break
+        if m % p == 0:
             e = 0
             while m % p == 0:
                 m //= p
                 e += 1
-            if e:
-                out.append((p, e))
-        f += 6
+            out.append((p, e))
     if m > 1:
         out.append((m, 1))
     return tuple(out)
@@ -104,9 +113,24 @@ class Squareful(SetDescriptor):
     """n such that p | n implies p^2 | n (the powerful numbers)."""
 
     def contains(self, n: int) -> bool:
+        """Trial division (the wheel of `factorize`) while f^3 <= m, for the
+        cofactor m left after the divisors below f. Every prime factor of m
+        is then at least f, so once f^3 > m it has at most two, and m is
+        squareful exactly when it is 1 or a square."""
         if n < 1:
             return False
-        return all(e >= 2 for _, e in factorize(n))
+        _check_factorable(n)
+        m = n
+        for f in _trial_divisors():
+            if f * f * f > m:
+                break
+            if m % f == 0:
+                m //= f
+                if m % f:
+                    return False
+                while m % f == 0:
+                    m //= f
+        return math.isqrt(m) ** 2 == m
 
     def members_up_to(self, limit: int) -> list[int]:
         # every squareful number is a^2 * b^3 with b squarefree; this keeps

@@ -42,6 +42,10 @@ nowhere cheap:
   where a full listing puts it. A pair listing below the base stops once
   the slice of sums the step-a child could keep is shorter than the
   popcount that child needs, since the slice only shrinks as a grows.
+  A base listing drops up front, in one comprehension, each candidate
+  a0 + a past P[a][-d] - gap for the best depth d so far, which the child
+  could not pass (fewer than d entries of P[a] from a0 + a + gap on); the
+  table of these limits is rebuilt only when d rises.
 - (b) On the pair-list route, a viable child at a depth the best already
   reaches is settled without being entered when it has no viable child of
   its own: its listing runs, with its own cap and cuts, up to the first
@@ -390,6 +394,8 @@ def max_dimension_exact(
     pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
     bits = _bits(members) if pairs is None else 0
     member_set = set(members) if pairs is not None else None
+    # (best_d, a -> the largest a0 + a whose step-a base child keeps best_d sums)
+    tops: tuple[int, dict[int, int]] = (-1, {})
     nodes = 0
 
     def bit_children(a0, smax, fits, depth, avail, low):
@@ -403,11 +409,19 @@ def max_dimension_exact(
                 yield a, sub, sub_avail
 
     def list_children(a0, smax, state, depth, avail, low, settle=True):
-        nonlocal nodes
+        nonlocal nodes, tops
         values, k = state
         stop = bisect_right(values, a0 + (limit - smax) // (best_d + 1 - depth), k)
         a1, have = smax - a0, None
-        for i in range(k, stop):
+        listed = range(k, stop)
+        if depth == 0 and pairs and best_d > 0:
+            # drop up front the base children the loop would skip as too short
+            if tops[0] != best_d:
+                tops = best_d, {a: sub[-best_d] - gap for a, sub in pairs.items()
+                                if len(sub) >= best_d}
+            top = tops[1]
+            listed = [i for i in listed if values[i] <= top.get(values[i] - a0, -1)]
+        for i in listed:
             a = values[i] - a0
             if depth + avail - (i - k) <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return

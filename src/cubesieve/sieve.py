@@ -24,10 +24,13 @@ O(log(span/p)) rounds of big-int operations of at most span/64 words each.
 - The weighted count keeps the multiplicities as binary bit-planes: plane j
   holds the positions whose multiplicity has bit j set, so a set without
   repeats is that one bitset. A round adds the two halves plane by plane
-  with a ripple carry (`_sum`: x = lo ^ hi, out = x ^ carry, carry =
+  in one ripple-carry pass (`_fold`: x = lo ^ hi, out = x ^ carry, carry =
   (lo & hi) | (carry & x)), which may add one plane. The folded planes P_j
   give sumsq = sum_j 4^j |P_j| + sum_{j<k} 2^(j+k+1) |P_j & P_k|, an exact int,
-  so the bound's floats are those of a per-class count.
+  so the bound's floats are those of a per-class count (`_moments`).
+- A prime above the span leaves every value in a class of its own: the
+  counts are then the number of distinct values and the sum of the squared
+  multiplicities, read without a fold.
 
 The first rounds over the whole set cost the most: each builds a mask of
 half the set and shifts the other half. So a set at least 2^18 wide
@@ -35,16 +38,36 @@ half the set and shifts the other half. So a set at least 2^18 wide
 chunks of w = ceil((span + 1) / 16) bits, one extra copy of the planes.
 Bit x of chunk j is bit j w + x of the set, in the class of
 (j w mod p) + x, so for a prime with 4p <= w the fold starts from the
-chunks shifted left by j w mod p into w + p bits: OR'ed for the plain
-count, and for the weighted one summed by full adders column by column
-(the carries of one plane join the next). The cuts then finish from there.
-On the squareful numbers up to e^13.81 (2,021 values, span about 10^6)
-this took the plain count over the primes up to 10^4 from 138 to 81 ms and
-the weighted one from 250 to 173 ms (best of five on a 2-core host). A
-narrower set keeps the whole-set fold: split, the squares of
-`sieve-compare` (spans of 10^4 and 10^5, primes up to 400 (log N)^2)
-gained nothing measurable, as few of their primes are below w/4. So does a
-prime with 4p > w, whose chunks would be too narrow to gain.
+chunks shifted left by j w mod p into w + p bits. The cuts then finish
+from there.
+
+- The plain count ORs the shifted chunks.
+- The weighted count of a set of distinct values (one plane) splits by
+  parity: odd = the XOR and occ = the OR of the shifted chunks, folded as
+  the planes [odd, occ ^ odd]. A position that m chunks cover is stored as
+  (m mod 2) + 2 [m even, m >= 2], which is m when m <= 2 and at least 2
+  too small when m >= 3. Every fold add keeps the total sum_j 2^j |P_j|,
+  so the folded planes are exact if and only if that total is |A| on the
+  final p-bit planes, where the popcounts are read anyway.
+  When it is not, the prime is folded again, at the same cuts, from the
+  shifted chunks summed by full adders column by column (`_sum`; the
+  carries of one plane join the next), as every prime is for a set with
+  repeats.
+- About |A|^3 / (6 w^2) positions are expected to hold three values, so
+  the parity split is skipped when that exceeds 1. Dense sets such as
+  `rfull:2,inert:1,1,1` and `semigroup:class:1,4` up to e^13 fail the
+  check at every split prime, where the parity fold would be wasted.
+
+On the squareful numbers up to e^13.81 (2,021 values, span about 10^6,
+|A|^3 / (6 w^2) about 0.36) the check holds at 1,070 of the 1,229 primes
+up to 10^4. Over those primes the plain count takes 56 ms, and the
+weighted one 121 ms before the parity split and 98 ms with it (best of
+15 interleaved runs on a 2-core host; before the chunk split they took 138
+and 250 ms on an earlier host). A narrower set keeps the whole-set fold:
+split, the squares of `sieve-compare` (spans of 10^4 and 10^5, primes up
+to 400 (log N)^2) gained nothing measurable, as few of their primes are
+below w/4. So does a prime with 4p > w, whose chunks would be too narrow
+to gain.
 
 A sparser set, such as values near 10**18 from a file, would need a bitset
 too large to fold cheaply, or to allocate at all, so both counts reduce
@@ -53,10 +76,11 @@ one through `_occupancy`'s Counter. On random sets of 1,000 and 2,000 values
 and the primes up to 10**4 (best of five, building the counter included),
 the plain fold took 0.25 to 0.39 of the per-value time at span/|A| = 256,
 0.39 to 0.50 at 384 and 0.40 to 0.55 at 512 (all but 1,000 values at 256
-split). The weighted fold took 0.35 to 0.46 of the Counter's time at 256,
-0.31 to 0.66 at 384 and 0.41 to 0.65 at 512. So both folds still win at
-the one rule of 512; for the plain count alone the two routes cross near
-1000, on random sets of 200 to 2000 values measured before the split."""
+split). The weighted fold, before the parity split, took 0.35 to 0.46 of
+the Counter's time at 256, 0.31 to 0.66 at 384 and 0.41 to 0.65 at 512.
+So both folds still win at the one rule of 512; for the plain count alone
+the two routes cross near 1000, on random sets of 200 to 2000 values
+measured before the split."""
 
 from __future__ import annotations
 
@@ -65,7 +89,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
@@ -149,9 +173,12 @@ def _class_counter(vals: list[int]) -> Callable[[int], int]:
         return lambda p: len({v % p for v in vals})
     planes, span = dense
     full = reduce(or_, planes)
+    distinct = full.bit_count()
     width, split = _split([full], span)
 
     def count(p: int) -> int:
+        if p > span:
+            return distinct
         bits, top = full, span
         if 4 * p <= width:
             bits = reduce(or_, (chunk << j * width % p for j, chunk in enumerate(split[0])))
@@ -163,6 +190,33 @@ def _class_counter(vals: list[int]) -> Callable[[int], int]:
     return count
 
 
+def _fold(planes: list[int], cuts: list[int]) -> list[int]:
+    """The bit-planes of multiplicities folded at each cut in turn: one
+    ripple-carry add of the two halves per cut."""
+    for cut in cuts:
+        low = (1 << cut) - 1
+        carry = 0
+        added = []
+        for plane in planes:
+            lo, hi = plane & low, plane >> cut
+            x = lo ^ hi
+            added.append(x ^ carry)
+            carry = (lo & hi) | (carry & x)
+        if carry:
+            added.append(carry)
+        planes = added
+    return planes
+
+
+def _moments(planes: list[int]) -> tuple[int, int]:
+    """(sum_h Z(h), sum_h Z(h)^2) of the multiplicities held in `planes`."""
+    sizes = [plane.bit_count() for plane in planes]
+    square = sum(size << 2 * j for j, size in enumerate(sizes))
+    square += sum((a & b).bit_count() << (j + k + 1)
+                  for j, a in enumerate(planes) for k, b in enumerate(planes[:j]))
+    return sum(size << j for j, size in enumerate(sizes)), square
+
+
 def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
     """p -> sum_h Z(h)^2 over the classes h mod p (see the module docstring)."""
     dense = _planes(vals)
@@ -170,19 +224,28 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
         return lambda p: _occupancy(vals, p)[1]
     initial, span = dense
     width, split = _split(initial, span)
+    whole = _moments(initial)[1]
+    # distinct values whose split positions rarely hold three of them
+    parity = len(initial) == 1 and len(vals) ** 3 <= 6 * width * width
 
     def sumsq(p: int) -> int:
+        if p > span:
+            return whole
         planes, top = initial, span
         if 4 * p <= width:
-            shifts = [j * width % p for j in range(16)]
-            planes = _sum([[chunk << shift for chunk, shift in zip(chunks, shifts)]
-                           for chunks in split])
             top = width + p - 2
-        for cut in _cuts(top, p):
-            low = (1 << cut) - 1
-            planes = _sum([[plane & low, plane >> cut] for plane in planes])
-        return sum((a & b).bit_count() << (j + k + (j != k))
-                   for j, a in enumerate(planes) for k, b in enumerate(planes[:j + 1]))
+            shifted = [[chunk << j * width % p for j, chunk in enumerate(chunks)]
+                       for chunks in split]
+            if parity:
+                odd = reduce(xor, shifted[0])
+                planes = [odd, reduce(or_, shifted[0]) ^ odd]
+            else:
+                planes = _sum(shifted)
+        cuts = list(_cuts(top, p))
+        total, square = _moments(_fold(planes, cuts))
+        if total != len(vals):  # a split position held three values or more
+            square = _moments(_fold(_sum(shifted), cuts))[1]
+        return square
 
     return sumsq
 

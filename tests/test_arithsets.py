@@ -46,6 +46,22 @@ def test_factorize_range():
         factorize(2**63)
 
 
+def _squareful_by_factors(n: int) -> bool:
+    return all(e >= 2 for _, e in factorize(n))
+
+
+def test_squareful_membership_matches_factorization():
+    # the membership test stops trial division at f^3 > m; every n up to
+    # 10^5, and products of large primes whose cofactor is left undivided
+    s = Squareful()
+    for n in range(1, 10**5 + 1):
+        assert s.contains(n) == _squareful_by_factors(n)
+    big = [10007, 65537, 1000003]
+    for n in [p * q * r for p in big for q in big for r in big] + [
+            8 * 1000003**2, 9 * 1000003, 72 * 999983 * 1000003, 1000003**3 * 4]:
+        assert s.contains(n) == _squareful_by_factors(n), n
+
+
 def test_iroot():
     assert iroot(0, 3) == 0
     assert iroot(1, 5) == 1

@@ -129,6 +129,25 @@ def test_cli_membership(capsys):
         assert run_cli(["membership", "--set", "purepowers", "--n", str(n)], capsys) == (0, answer, "")
 
 
+@pytest.mark.parametrize("n, answer", [
+    (2**61 - 1, "false"),  # a prime
+    (2**63 - 25, "false"),  # the largest prime below 2^63
+    ((2**31 - 1) ** 2, "true"),  # a prime squared
+    ((2**31 - 1) * (2**31 + 11), "false"),  # two large primes
+    (2**62, "true"),
+])
+def test_cli_squareful_membership_near_2_63(n, answer, capsys):
+    # trial division stops at f^3 > m, so no answer takes more than about
+    # 2 * 10^6 / 3 trial divisors
+    assert run_cli(["membership", "--set", "squareful", "--n", str(n)], capsys) == (
+        EXIT_OK, f"{answer}\n", "")
+
+
+def test_cli_squareful_membership_refuses_2_63(capsys):
+    assert run_cli(["membership", "--set", "squareful", "--n", str(2**63)], capsys) == (
+        EXIT_USAGE, "", "error: factorize expects 1 <= n < 2**63, got 9223372036854775808\n")
+
+
 def test_cli_enumerate(capsys, tmp_path):
     argv = ["enumerate", "--set", "purepowers", "--limit", "30"]
     assert run_cli(argv, capsys) == (EXIT_OK, "n\n1\n4\n8\n9\n16\n25\n27\n", "")

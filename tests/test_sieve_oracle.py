@@ -11,6 +11,7 @@ the shared chunk split, are kept too: the split counters must give the same
 nu(p) and sumsq(p) at every prime."""
 
 import math
+import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -442,6 +443,100 @@ def test_split_route_at_benchmark_sizes(counter, monkeypatch):
         for p in (2, 101, _PRIMES[-1]):
             count(p)
         assert tops == [(squares[-1] - 1, p) for p in (2, 101, _PRIMES[-1])]
+
+
+def _has_triple(vals: list[int], p: int) -> bool:
+    """Whether three values or more share one position of the chunk split
+    for p: offset j w + x sits at x + (j w mod p)."""
+    width, lo = _width(vals), min(vals)
+    spots = Counter(x % width + x // width * width % p for x in (v - lo for v in vals))
+    return max(spots.values()) >= 3
+
+
+def _sums_at(sumsq, primes: list[int], monkeypatch) -> tuple[list[int], list[int]]:
+    """sumsq(p) at each prime, and the primes at which the counter called
+    _sum (a prime once per call)."""
+    calls = []
+    add = sieve._sum
+    monkeypatch.setattr(sieve, "_sum", lambda columns: calls.append(1) or add(columns))
+    values, summed = [], []
+    for p in primes:
+        before = len(calls)
+        values.append(sumsq(p))
+        summed += [p] * (len(calls) - before)
+    return values, summed
+
+
+def _check_sumsq(vals: list[int], primes: list[int], monkeypatch) -> list[int]:
+    """sumsq(p) at each prime against _occupancy and the reference counter;
+    returns the primes at which the counter called _sum."""
+    with mock.patch.object(sieve, "_FOLD_DENSITY", 10**6):  # fold however few values
+        sumsq = sieve._sumsq_counter(vals)
+    values, summed = _sums_at(sumsq, primes, monkeypatch)
+    reference = sumsq_counter(vals)
+    assert values == [reference(p) for p in primes]
+    assert values == [sieve._occupancy(vals, p)[1] for p in primes]
+    return summed
+
+
+def test_parity_split_falls_back_on_a_triple(monkeypatch):
+    # three distinct values at one split position for p = 101: the parity
+    # planes store 3 as 1, the count check fails, and the prime is redone
+    # with the full-adder sum
+    span = sieve._SPLIT_SPAN
+    width = -(-(span + 1) // 16)
+    vals = [0, span] + [j * width + 200 - j * width % 101 for j in (1, 2, 3)]
+    assert _has_triple(vals, 101) and not _has_triple(vals, 103)
+    assert _check_sumsq(vals, [101, 103], monkeypatch) == [101]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_parity_split_gate(extra, monkeypatch):
+    # the largest distinct set with |A|^3 <= 6 w^2 takes the parity split and
+    # sums only where a split position holds three values; one value more
+    # sums the chunks at every prime with 4p <= w, once
+    span = sieve._SPLIT_SPAN
+    width = -(-(span + 1) // 16)
+    size = round((6 * width * width) ** (1 / 3))
+    size += extra - (size**3 > 6 * width * width)
+    vals = [0, span] + random.Random(size).sample(range(1, span), size - 2)
+    primes = [2, 3, 101, 1009, 2003, 3001, 4093]
+    assert 4 * primes[-1] <= width < 4 * 4099
+    expect = [p for p in primes if extra or _has_triple(vals, p)]
+    assert 0 < len(expect) < len(primes) or extra
+    assert _check_sumsq(vals, primes + [4099, 20011], monkeypatch) == expect
+
+
+def test_parity_split_skipped_with_repeats(monkeypatch):
+    # a repeated value adds a bit-plane: the chunks are summed by full adders
+    span = sieve._SPLIT_SPAN
+    vals = [0, 0, span, 7919, 123457]
+    assert _check_sumsq(vals, [2, 3, 101, 4093], monkeypatch) == [2, 3, 101, 4093]
+
+
+def _no_fold(*args):
+    raise AssertionError("a prime above the span must not fold")
+
+
+@pytest.mark.parametrize("vals", [[5, 9, 130], [-4, -4, 0, 60, 60, 60], [3] * 9])
+def test_counters_skip_the_fold_above_the_span(vals, monkeypatch):
+    # every value is its own class mod a prime above the span
+    monkeypatch.setattr(sieve, "_cuts", _no_fold)
+    nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
+    for p in (137, 139, 7919):
+        assert p > max(vals) - min(vals)
+        assert (nu(p), sumsq(p)) == sieve._occupancy(vals, p)
+
+
+def test_parity_split_sums_only_failed_primes_at_benchmark_size(monkeypatch):
+    # the measured weighted squareful scan: the distinct 2,021 values pass the
+    # gate, and _sum runs exactly at the primes whose split holds a triple
+    vals = enumerate_members(Squareful(), int(round(math.exp(13.81))))
+    width = _width(vals)
+    assert len(vals) ** 3 <= 6 * width * width
+    summed = _sums_at(sieve._sumsq_counter(vals), _PRIMES, monkeypatch)[1]
+    assert summed == [p for p in _PRIMES if _has_triple(vals, p)]
+    assert 0 < len(summed) < len(_PRIMES) // 4
 
 
 def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch):
