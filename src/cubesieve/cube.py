@@ -91,8 +91,9 @@ the 2^d sums with multiplicity that `sums()` lists (and refuses past
 d = 30). Sums above the limit are dropped as they appear, keeping only the
 least of them, and the rest are tested for membership in ascending order,
 so the offender is still the least offending sum. Before building anything
-it bounds the sums its walk visits, with at most min(2^j, a1 + ... + aj + 1,
-limit - a0 + 1) distinct sums after j steps, and refuses a cube whose bound
+it bounds the sums its walk visits, with at most min(prod (m_i + 1),
+a1 + ... + aj + 1, limit - a0 + 1) distinct sums after j steps (m_i the
+multiplicities of the step values so far), and refuses a cube whose bound
 passes _MAX_WALK."""
 
 from __future__ import annotations
@@ -153,14 +154,19 @@ class HilbertCube:
 
 def _walk_bound(cube: HilbertCube, top: int) -> int:
     """An upper bound on the sums `verify` visits, stopping once it passes
-    _MAX_WALK: after each distinct step value there are at most min(2^j,
-    a1 + ... + aj + 1, top - a0 + 1) distinct sums in [a0, top], j steps in."""
+    _MAX_WALK: after each distinct step value, j steps in, there are at most
+    min(c (m + 1), a1 + ... + aj + 1, top - a0 + 1) distinct sums in
+    [a0, top], where c bounds them before the value and m is its
+    multiplicity. So a repeated step counts m + 1, not 2^m."""
     span = max(top - cube.a0 + 1, 1)
-    total, prefix = 1, 0
+    total = count = 1
+    prefix = first = 0
     for j, a in enumerate(cube.steps, 1):
         prefix += a
         if j == cube.dimension or cube.steps[j] != a:
-            total += min(1 << min(j, 62), prefix + 1, span)
+            count = min(count * (j - first + 1), prefix + 1, span)
+            total += count
+            first = j
             if total > _MAX_WALK:
                 break
     return total

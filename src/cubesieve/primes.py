@@ -14,6 +14,14 @@ from bisect import bisect_right
 from typing import Callable, Iterable, Iterator
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_k, k): psi_k is the least odd composite that is a strong pseudoprime
+# to each of the first k bases (OEIS A014233), so those k bases decide every
+# n < psi_k; psi_8 = psi_7 and psi_11 = psi_10 = psi_9
+_MR_TIERS = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+    (3474749660383, 6), (341550071728321, 7), (3825123056546413051, 9),
+    (318665857834031151167461, 12), (3317044064679887385961981, 13),
+)
 MAX_TABLE = 10**8  # largest limit of a table of one byte per integer
 
 
@@ -71,7 +79,8 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over the prime bases 2..41; exact for every
     n below psi_13 = 3317044064679887385961981 (about 3.317e24), the least
     strong pseudoprime to all of them. The bases 2..37 alone pass
-    psi_12 = 318665857834031151167461."""
+    psi_12 = 318665857834031151167461. Below psi_k only the first k bases
+    run (`_MR_TIERS`): one base below 2047, seven below 3.4e14."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -82,7 +91,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    k = next((k for psi, k in _MR_TIERS if n < psi), len(_MR_BASES))
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

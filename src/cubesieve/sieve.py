@@ -64,10 +64,11 @@ up to 10^4. Over those primes the plain count takes 56 ms, and the
 weighted one 121 ms before the parity split and 98 ms with it (best of
 15 interleaved runs on a 2-core host; before the chunk split they took 138
 and 250 ms on an earlier host). A narrower set keeps the whole-set fold:
-split, the squares of `sieve-compare` (spans of 10^4 and 10^5, primes up
-to 400 (log N)^2) gained nothing measurable, as few of their primes are
-below w/4. So does a prime with 4p > w, whose chunks would be too narrow
-to gain.
+split, the squares up to 10^4 and 10^5 (primes up to 400 (log N)^2)
+gained nothing measurable, as few of their primes are below w/4. So does
+a prime with 4p > w, whose chunks would be too narrow to gain. The squares
+of `sieve-compare` are not measured at all: `square_classes` gives their
+class counts in closed form.
 
 A sparser set, such as values near 10**18 from a file, would need a bitset
 too large to fold cheaply, or to allocate at all, so both counts reduce
@@ -316,6 +317,21 @@ NU_MODELS: dict[str, Callable[[int], float]] = {
     "two_sqrt": lambda p: 2 * math.sqrt(p),
     "half_p_plus_one": lambda p: (p + 1) / 2,
 }
+
+
+def square_classes(m: int, p: int) -> int:
+    """The number of classes mod the prime p that the squares a^2,
+    1 <= a <= m, occupy: p // 2 + 1 when p <= m, else min(m, p // 2).
+
+    - p <= m: a runs over a full residue system mod p, so the classes are the
+      quadratic residues and 0, (p + 1) / 2 of them for odd p and 2 for p = 2.
+    - p > m: the m values a are distinct and nonzero mod p. For a < b <= m,
+      a^2 = b^2 mod p forces p | b - a or p | a + b, and 0 < b - a < p and
+      a + b < 2p leave only a + b = p. Those pairs are a = p - b for
+      p - m <= a < p / 2, max(0, m - p // 2) of them, so the count is
+      m - max(0, m - p // 2).
+    """
+    return p // 2 + 1 if p <= m else min(m, p // 2)
 
 
 @dataclass(frozen=True)

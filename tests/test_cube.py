@@ -5,6 +5,8 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesieve import arithsets, cube, primes
 from cubesieve.arithsets import (
@@ -142,6 +144,29 @@ def test_verify_walk_bound_is_exact_at_the_cap(monkeypatch):
     with pytest.raises(ValueError, match="its sums may exceed 126"):
         verify(doubling, every, 64)
     assert verify(doubling, every, 10) == (False, 11)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.lists(st.integers(1, 12), max_size=10), st.integers(0, 150))
+def test_walk_bound_covers_the_walk(a0, steps, top):
+    # the distinct sums in [a0, top] after each run of equal steps, counted
+    # from scratch; the bound adds a bound on each of them to 1
+    cube_ = HilbertCube(a0, tuple(steps))
+    sums, walk = {a0}, 1
+    for j, a in enumerate(cube_.steps, 1):
+        sums |= {v + a for v in sums}
+        if j == cube_.dimension or cube_.steps[j] != a:
+            walk += len({v for v in sums if v <= top})
+    assert cube._walk_bound(cube_, top) >= walk
+
+
+def test_verify_counts_a_repeated_step_once_per_copy():
+    # 2^70 sums with multiplicity, 71 distinct: the walk cap no longer refuses it
+    repeated = HilbertCube(1 << 40, (1 << 40,) * 70)
+    every = parse_set_descriptor("semigroup:all")
+    assert cube._walk_bound(repeated, 71 << 40) == 72
+    assert verify(repeated, every, 71 << 40) == (True, None)
+    assert verify(repeated, every, (71 << 40) - 1) == (False, 71 << 40)
 
 
 @pytest.mark.parametrize("x", [1, 2, 0b1011_0100, (1 << 200) | (1 << 77) | 5, (1 << 1000) - 1])

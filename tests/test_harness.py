@@ -918,6 +918,18 @@ def test_cli_sieve_compare_refuses_n_below_two(grid, n, capsys, monkeypatch):
     assert err == f"error: sieve-compare needs N >= 2, got {n}\n"
 
 
+def test_cli_sieve_compare_refuses_a_bound_below_the_truth(capsys, monkeypatch, tmp_path):
+    # one class at every prime makes the bound (-log N + sum log p) / itself = 1
+    monkeypatch.setattr(harness, "square_classes", lambda m, p: 1)
+    out_file = tmp_path / "rows.csv"
+    for extra in ([], ["--out", str(out_file)]):
+        code, out, err = run_cli(["experiment", "sieve-compare", "--grid", "100"] + extra, capsys)
+        assert (code, out) == (EXIT_COUNTEREXAMPLE, "")
+        assert err == ("counterexample: sieve-compare bound 1.0 at y = 530 is below the "
+                       "10 squares up to 100\n")
+    assert not out_file.exists()
+
+
 @pytest.mark.parametrize("tau, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
                                         ("inf", "inf"), ("1e-200", "1e-200")])
 def test_cli_sieve_compare_rejects_bad_tau(tau, shown, capsys):

@@ -3,7 +3,10 @@ supplies one membership test and the spec string, against the kind-dispatch
 PrimeSet it replaced, kept below as a reference implementation (body
 unchanged, docstring dropped). Both are built from the same constructor
 calls and must agree on describe(), on contains_prime for every prime below
-2000, and on primes_up_to at several cutoffs y in a row."""
+2000, and on primes_up_to at several cutoffs y in a row.
+
+`is_prime`, which runs only the first k Miller-Rabin bases below psi_k, is
+held to the loop over all thirteen bases it replaced, kept below too."""
 
 import math
 from bisect import bisect_right
@@ -100,8 +103,80 @@ class PrimeSet:
         return f"PrimeSet({self.describe()!r})"
 
 
+_ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime_all_bases(n: int) -> bool:
+    if n < 2:
+        return False
+    for p in _ALL_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _ALL_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # tests
+
+# OEIS A014233: psi_k, the least odd composite that is a strong pseudoprime
+# to each of the first k prime bases, for k = 1..13
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_matches_the_sieve():
+    flags = bytearray(10**6 + 1)
+    for p in primes_up_to(10**6):
+        flags[p] = 1
+    assert all(is_prime(n) == flags[n] for n in range(10**6 + 1))
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_rejects_every_psi():
+    for k, psi in enumerate(_PSI, 1):
+        # psi_k passes the first k bases, so the tier below it must stop short of it
+        assert all(_strong_probable_prime(psi, a) for a in _ALL_BASES[:k])
+        assert is_prime(psi) == is_prime_all_bases(psi) == (k == 13), k
+    # psi_13 passes every base: is_prime is exact only below it. Each tier
+    # runs the fewest bases that decide every n below its psi
+    assert primes._MR_TIERS == tuple((psi, k) for k, psi in enumerate(_PSI, 1)
+                                     if k == 1 or _PSI[k - 2] != psi)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.integers(0, 2**80) | st.integers(0, 2**40).map(lambda n: 2 * n + 1))
+def test_is_prime_matches_all_bases(n):
+    assert is_prime(n) == is_prime_all_bases(n)
 
 _PRIMES_BELOW_2000 = primes_up_to(1999)
 

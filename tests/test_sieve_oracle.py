@@ -8,7 +8,8 @@ scan; it shares no summing code with cubesieve.sieve. Both must return equal
 reports and CutoffScans, every float compared with ==, so the CSV bytes stay
 the same. The fold counters that start every fold from the whole set, before
 the shared chunk split, are kept too: the split counters must give the same
-nu(p) and sumsq(p) at every prime."""
+nu(p) and sumsq(p) at every prime. So is sieve-compare's measured scan of
+its list of squares: the closed-form class counts must give the same rows."""
 
 import math
 import random
@@ -28,6 +29,7 @@ from cubesieve import harness, sieve
 from cubesieve.arithsets import Squareful, enumerate_members, factorize
 from cubesieve.primes import PrimeSet, bitset, parse_prime_set, primes_up_to
 from cubesieve.sieve import NU_MODELS, CutoffScan, SieveBoundReport
+from cubesieve.zq import CounterexampleError
 
 # ---------------------------------------------------------------------------
 # reference implementation (a profile per prime, a bound per prefix)
@@ -435,7 +437,7 @@ def test_split_route_at_benchmark_sizes(counter, monkeypatch):
     for p in (2, 101, _PRIMES[-1]):
         count(p)
     assert tops == [(width + p - 2, p) for p in (2, 101, _PRIMES[-1])]
-    # sieve-compare's squares (spans below 10^5) fold the whole set
+    # a narrower set, the squares up to 10^4 and 10^5, folds the whole set
     for n in (10**4, 10**5):
         tops.clear()
         squares = [a * a for a in range(1, math.isqrt(n) + 1)]
@@ -537,6 +539,94 @@ def test_parity_split_sums_only_failed_primes_at_benchmark_size(monkeypatch):
     summed = _sums_at(sieve._sumsq_counter(vals), _PRIMES, monkeypatch)[1]
     assert summed == [p for p in _PRIMES if _has_triple(vals, p)]
     assert 0 < len(summed) < len(_PRIMES) // 4
+
+
+# ---------------------------------------------------------------------------
+# the closed-form class counts of the squares against the fold counter, and
+# sieve-compare against its measured scan (kept below as it was)
+
+def _mismatches(classes, ms, top) -> list[tuple[int, int]]:
+    """The (M, p) with p <= top(M) at which classes(M, p) is not the fold
+    count of the squares a^2, 1 <= a <= M."""
+    out = []
+    for m in ms:
+        count = sieve._class_counter([a * a for a in range(1, m + 1)])
+        out += [(m, p) for p in primes_up_to(top(m)) if classes(m, p) != count(p)]
+    return out
+
+
+def _small_mismatches(classes) -> list[tuple[int, int]]:
+    """_mismatches for every M <= 150 at every prime p <= 2M + 50."""
+    return _mismatches(classes, range(1, 151), lambda m: 2 * m + 50)
+
+
+def test_square_classes_match_the_fold_counter():
+    assert _small_mismatches(sieve.square_classes) == []
+
+
+@pytest.mark.parametrize("m, n", [(100, 10**4), (316, 10**5)])
+def test_square_classes_match_the_fold_counter_up_to_the_cutoff(m, n):
+    y_star = round(sieve.prescribed_cutoff(1.0, math.log(n)))
+    assert _mismatches(sieve.square_classes, [m], lambda m: y_star) == []
+
+
+def _measured_sieve_compare(cfg: harness.ExperimentConfig):
+    """sieve-compare's rows from the measured scan of the list of squares."""
+    all_primes = PrimeSet.all_primes()
+    y_stars = [max(4, int(round(sieve.prescribed_cutoff(cfg.tau, math.log(n)))))
+               for n in cfg.n_grid]
+    rows = []
+    for n, y_star in zip(cfg.n_grid, y_stars):
+        squares = [a * a for a in range(1, math.isqrt(n) + 1)]
+        truth = len(squares)
+        log_n = math.log(n)
+        grid = sorted({max(4, y_star // k) for k in (16, 8, 4, 2)} | {y_star})
+        scan = sieve.optimize_cutoff(all_primes, "measured", log_n, grid, values=squares)
+        at_star = next(rep for y, rep in scan.rows if y == y_star)
+        rows.append([
+            n, truth, y_star, at_star.bound,
+            scan.best_y,
+            scan.best.bound if scan.best else None,
+            scan.best.bound / truth if scan.best else None,
+        ])
+    return harness._SIEVE_HEADER, rows
+
+
+_COMPARE_GRID = harness.ExperimentConfig((2, 3, 4, 100, 10**4, 10**5))
+
+
+def test_sieve_compare_matches_the_measured_scan():
+    assert harness.run_sieve_compare(_COMPARE_GRID) == _measured_sieve_compare(_COMPARE_GRID)
+
+
+def _ignores_m(m: int, p: int) -> int:
+    return p // 2 + 1
+
+
+def _one_at_two(m: int, p: int) -> int:
+    return (p + 1) // 2 if p <= m else min(m, p // 2)
+
+
+def test_square_classes_mutants_are_caught(monkeypatch):
+    # a mutant that ignores M overcounts past M and raises the bounds
+    assert _small_mismatches(_ignores_m) != []
+    monkeypatch.setattr(harness, "square_classes", _ignores_m)
+    assert harness.run_sieve_compare(_COMPARE_GRID) != _measured_sieve_compare(_COMPARE_GRID)
+    # one that counts one class at p = 2 lowers a bound below the truth
+    assert _small_mismatches(_one_at_two) != []
+    monkeypatch.setattr(harness, "square_classes", _one_at_two)
+    with pytest.raises(CounterexampleError, match="at y = 48 is below the 2 squares up to 4$"):
+        harness.run_sieve_compare(_COMPARE_GRID)
+
+
+def test_sieve_compare_builds_no_list_of_squares(monkeypatch):
+    calls = []
+    scan = sieve.optimize_cutoff
+    monkeypatch.setattr(harness, "optimize_cutoff",
+                        lambda *args, **kwargs: calls.append((args, kwargs)) or scan(*args, **kwargs))
+    header, rows = harness.run_sieve_compare(harness.ExperimentConfig((10**18,)))
+    assert len(calls) == 1 and len(calls[0][0]) == 4 and "values" not in calls[0][1]
+    assert rows[0][:3] == [10**18, 10**9, round(400 * math.log(10**18) ** 2)]
 
 
 def test_cli_sparse_elements_file_takes_set_route(tmp_path, capsys, monkeypatch):
