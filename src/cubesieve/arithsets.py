@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import Iterator
 
-from .primes import PrimeSet, check_table, parse_prime_set, spec_ints, validate_definite_form
+from .primes import (PrimeSet, check_table, is_prime, parse_prime_set, spec_ints,
+                     validate_definite_form)
 
 _MAX_N = 2**63 - 1
+# cofactor past which `factorize` splits m rather than dividing up to its
+# square root; below it the remaining divisions cost less than the split
+_SPLIT_FROM = 1 << 16
 # largest limit of the squareful and pure-power member lists (about 2*10**6
 # members at 10**12); past it the list alone grows until memory runs out
 _MAX_SPARSE = 10**12
@@ -46,14 +50,49 @@ def _trial_divisors() -> Iterator[int]:
         f += 6
 
 
+def _rho(n: int) -> int:
+    """A proper factor of a composite n that is not a prime power, by
+    Pollard's rho in Brent's form: y -> y^2 + c mod n from y = 2, products
+    of |x - y| batched 128 to a gcd, and c = 1, 2, ... until a split."""
+    if n % 2 == 0:
+        return 2
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Canonical prime factorization by trial division with a 6k+-1 wheel:
-    the (prime, exponent) pairs, primes ascending."""
+    """Canonical prime factorization: the (prime, exponent) pairs, primes
+    ascending. Trial division with a 6k+-1 wheel runs while f^2 <= m for
+    the cofactor m left after the divisors below f, and once m passes
+    _SPLIT_FROM only while f^3 <= m. Every prime factor of m is then at
+    least f: m < f^2 is 1 or a prime, and otherwise m has at most two prime
+    factors, so it is a prime (`primes.is_prime`), a prime square, or a
+    product of two primes that `_rho` splits."""
     _check_factorable(n)
     m = n
     out = []
     for p in _trial_divisors():
-        if p * p > m:
+        if p * p > m or m > _SPLIT_FROM and p * p * p > m:
             break
         if m % p == 0:
             e = 0
@@ -61,8 +100,18 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             out.append((p, e))
-    if m > 1:
+    if m < p * p:
+        if m > 1:
+            out.append((m, 1))
+        return tuple(out)
+    r = math.isqrt(m)
+    if r * r == m:
+        out.append((r, 2))
+    elif is_prime(m):
         out.append((m, 1))
+    else:
+        d = _rho(m)
+        out += [(min(d, m // d), 1), (max(d, m // d), 1)]
     return tuple(out)
 
 

@@ -46,15 +46,24 @@ nowhere cheap:
   a0 + a past P[a][-d] - gap for the best depth d so far, which the child
   could not pass (fewer than d entries of P[a] from a0 + a + gap on); the
   table of these limits is rebuilt only when d rises.
-- (b) On the pair-list route, a viable child at a depth the best already
-  reaches is settled without being entered when it has no viable child of
-  its own: its listing runs, with its own cap and cuts, up to the first
-  viable grandchild, and if there is none the child is charged the nodes
-  that entering it costs, the budget is checked as on entry, and the
-  listing moves on. A depth-1 state from base a0 with step a1 holds the
-  v >= a0 + a1 + gap with v and v + a1 both members, so its listing tests
-  v + a and v + a + a1 against one member set instead of building a set
-  of the state, as deeper listings do.
+- (b) The search charges a state it enters one node for every member from
+  smax + low upward (its largest sum plus its least admissible step), and
+  nothing for a state the popcount bound cuts. On the pair-list route a
+  viable child below the best depth is probed before it is entered. The
+  probe walks the child's candidates under the cuts its own listing would
+  make (the index cut, the step cap and the slice cut of (a)), counts each
+  grandchild's kept sums only until it has the popcount that grandchild
+  needs or too few are left, and stops at the first viable grandchild. It
+  charges no nodes. A child it finds dead is not entered: it is charged
+  what entering it would charge, at its smax + low = (smax + a) + (a + gap),
+  the budget is checked as on entry, and the listing moves on. So a probe
+  that is too eager only costs time, since an entered dead child is charged
+  the same and its listing yields nothing; only a probe that is too strict
+  could change a result. The step-a child keeps v iff v and v + a are sums
+  of its parent, so the probe tests against the parent's set (the member
+  set for a base's child), and a depth-1 listing from base a0 with step a1
+  tests v + a and v + a + a1 against the member set instead of building a
+  set of the state, as deeper listings do.
 - (c) The search runs from an explicit stack of frames, one per state on
   the current path, each holding the state's largest sum and the listing
   of its children, so a deep cube does not meet Python's recursion limit.
@@ -247,16 +256,12 @@ class CubeSearchResult:
     mode degrades to `greedy`. The witness is then the search's floor
     (module docstring) unless the search reached a cube at least as large,
     so `greedy` also marks a result the floor won. `nodes_expanded` counts
-    members scanned as candidate sums: each state the search enters is
-    charged one node for every member from smax + low upward (the current
-    largest sum plus the least admissible step). The exact search charges
-    only the states that pass its popcount bound, a state it settles
-    without entering as if it had entered it; a state the bound cuts costs
-    nothing. Its two routes (bitsets, or pair lists when
+    members scanned as candidate sums, charged as item (b) of the module
+    docstring sets out. The search's two routes (bitsets, or pair lists when
     span > _PAIR_DENSITY * |A| and the pair table holds at most _MAX_PAIRS
-    entries; module docstring) start from the same floor, enter the same
-    states and charge them alike, so every field is the same on both, also
-    when the budget runs out."""
+    entries; module docstring) start from the same floor and charge the
+    same nodes, so every field is the same on both, also when the budget
+    runs out."""
     limit: int
     mode: str
     best_dimension: int
@@ -377,7 +382,8 @@ def max_dimension_exact(
 
     `children` lists a state's viable children (module docstring) up to
     the step cap, each as its step, its state and its popcount; on the
-    pair-list route it settles the dead ones itself. A pair-list state is
+    pair-list route it settles the dead ones itself, asking `alive`, the
+    probe of (b). A pair-list state is
     (values, k), standing for the sums values[k:]. `frames` is the stack of
     the states entered on the current path, `steps` their steps.
 
@@ -414,7 +420,34 @@ def max_dimension_exact(
             if depth + 1 + sub_avail > best_d:  # else the popcount bound cuts it
                 yield a, sub, sub_avail
 
-    def list_children(a0, smax, state, depth, avail, low, settle=True):
+    def alive(a0, smax, values, k, depth, parent, b):
+        # (b)'s probe: whether the listing of the pair-list state (values, k)
+        # would yield a child. v is a sum of the state iff v and v + b are in
+        # `parent`, a set holding the sums of the state's parent
+        need = best_d - depth
+        stop = min(bisect_right(values, a0 + (limit - smax) // (need + 1), k),
+                   depth + len(values) - best_d)  # the step cap and the index cut
+        if not need:
+            return stop > k
+        for i in range(k, stop):
+            a = values[i] - a0
+            hi = bisect_right(values, values[-1] - a, i)
+            spare = hi - i - gap - need  # misses the child can still afford
+            if spare < 0:
+                return False
+            kept, ab = 0, a + b
+            for v in values[i + gap:hi]:
+                if v + a in parent and v + ab in parent:
+                    kept += 1
+                    if kept == need:
+                        return True
+                elif spare:
+                    spare -= 1
+                else:
+                    break
+        return False
+
+    def list_children(a0, smax, state, depth, avail, low):
         nonlocal nodes, tops
         values, k = state
         stop = bisect_right(values, a0 + (limit - smax) // (best_d + 1 - depth), k)
@@ -449,14 +482,16 @@ def max_dimension_exact(
                 j = 0
             if len(sub) - j < need:
                 continue
-            if settle and need and next(list_children(
-                    a0, smax + a, (sub, j), depth + 1, len(sub) - j, a + gap, False), None) is None:
-                # (b) no viable grandchild: charge the child as entering it
-                # would, at its smax + low = (smax + a) + (a + gap)
-                nodes += len(members) - bisect_left(members, smax + 2 * a + gap)
-                if nodes > budget:
-                    return
-                continue
+            if need:
+                if depth and have is None:
+                    have = set(values[k:])
+                if not alive(a0, smax + a, sub, j, depth + 1, have if depth else member_set, a):
+                    # (b) no viable grandchild: charge the child as entering it
+                    # would, at its smax + low = (smax + a) + (a + gap)
+                    nodes += len(members) - bisect_left(members, smax + 2 * a + gap)
+                    if nodes > budget:
+                        return
+                    continue
             yield a, (sub, j), len(sub) - j
 
     children = bit_children if pairs is None else list_children
@@ -493,7 +528,6 @@ def max_dimension_exact(
             steps.append(a)
         if nodes > budget:
             break
-    del list_children  # it refers to itself: drop that cycle so the table is freed now
     return _result(limit, best, min(nodes, budget + 1), nodes <= budget, distinct)
 
 

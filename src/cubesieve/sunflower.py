@@ -58,22 +58,18 @@ class SunflowerWitness:
 def find_sunflower(family: SetFamily, v: int, mode: str = "greedy") -> SunflowerWitness | None:
     """Find a sunflower with v petals.
 
-    `exact` enumerates all v-subfamilies (capped at 25 sets); None there is
-    a proof of absence. `greedy` runs the Erdos-Rado recursion (maximal
-    disjoint subfamily, else recurse on the most popular element); None from
-    greedy is inconclusive."""
+    `exact` searches all v-subfamilies (capped at 25 sets) and returns the
+    lexicographically least index tuple; None there is a proof of absence.
+    `greedy` runs the Erdos-Rado recursion (maximal disjoint subfamily, else
+    recurse on the most popular element); None from greedy is
+    inconclusive."""
     if v < 3:
         raise ValueError(f"need at least 3 petals, got {v}")
     sets = family.sets
     if mode == "exact":
         if len(sets) > _EXACT_CAP:
             raise ValueError(f"exact mode capped at {_EXACT_CAP} sets, got {len(sets)}")
-        for combo in itertools.combinations(range(len(sets)), v):
-            petals = [sets[i] for i in combo]
-            kern = frozenset.intersection(*petals)
-            if all(a & b == kern for a, b in itertools.combinations(petals, 2)):
-                return SunflowerWitness(kern, combo)
-        return None
+        return _exact_sunflower(sets, v)
     if mode != "greedy":
         raise ValueError(f"mode must be exact or greedy, got {mode!r}")
     res = _greedy_sunflower(list(enumerate(sets)), v)
@@ -81,6 +77,37 @@ def find_sunflower(family: SetFamily, v: int, mode: str = "greedy") -> Sunflower
         return None
     kernel, ids = res
     return SunflowerWitness(kernel, tuple(sorted(ids)))
+
+
+def _exact_sunflower(sets: tuple[frozenset[int], ...], v: int) -> SunflowerWitness | None:
+    """The sunflower whose ascending petal indices come first among all
+    v-subsets, or None. Pairwise intersections that all equal the first
+    pair's make that intersection the kernel, so the search fixes the kernel
+    from the first two indices and extends, in ascending order, only by a
+    set that meets every chosen set exactly in it. A prefix that fails is
+    dropped once, not once per completion."""
+    def extend(chosen: tuple[int, ...], kern: frozenset[int], pool: list[int]):
+        if len(chosen) == v:
+            return SunflowerWitness(kern, chosen)
+        for n, j in enumerate(pool):
+            if len(pool) - n < v - len(chosen):
+                break
+            rest = [c for c in pool[n + 1:] if sets[c] & sets[j] == kern]
+            found = extend(chosen + (j,), kern, rest)
+            if found:
+                return found
+        return None
+
+    count = len(sets)
+    for i in range(count - v + 1):
+        for j in range(i + 1, count - v + 2):
+            kern = sets[i] & sets[j]
+            rest = [c for c in range(j + 1, count)
+                    if sets[c] & sets[i] == kern and sets[c] & sets[j] == kern]
+            found = extend((i, j), kern, rest)
+            if found:
+                return found
+    return None
 
 
 def _greedy_sunflower(items: list[tuple[int, frozenset[int]]], v: int):

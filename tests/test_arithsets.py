@@ -39,6 +39,54 @@ def test_factorize_reconstructs():
         assert list(f) == sorted(f)
 
 
+def _trial_division(n: int) -> tuple[tuple[int, int], ...]:
+    """Plain trial division by 2 and the odd numbers up to sqrt(m)."""
+    out, m, f = [], n, 2
+    while f * f <= m:
+        if m % f == 0:
+            e = 0
+            while m % f == 0:
+                m //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 2 * 10**5 + 1):
+        assert factorize(n) == _trial_division(n), n
+
+
+def _primes_from(start: int, count: int) -> list[int]:
+    out, n = [], start
+    while len(out) < count:
+        if primes.is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_factorize_near_2_62():
+    # past the f^3 stop the cofactor is a prime, a prime square, or two
+    # primes that only the rho split can find
+    big = _primes_from(2**62, 2)
+    mid = _primes_from(2**31 - 40, 3)
+    small = _primes_from(2**21, 1)
+    for p in big:
+        assert factorize(p) == ((p, 1),)
+    for p in mid:
+        assert factorize(p * p) == ((p, 2),)
+    for p, q in zip(mid, mid[1:]):
+        assert factorize(p * q) == ((p, 1), (q, 1))
+    for p in small:  # one factor just past the cube root, one near 2^39
+        q = _primes_from(2**60 // p, 1)[0]
+        assert factorize(p * q) == ((p, 1), (q, 1))
+        assert factorize(4 * p * q) == ((2, 2), (p, 1), (q, 1))
+
+
 def test_factorize_range():
     with pytest.raises(ValueError):
         factorize(0)

@@ -422,9 +422,9 @@ def test_exact_route_takes_pair_lists_for_sparse_sets(text, n, subset_sum, monke
 
 
 def test_exact_search_frees_its_pair_table():
-    # the search's recursive closure refers to itself; were that cycle left
-    # standing, the pair table (about 0.35 MiB here) would outlive the call
-    # until the next cyclic collection
+    # were the search's closures left in a reference cycle, the pair table
+    # (about 0.35 MiB here) would outlive the call until the next cyclic
+    # collection
     s = Squareful()
     max_dimension_exact(s, 10**4)  # fills any enumeration cache first
     gc.collect()

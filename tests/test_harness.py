@@ -143,6 +143,23 @@ def test_cli_squareful_membership_near_2_63(n, answer, capsys):
         EXIT_OK, f"{answer}\n", "")
 
 
+@pytest.mark.parametrize("spec, at_prime, at_square", [
+    ("rfull:2,all", "false", "true"),
+    ("semigroup:all", "true", "true"),
+    ("semigroup:class:1,4", "false", "false"),  # 2^61 - 1 = 2^31 - 1 = 3 (mod 4)
+    ("rfull:2,inert:1,1,1", "true", "true"),  # both primes are 1 (mod 3): split
+])
+def test_cli_factored_membership_near_2_63(spec, at_prime, at_square, capsys):
+    # factorize stops trial division at f^3 > m and splits the cofactor, so
+    # each answer takes well under a second, where trial division up to
+    # sqrt(n) ran past 10 s
+    for n, answer in ((2**61 - 1, at_prime), ((2**31 - 1) ** 2, at_square)):
+        start = time.perf_counter()
+        assert run_cli(["membership", "--set", spec, "--n", str(n)], capsys) == (
+            EXIT_OK, f"{answer}\n", "")
+        assert time.perf_counter() - start < 5
+
+
 def test_cli_squareful_membership_refuses_2_63(capsys):
     assert run_cli(["membership", "--set", "squareful", "--n", str(2**63)], capsys) == (
         EXIT_USAGE, "", "error: factorize expects 1 <= n < 2**63, got 9223372036854775808\n")

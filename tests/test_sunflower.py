@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubesieve.cube import HilbertCube
 from cubesieve.sunflower import (
@@ -20,13 +22,19 @@ def fam(*sets):
     return SetFamily.from_iterables(sets)
 
 
-def brute_has_sunflower(family, v):
+def brute_least_sunflower(family, v):
+    """The first v-subfamily, in itertools.combinations order, that is a
+    sunflower: the exhaustive reference for exact mode."""
     for combo in itertools.combinations(range(len(family.sets)), v):
         petals = [family.sets[i] for i in combo]
         kern = frozenset.intersection(*petals)
         if all(a & b == kern for a, b in itertools.combinations(petals, 2)):
-            return True
-    return False
+            return SunflowerWitness(kern, combo)
+    return None
+
+
+def brute_has_sunflower(family, v):
+    return brute_least_sunflower(family, v) is not None
 
 
 def test_family_validation():
@@ -61,6 +69,44 @@ def test_exact_not_found_is_proof():
     f = fam({1, 2}, {1, 3}, {2, 3})  # triangle: no 3-petal sunflower
     assert find_sunflower(f, 3, "exact") is None
     assert find_sunflower(f, 3, "greedy") is None
+
+
+@st.composite
+def families_on_12(draw):
+    """Up to 14 distinct subsets of range(12) and a petal count v, half the
+    time with v sets planted around a common kernel, which alone make a
+    sunflower."""
+    v = draw(st.integers(3, 5))
+    sets = draw(st.lists(st.frozensets(st.integers(0, 11), max_size=5), max_size=14, unique=True))
+    if draw(st.booleans()):
+        kern = draw(st.frozensets(st.integers(0, 3), max_size=2))
+        petals = [kern | {4 + k} for k in range(v)]
+        sets += [p for p in petals if p not in sets]
+        sets = draw(st.permutations(sets))
+    return SetFamily.from_iterables(sets), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_on_12())
+def test_exact_matches_combination_scan(case):
+    family, v = case
+    assert find_sunflower(family, v, "exact") == brute_least_sunflower(family, v)
+
+
+def test_exact_matches_combination_scan_with_and_without_sunflowers():
+    rng = random.Random(7)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        v = rng.randrange(3, 6)
+        pool = set()
+        nsets = rng.randrange(0, 16)
+        while len(pool) < nsets:
+            pool.add(frozenset(rng.sample(range(12), rng.randrange(0, 6))))
+        family = SetFamily.from_iterables(sorted(pool, key=sorted))
+        w = find_sunflower(family, v, "exact")
+        assert w == brute_least_sunflower(family, v)
+        found[w is not None] += 1
+    assert min(found.values()) > 50
 
 
 def test_v_cap_and_mode_validation():
