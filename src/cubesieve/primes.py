@@ -52,13 +52,13 @@ def set_bits(x: int, offset: int = 0) -> list[int]:
     return out
 
 
-def iter_set_bits(x: int, offset: int = 0) -> Iterator[int]:
-    """set_bits(x, offset) one value at a time, read 2^16 bits of x at a
-    time: a wide x costs one byte per 8 bits, not a string of one byte per
-    bit and a list of all its values at once."""
+def iter_set_bits(x: int) -> Iterator[int]:
+    """set_bits(x) one value at a time, read 2^16 bits of x at a time: a
+    wide x costs one byte per 8 bits, not a string of one byte per bit and
+    a list of all its values at once."""
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
     for j in range(0, len(data), 8192):
-        yield from set_bits(int.from_bytes(data[j:j + 8192], "little"), offset + 8 * j)
+        yield from set_bits(int.from_bytes(data[j:j + 8192], "little"), 8 * j)
 
 
 def primes_up_to(y: int) -> list[int]:
@@ -139,22 +139,19 @@ def validate_definite_form(a: int, b: int, c: int) -> int:
 
 class PrimeSet:
     """A (possibly infinite) set of primes: one membership test for numbers
-    already known to be prime, the spec it is described by, and a lazily
-    grown enumeration cache.
+    already known to be prime and the spec it is described by.
 
     Each constructor builds one kind: all primes; primes p = a (mod q); an
     explicit finite list, which is enumerated without sieving; the inert
     primes of a positive definite form; or the complement of another prime
-    set. Caches are rebuilt on demand when a query exceeds the cached limit,
-    then read-only."""
+    set. Every other kind enumerates by filtering one sieve up to y per
+    call; nothing is cached."""
 
     def __init__(self, spec: str, contains_prime: Callable[[int], bool],
                  members: tuple[int, ...] | None = None):
         self.spec = spec
         self.contains_prime = contains_prime
-        # an explicit list is its own enumeration, complete at every y
-        self._cache = list(members or ())
-        self._cache_limit = -1 if members is None else math.inf
+        self._members = members  # an explicit list, its own enumeration
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
@@ -209,10 +206,9 @@ class PrimeSet:
 
     def primes_up_to(self, y: int) -> list[int]:
         """Members of the set that are <= y, ascending."""
-        if y > self._cache_limit:
-            self._cache = list(filter(self.contains_prime, primes_up_to(y)))
-            self._cache_limit = y
-        return self._cache[: bisect_right(self._cache, y)]
+        if self._members is not None:
+            return list(self._members[: bisect_right(self._members, y)])
+        return list(filter(self.contains_prime, primes_up_to(y)))
 
     def describe(self) -> str:
         return self.spec

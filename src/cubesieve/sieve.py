@@ -7,8 +7,12 @@ classes modulo each chosen prime p, that its count up to N is at most
 
 whenever the denominator is positive. The weighted variant replaces 1/nu
 with the normalized second moment sum_h Z(h)^2 / |A|^2 of the occupancy
-counts. Both are one running sum of per-prime terms from -log N, which
-`optimize_cutoff` evaluates through `_bounds`.
+counts. `optimize_cutoff` evaluates either in one pass: it picks the
+per-prime denominator term once, then walks the ascending cutoff grid and
+one tuple of the primes up to the last cutoff together, adding log p and
+the term to two running sums that start at -log N. Each cutoff reads the
+sums it has reached, and its report holds a prefix of that tuple, so the
+scan keeps no per-prime record.
 
 A measured scan needs, at every prime p up to y, nu(p) (the number of
 classes mod p that the set occupies) for the plain bound, or the second
@@ -39,7 +43,9 @@ chunks of w = ceil((span + 1) / 16) bits, one extra copy of the planes.
 Bit x of chunk j is bit j w + x of the set, in the class of
 (j w mod p) + x, so for a prime with 4p <= w the fold starts from the
 chunks shifted left by j w mod p into w + p bits. The cuts then finish
-from there.
+from there. A narrower set keeps the whole-set fold, as the split gained
+nothing measurable on the squares up to 10^5, few of whose primes are below
+w/4; so does a prime with 4p > w, whose chunks would be too narrow to gain.
 
 - The plain count ORs the shifted chunks.
 - The weighted count of a set of distinct values (one plane) splits by
@@ -58,35 +64,19 @@ from there.
   `rfull:2,inert:1,1,1` and `semigroup:class:1,4` up to e^13 fail the
   check at every split prime, where the parity fold would be wasted.
 
-On the squareful numbers up to e^13.81 (2,021 values, span about 10^6,
-|A|^3 / (6 w^2) about 0.36) the check holds at 1,070 of the 1,229 primes
-up to 10^4. Over those primes the plain count takes 56 ms, and the
-weighted one 121 ms before the parity split and 98 ms with it (best of
-15 interleaved runs on a 2-core host; before the chunk split they took 138
-and 250 ms on an earlier host). A narrower set keeps the whole-set fold:
-split, the squares up to 10^4 and 10^5 (primes up to 400 (log N)^2)
-gained nothing measurable, as few of their primes are below w/4. So does
-a prime with 4p > w, whose chunks would be too narrow to gain. The squares
-of `sieve-compare` are not measured at all: `square_classes` gives their
-class counts in closed form.
+The squares of `sieve-compare` are not measured at all: `square_classes`
+gives their class counts in closed form.
 
 A sparser set, such as values near 10**18 from a file, would need a bitset
 too large to fold cheaply, or to allocate at all, so both counts reduce
 every value mod p instead (|A| interpreted steps per prime), the weighted
-one through `_occupancy`'s Counter. On random sets of 1,000 and 2,000 values
-and the primes up to 10**4 (best of five, building the counter included),
-the plain fold took 0.25 to 0.39 of the per-value time at span/|A| = 256,
-0.39 to 0.50 at 384 and 0.40 to 0.55 at 512 (all but 1,000 values at 256
-split). The weighted fold, before the parity split, took 0.35 to 0.46 of
-the Counter's time at 256, 0.31 to 0.66 at 384 and 0.41 to 0.65 at 512.
-So both folds still win at the one rule of 512; for the plain count alone
-the two routes cross near 1000, on random sets of 200 to 2000 values
-measured before the split."""
+one through `_occupancy`'s Counter. The one density rule of 512 is where
+both folds still beat that route on random sets (CHANGES.md holds the
+timings behind each rule here)."""
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
@@ -284,34 +274,6 @@ def prescribed_cutoff(tau: float, log_n: float) -> float:
     return y
 
 
-def _plain_term(p: int, nu: float) -> tuple[float, float]:
-    lp = math.log(p)
-    return lp, lp / nu
-
-
-def _weighted_term(p: int, sumsq: int, size: int) -> tuple[float, float]:
-    lp = math.log(p)
-    return lp, lp * sumsq / size**2
-
-
-def _bounds(log_n: float, terms: Iterable[tuple[float, float]], moduli: Sequence[int],
-            cuts: Iterable[int]) -> list[SieveBoundReport]:
-    """The bound over the first k moduli for each k in `cuts`. Numerator and
-    denominator start at -log N and add the per-prime terms in order."""
-    num = den = -log_n
-    sums = [(num, den)]
-    for dnum, dden in terms:
-        num += dnum
-        den += dden
-        sums.append((num, den))
-    reports = []
-    for k in cuts:
-        num, den = sums[k]
-        bound = num / den if den > DENOM_TOL else None
-        reports.append(SieveBoundReport(num, den, bound, tuple(moduli[:k])))
-    return reports
-
-
 NU_MODELS: dict[str, Callable[[int], float]] = {
     "five_ceil_sqrt": lambda p: 5 * ceil_two_sqrt(p) + 1,
     "two_sqrt": lambda p: 2 * math.sqrt(p),
@@ -364,36 +326,44 @@ def optimize_cutoff(
         raise ValueError(f"variant must be plain or weighted, got {variant!r}")
     _check_log_n(log_n)
 
-    measured = nu_model == "measured"
-    if variant == "weighted" and not measured:
-        raise ValueError("the weighted variant needs nu_model 'measured'")
-    if measured:
+    if nu_model == "measured":
         if values is None:
             raise ValueError("measured profiles need the underlying set")
         vals = list(values)
         if not vals:
             raise ValueError("cannot profile an empty set")
-        if variant == "plain":
+    elif variant == "weighted":
+        raise ValueError("the weighted variant needs nu_model 'measured'")
+    if variant == "weighted":
+        sumsq_of, size_sq = _sumsq_counter(vals), len(vals) ** 2
+
+        def den_term(p: int, lp: float) -> float:
+            return lp * sumsq_of(p) / size_sq
+    else:
+        if nu_model == "measured":
             nu_of = _class_counter(vals)
         else:
-            sumsq_of = _sumsq_counter(vals)
-    else:
-        nu_of = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
+            nu_of = NU_MODELS[nu_model] if isinstance(nu_model, str) else nu_model
+
+        def den_term(p: int, lp: float) -> float:
+            nu = nu_of(p)
+            if nu <= 0:
+                raise ValueError(f"class count must be positive, got {nu}")
+            return lp / float(nu)
 
     primes = tuple(prime_set.primes_up_to(grid[-1]))
-
-    def terms():
-        for p in primes:
-            if variant == "weighted":
-                yield _weighted_term(p, sumsq_of(p), len(vals))
-            else:
-                nu = nu_of(p)
-                if nu <= 0:
-                    raise ValueError(f"class count must be positive, got {nu}")
-                yield _plain_term(p, float(nu))
-
-    cuts = [bisect_right(primes, y) for y in grid]
-    rows = tuple(zip(grid, _bounds(log_n, terms(), primes, cuts)))
+    num = den = -log_n
+    k = 0
+    rows = []
+    for y in grid:
+        while k < len(primes) and primes[k] <= y:
+            p = primes[k]
+            lp = math.log(p)
+            num += lp
+            den += den_term(p, lp)
+            k += 1
+        bound = num / den if den > DENOM_TOL else None
+        rows.append((y, SieveBoundReport(num, den, bound, primes[:k])))
     best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
                        key=lambda row: row[1].bound, default=(None, None))
-    return CutoffScan(rows, best_y, best)
+    return CutoffScan(tuple(rows), best_y, best)

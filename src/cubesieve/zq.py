@@ -4,21 +4,30 @@ subset size, sumsets, and exhaustive small-prime verification.
 
 Witnesses index into the input sequence, so repeated residues are handled
 without ambiguity. All finders are deterministic and share one reachability
-DP: it scans elements left to right and freezes each state's witness at
-first reach, a finder returns the least witness over its admissible target
-states, and the DP stops once all of them are reached. The targets are one
-class mod p less at most one state of Z_q: the target class itself for
-Olson (q = p), 0 mod p but not 0 mod q for lift-zero, -a0 mod p but not
--a0 mod q for the shifted finder. The DP holds the targets and the reached
-states as q-bit bitsets (the codec of `primes`), so each element adds all
-its new states with one rotate. Each reached state has one parent, the
-state its first-reach witness came from, so the witnesses are the paths of
-one tree, and the DP keeps only each step's new states: one bitset per
-step, trimmed below its lowest bit, and past 4 bytes per state of those an
-int32 table, at most 8 bytes per state of Z_q together. The least witness
-over many targets is read down the tree, after one backward pass marks the
-states above a target. Moduli above 10**7 are refused before
-anything is allocated."""
+DP over nonempty-subset sums (`_least_witness`), and each returns the least
+witness over its admissible target states. The targets are one class mod p
+less at most one state of Z_q: the target class itself for Olson (q = p),
+0 mod p but not 0 mod q for lift-zero, -a0 mod p but not -a0 mod q for the
+shifted finder.
+
+The DP scans the elements left to right. Element i first reaches its
+singleton {i}, then each state reached before i plus values[i]. The reached
+states are one q-bit int R (the bitset codec of `primes`), so element i
+reaches new = (rotate(R, v_i) | 1 << v_i) & ~R at once, and the DP stops
+once every target is reached. A state t first reached at step i has exactly
+one parent: the empty set when t == v_i (the singleton wins), otherwise
+t - v_i, reached before i. So the witnesses, frozen at first reach, are the
+root-to-state paths of one tree, and the DP keeps only each step's new
+states: one bitset per step that reaches any, trimmed below its lowest bit.
+Once those bitsets would pass 4 bytes per state of Z_q (plus 64 KiB),
+every later step writes its states into an int32 table instead, so the
+steps take at most 8 bytes per state together. Moduli above 10**7 are
+refused before anything is allocated.
+
+The first-reach witness of a state is its colex-least subset, so the tree
+gives the least witness of the full per-state DP. A few candidate targets
+are walked up to the root one by one (`_walk`); more are read down the tree
+at once (`_descend`)."""
 
 from __future__ import annotations
 
@@ -151,26 +160,8 @@ def _least_witness(
 ) -> tuple[tuple[int, ...], int] | None:
     """Least witness over the target states of Z_q, as (indices, state):
     the states = residue (mod p), for p dividing q and 0 <= residue < p,
-    other than `excluded` (none when it is -1).
-
-    A first-reach reachability DP over nonempty-subset sums: element i
-    first reaches its singleton {i}, then each state reached before i plus
-    values[i]. The reached states are one q-bit int R, so element i reaches
-    new = (rotate(R, v_i) | 1 << v_i) & ~R at once. A state t first reached
-    at step i has exactly one parent: the empty set when t == v_i (the
-    singleton wins), otherwise t - v_i, reached before i. So the witnesses,
-    frozen at first reach, are the root-to-state paths of one tree, and the
-    DP keeps only each step's new states: one bitset per step that reaches
-    any, trimmed below its lowest bit. Once the bitsets would pass 4 bytes
-    per state of Z_q (plus 64 KiB), every later step writes its states
-    into an int32 table instead, so the steps take at most 8 bytes per
-    state together. The scan stops once every target is reached. Returns
-    None when no target is reachable; refuses q above 10**7 up front.
-
-    A few candidate targets are walked up to the root one by one
-    (`_walk`); more are compared in one pass over the steps (`_descend`).
-    The first-reach witness of a state is its colex-least subset, so either
-    gives the least witness of the full per-state DP.
+    other than `excluded` (none when it is -1). Returns None when no target
+    is reachable. The DP is the one the module docstring describes.
 
     The target mask repeats bit `residue` every p bits, doubling the span
     it covers at each shift: O(log(q/p)) big-int operations, where the one

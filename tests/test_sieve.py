@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -168,6 +170,21 @@ def test_optimize_cutoff_five_ceil_sqrt_scale():
     assert scan.best is not None
     assert scan.best.bound <= 120 * log_n
     assert 1400 <= scan.best.bound <= 1600
+
+
+def test_optimize_cutoff_holds_one_prime_list():
+    # the scan walks one sequence of the primes up to its cutoff, keeping no
+    # per-prime record beside it: its peak stays below two of those lists
+    ref = primes_up_to(10**6)
+    size = sys.getsizeof(ref) + sum(map(sys.getsizeof, ref))
+    del ref
+    tracemalloc.start()
+    try:
+        optimize_cutoff(PrimeSet.all_primes(), "two_sqrt", 20.0, [10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size, f"peak {peak} bytes, {peak / size:.2f} prime lists"
 
 
 def test_optimize_cutoff_validation():
