@@ -480,6 +480,7 @@ def _parse_y_grid(text: str) -> list[int]:
                 raise ValueError
         except ValueError:  # also too few or too many parts, or a non-integer one
             raise ValueError(f"bad grid spec {text!r}") from None
+        check_table(a + (b - a) // step * step)  # the last point, before the list
         return list(range(a, b + 1, step))
     return _ints(text, "--y-grid")
 

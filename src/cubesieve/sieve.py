@@ -11,8 +11,8 @@ counts. `optimize_cutoff` evaluates either in one pass: it picks the
 per-prime denominator term once, then walks the ascending cutoff grid and
 one tuple of the primes up to the last cutoff together, adding log p and
 the term to two running sums that start at -log N. Each cutoff reads the
-sums it has reached, and its report holds a prefix of that tuple, so the
-scan keeps no per-prime record.
+sums it has reached, and its report shares that tuple with a count of the
+primes it used, so the scan keeps no per-prime or per-row copy of them.
 
 A measured scan needs, at every prime p up to y, nu(p) (the number of
 classes mod p that the set occupies) for the plain bound, or the second
@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_, xor
 from typing import Callable, Iterable, Iterator, Sequence
@@ -244,15 +244,21 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
 @dataclass(frozen=True)
 class SieveBoundReport:
     """Evaluated sieve inequality; bound is None when the denominator is
-    not positive (the inequality then certifies nothing)."""
+    not positive (the inequality then certifies nothing). It used the first
+    `count` of `primes`, a tuple that every report of one scan shares."""
     numerator: float
     denominator: float
     bound: float | None
-    moduli_used: tuple[int, ...]
+    primes: tuple[int, ...] = field(repr=False)
+    count: int
 
     @property
     def unbounded(self) -> bool:
         return self.bound is None
+
+    @property
+    def moduli_used(self) -> tuple[int, ...]:
+        return self.primes[:self.count]
 
 
 def _check_log_n(log_n: float) -> None:
@@ -363,7 +369,7 @@ def optimize_cutoff(
             den += den_term(p, lp)
             k += 1
         bound = num / den if den > DENOM_TOL else None
-        rows.append((y, SieveBoundReport(num, den, bound, primes[:k])))
+        rows.append((y, SieveBoundReport(num, den, bound, primes, k)))
     best_y, best = min(((y, rep) for y, rep in rows if not rep.unbounded),
                        key=lambda row: row[1].bound, default=(None, None))
     return CutoffScan(tuple(rows), best_y, best)

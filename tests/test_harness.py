@@ -452,12 +452,16 @@ _HUGE_STAR = max(4, int(round(prescribed_cutoff(1e-3, math.log(100)))))  # about
      f"limit N = {_HUGE_STAR} is too large for the prime sieve table (max 10**8)"),
     (["experiment", "sieve-compare", "--grid", "10,100", "--tau", "1e-3"],
      f"limit N = {_HUGE_STAR} is too large for the prime sieve table (max 10**8)"),
+    # from its last point, before the 10^10 points of the grid are listed
+    (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "1:10000000000:1",
+      "--log-n", "20"], "limit N = 10000000000 is too large for the prime sieve table (max 10**8)"),
 ])
 def test_cli_refuses_cutoff_too_large(argv, message, capsys, monkeypatch):
-    # refused before any member is enumerated or any prime is sieved; a
-    # y-byte sieve table for y = 8.5e9 would not fit in memory
+    # refused before any member is enumerated, any prime is sieved or any
+    # grid is listed; a y-byte sieve table for y = 8.5e9 would not fit in memory
     monkeypatch.setattr(harness, "enumerate_members", _unreachable)
     monkeypatch.setattr(primes, "primes_up_to", _unreachable)
+    monkeypatch.setattr(harness, "range", _unreachable, raising=False)
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 

@@ -172,15 +172,18 @@ def test_optimize_cutoff_five_ceil_sqrt_scale():
     assert 1400 <= scan.best.bound <= 1600
 
 
-def test_optimize_cutoff_holds_one_prime_list():
+@pytest.mark.parametrize("grid", [[10**6], range(20000, 10**6 + 1, 20000)],
+                         ids=["one-row", "50-rows"])
+def test_optimize_cutoff_holds_one_prime_list(grid):
     # the scan walks one sequence of the primes up to its cutoff, keeping no
-    # per-prime record beside it: its peak stays below two of those lists
+    # per-prime record beside it, and its rows share that sequence: its peak
+    # stays below two of those lists however many rows it has
     ref = primes_up_to(10**6)
     size = sys.getsizeof(ref) + sum(map(sys.getsizeof, ref))
     del ref
     tracemalloc.start()
     try:
-        optimize_cutoff(PrimeSet.all_primes(), "two_sqrt", 20.0, [10**6])
+        optimize_cutoff(PrimeSet.all_primes(), "two_sqrt", 20.0, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -90,27 +90,29 @@ def _check_log_n(log_n: float) -> None:
         raise ValueError(f"log N must be {'finite' if log_n > 0 else 'positive'}, got {log_n}")
 
 
-def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float) -> SieveBoundReport:
+def gallagher_bound(profiles: Sequence[ResidueProfile], log_n: float,
+                    count: int) -> SieveBoundReport:
+    # the bound over the first `count` profiles; the report holds every modulus
     _check_log_n(log_n)
     profs = _check_moduli(profiles)
     num = den = -log_n
-    for r in profs:
+    for r in profs[:count]:
         lp = math.log(r.prime)
         num += lp
         den += lp / r.nu
     bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs))
+    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs), count)
 
 
 def gallagher_bound_weighted(
-    profiles: Sequence[ResidueProfile], count_b: int, log_n: float
+    profiles: Sequence[ResidueProfile], count_b: int, log_n: float, count: int
 ) -> SieveBoundReport:
     _check_log_n(log_n)
     if count_b < 1:
         raise ValueError(f"profiled count must be positive, got {count_b}")
     profs = _check_moduli(profiles)
     num = den = -log_n
-    for r in profs:
+    for r in profs[:count]:
         if r.exponent != 1:
             raise ValueError(f"weighted variant needs prime moduli, got {r.modulus}")
         if r.sumsq is None:
@@ -123,7 +125,7 @@ def gallagher_bound_weighted(
         num += lp
         den += lp * r.sumsq / (count_b * count_b)
     bound = num / den if den > DENOM_TOL else None
-    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs))
+    return SieveBoundReport(num, den, bound, tuple(r.modulus for r in profs), count)
 
 
 def optimize_cutoff(
@@ -162,9 +164,9 @@ def optimize_cutoff(
     for y in grid:
         cut = bisect_right(primes, y)
         if variant == "weighted":
-            rep = gallagher_bound_weighted(profs[:cut], len(vals), log_n)
+            rep = gallagher_bound_weighted(profs, len(vals), log_n, cut)
         else:
-            rep = gallagher_bound(profs[:cut], log_n)
+            rep = gallagher_bound(profs, log_n, cut)
         rows.append((y, rep))
         if rep.bound is not None and (best is None or rep.bound < best.bound):
             best_y, best = y, rep
