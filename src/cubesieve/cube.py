@@ -61,9 +61,7 @@ nowhere cheap:
   the same and its listing yields nothing; only a probe that is too strict
   could change a result. The step-a child keeps v iff v and v + a are sums
   of its parent, so the probe tests against the parent's set (the member
-  set for a base's child), and a depth-1 listing from base a0 with step a1
-  tests v + a and v + a + a1 against the member set instead of building a
-  set of the state, as deeper listings do.
+  set for a base's child).
 - (c) The search runs from an explicit stack of frames, one per state on
   the current path, each holding the state's largest sum and the listing
   of its children, so a deep cube does not meet Python's recursion limit.
@@ -451,7 +449,7 @@ def max_dimension_exact(
         nonlocal nodes, tops
         values, k = state
         stop = bisect_right(values, a0 + (limit - smax) // (best_d + 1 - depth), k)
-        a1, have = smax - a0, None
+        have = None
         listed = range(k, stop)
         if depth == 0 and pairs and best_d > 0:
             # drop up front the base children the loop would skip as too short
@@ -472,19 +470,13 @@ def max_dimension_exact(
                 hi = bisect_right(values, values[-1] - a, i)
                 if need and hi - i - gap < need:  # hi - i only shrinks as a grows
                     return
-                if depth == 1:  # v + a is kept iff v + a and v + a + a1 are members
-                    sub = [v for v in values[i + gap:hi]
-                           if v + a in member_set and v + a + a1 in member_set]
-                else:
-                    if have is None:
-                        have = set(values[k:])
-                    sub = [v for v in values[i + gap:hi] if v + a in have]
+                if have is None:
+                    have = set(values[k:])
+                sub = [v for v in values[i + gap:hi] if v + a in have]
                 j = 0
             if len(sub) - j < need:
                 continue
             if need:
-                if depth and have is None:
-                    have = set(values[k:])
                 if not alive(a0, smax + a, sub, j, depth + 1, have if depth else member_set, a):
                     # (b) no viable grandchild: charge the child as entering it
                     # would, at its smax + low = (smax + a) + (a + gap)

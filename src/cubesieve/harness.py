@@ -70,6 +70,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BUDGET = 3
+# a cutoff scan keeps about 240 bytes a row, so 0.3 GB at this many rows
+_MAX_GRID_ROWS = 10**6
 
 
 @dataclass
@@ -481,6 +483,10 @@ def _parse_y_grid(text: str) -> list[int]:
         except ValueError:  # also too few or too many parts, or a non-integer one
             raise ValueError(f"bad grid spec {text!r}") from None
         check_table(a + (b - a) // step * step)  # the last point, before the list
+        rows = (b - a) // step + 1
+        if rows > _MAX_GRID_ROWS:
+            raise ValueError(f"grid spec {text!r} has {rows} points; a scan takes at most "
+                             f"10**6 rows (about 0.3 GB)")
         return list(range(a, b + 1, step))
     return _ints(text, "--y-grid")
 

@@ -41,11 +41,12 @@ half the set and shifts the other half. So a set at least 2^18 wide
 (`_SPLIT_SPAN`) splits its planes once, when the counter is built, into 16
 chunks of w = ceil((span + 1) / 16) bits, one extra copy of the planes.
 Bit x of chunk j is bit j w + x of the set, in the class of
-(j w mod p) + x, so for a prime with 4p <= w the fold starts from the
+(j w mod p) + x, so for a prime with p <= 3w the fold starts from the
 chunks shifted left by j w mod p into w + p bits. The cuts then finish
 from there. A narrower set keeps the whole-set fold, as the split gained
-nothing measurable on the squares up to 10^5, few of whose primes are below
-w/4; so does a prime with 4p > w, whose chunks would be too narrow to gain.
+nothing measurable on the squares up to 10^5. So does a prime above 3w:
+the split still gains a little up to about 4w, but above that its 16
+shifted chunks of w + p bits cost more than the whole-set rounds they save.
 
 - The plain count ORs the shifted chunks.
 - The weighted count of a set of distinct values (one plane) splits by
@@ -171,7 +172,7 @@ def _class_counter(vals: list[int]) -> Callable[[int], int]:
         if p > span:
             return distinct
         bits, top = full, span
-        if 4 * p <= width:
+        if p <= 3 * width:
             bits = reduce(or_, (chunk << j * width % p for j, chunk in enumerate(split[0])))
             top = width + p - 2
         for cut in _cuts(top, p):
@@ -223,7 +224,7 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
         if p > span:
             return whole
         planes, top = initial, span
-        if 4 * p <= width:
+        if p <= 3 * width:
             top = width + p - 2
             shifted = [[chunk << j * width % p for j, chunk in enumerate(chunks)]
                        for chunks in split]

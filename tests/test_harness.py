@@ -455,6 +455,11 @@ _HUGE_STAR = max(4, int(round(prescribed_cutoff(1e-3, math.log(100)))))  # about
     # from its last point, before the 10^10 points of the grid are listed
     (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "1:10000000000:1",
       "--log-n", "20"], "limit N = 10000000000 is too large for the prime sieve table (max 10**8)"),
+    # a last point the table takes, but 10^8 rows of tens of GB: refused
+    # from the point count
+    (["sieve-bound", "--primes", "all", "--nu", "two_sqrt", "--y-grid", "1:100000000:1",
+      "--log-n", "20"], "grid spec '1:100000000:1' has 100000000 points; "
+                        "a scan takes at most 10**6 rows (about 0.3 GB)"),
 ])
 def test_cli_refuses_cutoff_too_large(argv, message, capsys, monkeypatch):
     # refused before any member is enumerated, any prime is sieved or any
@@ -463,6 +468,13 @@ def test_cli_refuses_cutoff_too_large(argv, message, capsys, monkeypatch):
     monkeypatch.setattr(primes, "primes_up_to", _unreachable)
     monkeypatch.setattr(harness, "range", _unreachable, raising=False)
     assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_y_grid_row_cap_boundary(monkeypatch):
+    monkeypatch.setattr(harness, "_MAX_GRID_ROWS", 10)
+    assert harness._parse_y_grid("5:50:5") == list(range(5, 51, 5))
+    with pytest.raises(ValueError, match="has 11 points"):
+        harness._parse_y_grid("5:55:5")
 
 
 def test_cli_verify_olson(capsys):

@@ -329,7 +329,7 @@ _FOLD_CASES = [
 def _both_routes(ps, log_n, grid, vals, variant):
     old = optimize_cutoff(ps, "measured", log_n, grid, values=vals, variant=variant)
     # the density rule, then each route alone on either side of the switch; a
-    # folded set also splits at any span, so the primes up to width/4 start
+    # folded set also splits at any span, so the primes up to 3 * width start
     # from the chunk sum
     for density, split in ((sieve._FOLD_DENSITY, sieve._SPLIT_SPAN), (sieve._FOLD_DENSITY, 0),
                            (-1, sieve._SPLIT_SPAN), (10**6, sieve._SPLIT_SPAN), (10**6, 0)):
@@ -390,6 +390,7 @@ def test_sumsq_fold_at_benchmark_size():
 
 
 _PRIMES = primes_up_to(10**4)
+_SPLIT_PRIMES = primes_up_to(60000)  # past 3 * width at the spans of _split_sets
 
 
 def _width(vals: list[int]) -> int:
@@ -414,9 +415,9 @@ def _split_sets(draw) -> list[int]:
 @settings(max_examples=150, deadline=None)
 @given(_split_sets(), st.lists(st.sampled_from(_PRIMES), max_size=8))
 def test_split_counters_match_reference(vals, drawn):
-    # two primes on each side of width/4, where the chunk sum stops
-    q = bisect_right(_PRIMES, _width(vals) // 4)
-    primes = sorted({2, 3, *_PRIMES[q - 2:q + 2], *drawn})
+    # two primes on each side of 3 * width, where the chunk sum stops
+    r = bisect_right(_SPLIT_PRIMES, 3 * _width(vals))
+    primes = sorted({2, 3, *_SPLIT_PRIMES[r - 2:r + 2], *drawn})
     with mock.patch.object(sieve, "_FOLD_DENSITY", 10**6):  # fold however few values
         nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
     old_nu, old_sumsq = class_counter(vals), sumsq_counter(vals)
@@ -439,6 +440,17 @@ def test_split_route_at_benchmark_sizes(counter, monkeypatch):
     for p in (2, 101, _PRIMES[-1]):
         count(p)
     assert tops == [(width + p - 2, p) for p in (2, 101, _PRIMES[-1])]
+    # past w/4 the split holds up to 3w (15601 fails the parity check);
+    # a prime above 3w folds the whole set
+    span = max(vals) - min(vals)
+    field = 0 if counter is sieve._class_counter else 1
+    band, above = [15601, 186377], 186379
+    assert width // 4 < band[0] and band[-1] <= 3 * width < above
+    tops.clear()
+    values, summed = _sums_at(count, band + [above], monkeypatch)
+    assert tops == [(width + p - 2, p) for p in band] + [(span, above)]
+    assert values == [sieve._occupancy(vals, p)[field] for p in band + [above]]
+    assert summed == ([band[0]] if field else [])
     # a narrower set, the squares up to 10^4 and 10^5, folds the whole set
     for n in (10**4, 10**5):
         tops.clear()
@@ -498,17 +510,17 @@ def test_parity_split_falls_back_on_a_triple(monkeypatch):
 def test_parity_split_gate(extra, monkeypatch):
     # the largest distinct set with |A|^3 <= 6 w^2 takes the parity split and
     # sums only where a split position holds three values; one value more
-    # sums the chunks at every prime with 4p <= w, once
+    # sums the chunks at every prime with p <= 3w, once
     span = sieve._SPLIT_SPAN
     width = -(-(span + 1) // 16)
     size = round((6 * width * width) ** (1 / 3))
     size += extra - (size**3 > 6 * width * width)
     vals = [0, span] + random.Random(size).sample(range(1, span), size - 2)
-    primes = [2, 3, 101, 1009, 2003, 3001, 4093]
-    assert 4 * primes[-1] <= width < 4 * 4099
+    primes = [2, 3, 101, 1009, 2003, 3001, 4093, 4099, 20011, 49139]
+    assert primes[-1] <= 3 * width < 49157
     expect = [p for p in primes if extra or _has_triple(vals, p)]
     assert 0 < len(expect) < len(primes) or extra
-    assert _check_sumsq(vals, primes + [4099, 20011], monkeypatch) == expect
+    assert _check_sumsq(vals, primes + [49157], monkeypatch) == expect
 
 
 def test_parity_split_skipped_with_repeats(monkeypatch):
