@@ -1,12 +1,12 @@
-"""Multiplicatively defined integer sets, each with its own membership test
-and its own enumerator: squareful numbers (as a^2 * b^3, b squarefree),
-r-full numbers relative to a prime set T (a bytearray sieve over the primes
-of T), pure powers (a^e for each e >= 2), values of positive definite binary
-quadratic forms (marked over a bounded (x, y) box), and prime-restricted
-multiplicative semigroups (products of powers of the primes of T).
-
-All sets live inside the positive integers; 1 is a member wherever the
-defining condition is vacuous (and 1 = 1^2 counts as a pure power)."""
+"""Multiplicatively defined integer sets, each with a membership test and
+an enumerator: r-full numbers relative to a prime set T (squareful is r = 2
+over all primes), pure powers a^e (e >= 2), values of positive definite
+binary quadratic forms, and the products of primes of T (semigroups). Up to
+N = 10**12, r-full numbers over all primes walk the products of p^e (e >= r,
+p <= N^(1/r)), pure powers list a^e, and a semigroup over a prime list walks
+its products (uncapped). The rest fill a byte per integer up to N = 10**8:
+r-full numbers over another T and semigroups over an infinite T strike
+multiples in a sieve, and form values are marked over an (x, y) box."""
 
 from __future__ import annotations
 
@@ -15,16 +15,17 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterator
 
-from .primes import (PrimeSet, check_table, is_prime, parse_prime_set, spec_ints,
-                     validate_definite_form)
+from .primes import (PrimeSet, check_table, is_prime, parse_prime_set, primes_up_to,
+                     spec_ints, validate_definite_form)
 
 _MAX_N = 2**63 - 1
 # cofactor past which `factorize` splits m rather than dividing up to its
 # square root; below it the remaining divisions cost less than the split
 _SPLIT_FROM = 1 << 16
-# largest limit of the squareful and pure-power member lists (about 2*10**6
-# members at 10**12); past it the list alone grows until memory runs out
+# largest limit of the walked member lists (about 2*10**6 squareful numbers
+# at 10**12); past it the list alone grows until memory runs out
 _MAX_SPARSE = 10**12
+_ALL_PRIMES = PrimeSet.all_primes()
 
 
 def _check_sparse(limit: int, name: str) -> None:
@@ -144,8 +145,7 @@ def is_perfect_power(n: int) -> bool:
 
 
 class SetDescriptor:
-    """Interface for symbolic arithmetic-set descriptors; each set implements
-    all three methods itself."""
+    """Interface for symbolic arithmetic-set descriptors."""
 
     def contains(self, n: int) -> bool:
         raise NotImplementedError
@@ -157,51 +157,47 @@ class SetDescriptor:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Squareful(SetDescriptor):
-    """n such that p | n implies p^2 | n (the powerful numbers)."""
+def _products(ps: list[int], limit: int, low: int) -> list[int]:
+    """The products <= limit of p^e, e >= low, over distinct p in the
+    ascending list ps (1 included), ascending: one step per product."""
+    out = [1]
 
-    def contains(self, n: int) -> bool:
-        """Trial division (the wheel of `factorize`) while f^3 <= m, for the
-        cofactor m left after the divisors below f. Every prime factor of m
-        is then at least f, so once f^3 > m it has at most two, and m is
-        squareful exactly when it is 1 or a square."""
-        if n < 1:
-            return False
-        _check_factorable(n)
-        m = n
-        for f in _trial_divisors():
-            if f * f * f > m:
+    def walk(val: int, i: int):
+        for j in range(i, len(ps)):
+            v = val * ps[j] ** low
+            if v > limit:
                 break
-            if m % f == 0:
-                m //= f
-                if m % f:
-                    return False
-                while m % f == 0:
-                    m //= f
-        return math.isqrt(m) ** 2 == m
+            while v <= limit:
+                out.append(v)
+                walk(v, j + 1)
+                v *= ps[j]
 
-    def members_up_to(self, limit: int) -> list[int]:
-        # every squareful number is a^2 * b^3 with b squarefree; this keeps
-        # enumeration O(sqrt(limit)) instead of factoring every integer
-        _check_sparse(limit, "squareful")
-        out = set()
-        b = 1
-        while b**3 <= limit:
-            if all(e == 1 for _, e in factorize(b)):  # b squarefree
-                bb = b**3
-                for a in range(1, math.isqrt(limit // bb) + 1):
-                    out.add(a * a * bb)
-            b += 1
-        return sorted(out)
+    walk(1, 0)
+    return sorted(out)
 
-    def describe(self) -> str:
-        return "squareful"
+
+def _sieve(limit: int, primes: PrimeSet, r: int | None) -> list[int]:
+    """The n in [1, limit] that each p in the set divides not at all or at
+    least r times, struck in a bytearray; r None strikes each multiple."""
+    check_table(limit, "the r-full sieve table" if r else "the prime sieve table")
+    keep = bytearray(b"\x01") * (limit + 1)
+    keep[0] = 0
+    root = iroot(limit, r) if r else 0  # p**r <= limit exactly when p <= root
+    for p in primes.primes_up_to(limit):
+        if p > root:  # no multiple of p is a member
+            keep[p::p] = bytes(limit // p)
+            continue
+        pr = p**r
+        for start in range(p, pr, p):  # n = p, 2p, ..., p**r - p (mod p**r)
+            keep[start::pr] = bytes((limit - start) // pr + 1)
+    return list(compress(range(limit + 1), keep))
 
 
 @dataclass(frozen=True)
 class RFull(SetDescriptor):
-    """n such that p | n and p in T imply p^r | n."""
+    """n such that p | n and p in T imply p^r | n. Over all primes (spec
+    `all`) it walks its members, and trial division stops at f^3 > m, when
+    the cofactor m has at most two prime factors; any other T sieves."""
     r: int
     primes: PrimeSet
 
@@ -212,33 +208,49 @@ class RFull(SetDescriptor):
     def contains(self, n: int) -> bool:
         if n < 1:
             return False
-        return all(e >= self.r or not self.primes.contains_prime(p)
-                   for p, e in factorize(n))
+        if self.primes.spec != "all":
+            return all(e >= self.r or not self.primes.contains_prime(p)
+                       for p, e in factorize(n))
+        _check_factorable(n)
+        m = n
+        for f in _trial_divisors():
+            if f * f * f > m:
+                break
+            if m % f == 0:
+                m //= f
+                e = 1
+                while m % f == 0:
+                    m //= f
+                    e += 1
+                if e < self.r:
+                    return False
+        return m == 1 or self.r == 2 and math.isqrt(m) ** 2 == m
 
     def members_up_to(self, limit: int) -> list[int]:
-        """Sieve out each n that some p in T divides, but fewer than r times."""
-        check_table(limit, "the r-full sieve table")
         if limit < 1:
             return []
-        root = iroot(limit, self.r)  # p**r <= limit exactly when p <= root
-        keep = bytearray(b"\x01") * (limit + 1)
-        keep[0] = 0
-        for p in self.primes.primes_up_to(limit):
-            if p > root:  # p**r > limit: no multiple of p is a member
-                keep[p::p] = bytes(limit // p)
-                continue
-            pr = p**self.r
-            for start in range(p, pr, p):  # n = p, 2p, ..., p**r - p (mod p**r)
-                keep[start::pr] = bytes((limit - start) // pr + 1)
-        return list(compress(range(limit + 1), keep))
+        if self.primes.spec != "all":
+            return _sieve(limit, self.primes, self.r)
+        _check_sparse(limit, self.describe())
+        return _products(primes_up_to(iroot(limit, self.r)), limit, self.r)
 
     def describe(self) -> str:
         return f"rfull:{self.r},{self.primes.describe()}"
 
 
+class Squareful(RFull):
+    """n such that p | n implies p^2 | n (the powerful numbers): rfull:2,all."""
+
+    def __init__(self):
+        super().__init__(2, _ALL_PRIMES)
+
+    def describe(self) -> str:
+        return "squareful"
+
+
 @dataclass(frozen=True)
 class PurePowers(SetDescriptor):
-    """n = a^e with e >= 2."""
+    """n = a^e with e >= 2 (1 = 1^2 included)."""
 
     def contains(self, n: int) -> bool:
         return n >= 1 and is_perfect_power(n)
@@ -322,21 +334,9 @@ class Semigroup(SetDescriptor):
     def members_up_to(self, limit: int) -> list[int]:
         if limit < 1:
             return []
-        ps = self.primes.primes_up_to(limit)
-        out = [1]
-
-        def rec(val: int, i: int):
-            for j in range(i, len(ps)):
-                v = val * ps[j]
-                if v > limit:
-                    break
-                while v <= limit:
-                    out.append(v)
-                    rec(v, j + 1)
-                    v *= ps[j]
-
-        rec(1, 0)
-        return sorted(out)
+        if self.primes.listed:
+            return _products(self.primes.primes_up_to(limit), limit, 1)
+        return _sieve(limit, PrimeSet.complement(self.primes), None)
 
     def describe(self) -> str:
         return f"semigroup:{self.primes.describe()}"

@@ -204,6 +204,11 @@ class PrimeSet:
     def complement(cls, inner: "PrimeSet") -> "PrimeSet":
         return cls("complement:" + inner.spec, lambda p: not inner.contains_prime(p))
 
+    @property
+    def listed(self) -> bool:
+        """True for an explicit list, whose members need no sieve."""
+        return self._members is not None
+
     def primes_up_to(self, y: int) -> list[int]:
         """Members of the set that are <= y, ascending."""
         if self._members is not None:

@@ -280,7 +280,7 @@ def _unreachable(*args):
 
 
 @pytest.mark.parametrize("s, table", [
-    (RFull(2, PrimeSet.all_primes()), "the r-full sieve table"),
+    (RFull(2, PrimeSet.inert_of_form(1, 1, 1)), "the r-full sieve table"),
     (RFull(2, PrimeSet.explicit([2, 3])), "the r-full sieve table"),
     (QuadForm(1, 0, 1), "the form's value table"),
     # a semigroup over a sieved prime set sieves its primes up to the limit

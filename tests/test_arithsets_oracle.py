@@ -1,9 +1,19 @@
-"""Differential tests: RFull.members_up_to, which sieves the multiples of
-each p in T that p^r does not divide out of a bytearray, against the
-enumerator it replaced, kept below as a reference implementation (bodies
-unchanged). The reference builds a smallest-prime-factor table, factors
-every n <= limit again, and keeps n when each p in T divides it either not
-at all or at least r times. Both must return the same ascending list."""
+"""Differential tests: each enumerator of cubesieve.arithsets against the
+code it replaced, kept below as reference implementations (bodies unchanged
+but for the size guards).
+
+- RFull's bytearray sieve, which strikes the multiples of each p in T that
+  p^r does not divide, against a smallest-prime-factor table that factors
+  every n <= limit again and keeps n when each p in T divides it either not
+  at all or at least r times.
+- The product walk of RFull over all primes against that sieve, and the
+  squareful numbers against their a^2 * b^3 (b squarefree) enumeration.
+- Semigroup's strike sieve over an infinite prime set against the
+  recursion over the primes of T that the walk still runs for a list.
+- RFull's early-exit membership over all primes against the rule read off
+  the factorization.
+
+Each pair must give the same ascending list, or the same answer."""
 
 import math
 import subprocess
@@ -15,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_sieve_oracle import build_prime_set, prime_set_recipes
 
-from cubesieve.arithsets import RFull
-from cubesieve.primes import PrimeSet, primes_up_to
+from cubesieve import arithsets
+from cubesieve.arithsets import RFull, Semigroup, Squareful, factorize
+from cubesieve.primes import PrimeSet, parse_prime_set, primes_up_to
 
 # ---------------------------------------------------------------------------
 # reference implementation (a smallest-factor table, every n factored)
@@ -62,6 +73,40 @@ class ReferenceRFull:
         return all(e >= self.r or not self.primes.contains_prime(p) for p, e in pairs)
 
 
+def reference_squareful(limit: int) -> list[int]:
+    # every squareful number is a^2 * b^3 with b squarefree; this keeps
+    # enumeration O(sqrt(limit)) instead of factoring every integer
+    out = set()
+    b = 1
+    while b**3 <= limit:
+        if all(e == 1 for _, e in factorize(b)):  # b squarefree
+            bb = b**3
+            for a in range(1, math.isqrt(limit // bb) + 1):
+                out.add(a * a * bb)
+        b += 1
+    return sorted(out)
+
+
+def reference_semigroup(primes: PrimeSet, limit: int) -> list[int]:
+    if limit < 1:
+        return []
+    ps = primes.primes_up_to(limit)
+    out = [1]
+
+    def rec(val: int, i: int):
+        for j in range(i, len(ps)):
+            v = val * ps[j]
+            if v > limit:
+                break
+            while v <= limit:
+                out.append(v)
+                rec(v, j + 1)
+                v *= ps[j]
+
+    rec(1, 0)
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # differential tests
 
@@ -94,6 +139,54 @@ def test_rfull_members_match_reference(case):
     new = RFull(r, build_prime_set(PrimeSet, recipe)).members_up_to(limit)
     old = ReferenceRFull(r, build_prime_set(PrimeSet, recipe)).members_up_to(limit)
     assert new == old
+
+
+_ALL = PrimeSet.all_primes()
+_WALK_LIMITS = st.integers(1, 10**5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6), _WALK_LIMITS)
+def test_rfull_walk_matches_sieve_over_all_primes(r, limit):
+    assert RFull(r, _ALL).members_up_to(limit) == arithsets._sieve(limit, _ALL, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WALK_LIMITS, st.data())
+def test_squareful_is_rfull_2_all(limit, data):
+    members = Squareful().members_up_to(limit)
+    assert members == RFull(2, _ALL).members_up_to(limit) == reference_squareful(limit)
+    member_set = set(members)
+    for n in data.draw(st.lists(st.integers(1, limit), max_size=50)):
+        assert Squareful().contains(n) == RFull(2, _ALL).contains(n) == (n in member_set)
+
+
+_SIEVED_SEMIGROUPS = ["all", "class:1,4", "inert:1,1,1", "complement:list:2", "complement:all"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SIEVED_SEMIGROUPS), _WALK_LIMITS)
+def test_semigroup_sieve_matches_recursion(spec, limit):
+    primes = parse_prime_set(spec)
+    assert Semigroup(primes).members_up_to(limit) == reference_semigroup(primes, limit)
+
+
+def _times_prime_power(a: int, p: int, k: int) -> int:
+    return a * p**k
+
+
+# n up to 10**5, and a * p^k with p large enough that the trial division
+# stops at f^3 > m with p or p^2 left in the cofactor
+_MEMBERSHIP_INPUTS = st.integers(1, 10**5) | st.builds(
+    _times_prime_power, st.integers(1, 10**4),
+    st.sampled_from([2, 3, 5, 97, 10007, 65537, 1000003, 2147483647]), st.integers(1, 6),
+).filter(lambda n: n < 2**63)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 6), _MEMBERSHIP_INPUTS)
+def test_rfull_membership_over_all_primes_matches_factorization(r, n):
+    assert RFull(r, _ALL).contains(n) == all(e >= r for _, e in factorize(n))
 
 
 def test_rfull_huge_exponent_stays_cheap():

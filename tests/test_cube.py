@@ -348,7 +348,7 @@ def test_max_homogeneous_ap_refuses_huge_limit(monkeypatch):
     # the scan builds no table of its own, so each set's enumeration guard
     # refuses what that set cannot list, before any table or loop
     sets = [
-        ("rfull:2,all", 10**8 + 1, "the r-full sieve table (max 10**8)"),
+        ("rfull:2,inert:1,1,1", 10**8 + 1, "the r-full sieve table (max 10**8)"),
         ("quadform:1,0,1", 10**8 + 1, "the form's value table (max 10**8)"),
         ("semigroup:all", 10**8 + 1, "the prime sieve table (max 10**8)"),
         ("squareful", 10**12 + 1, "the squareful enumeration (max 10**12)"),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cubesieve import arithsets, cube, harness, primes, sieve
-from cubesieve.arithsets import PurePowers, Squareful
+from cubesieve.arithsets import PurePowers, RFull, Squareful
 from cubesieve.cube import HilbertCube, verify
 from cubesieve.harness import (
     EXIT_BUDGET,
@@ -25,6 +25,7 @@ from cubesieve.harness import (
     run_verify_all,
     _emit_csv,
 )
+from cubesieve.primes import PrimeSet
 from cubesieve.sieve import NU_MODELS, prescribed_cutoff
 from cubesieve.sunflower import SunflowerWitness
 
@@ -1050,11 +1051,11 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["enumerate", "--set", "quadform:1,0,1", "--limit", "100000000000"],
      "limit N = 100000000000 is too large for the form's value table (max 10**8)"),
-    (["enumerate", "--set", "rfull:2,all", "--limit", "100000001"],
+    (["enumerate", "--set", "rfull:2,inert:1,1,1", "--limit", "100000001"],
      "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
     (["enumerate", "--set", "semigroup:class:1,4", "--limit", "100000001"],
      "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
-    (["ap-max", "--set", "rfull:2,all", "--limit", "100000001"],
+    (["ap-max", "--set", "rfull:2,inert:1,1,1", "--limit", "100000001"],
      "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
     # 2 * 10^9 + 1 values of x, one isqrt each, would take many minutes
     (["membership", "--set", "quadform:1,0,1", "--n", str(10**18 + 7)],
@@ -1079,6 +1080,19 @@ def test_cli_refuses_limit_too_large(argv, message, capsys, monkeypatch):
         assert run_cli(argv, capsys) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, first, last", [
+    (["enumerate", "--set", "rfull:3,all", "--limit", "100000001"], "1", "100000000"),
+    (["ap-max", "--set", "rfull:2,all", "--limit", "10000000000"],
+     "10000000000,12,5336100", "10000000000,12,5336100"),
+])
+def test_cli_rfull_over_all_primes_passes_the_table_cap(argv, first, last, capsys):
+    # r-full sets over all primes walk their members, with no table of one
+    # byte per integer, so they answer past 10**8
+    code, out, err = run_cli(argv, capsys)
+    rows = out.splitlines()
+    assert (code, err, rows[1], rows[-1]) == (EXIT_OK, "", first, last)
+
+
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail a call still running after `seconds`: a loop past its guard that
@@ -1095,7 +1109,7 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
-@pytest.mark.parametrize("s", [Squareful(), PurePowers()])
+@pytest.mark.parametrize("s", [Squareful(), PurePowers(), RFull(3, PrimeSet.all_primes())])
 def test_sparse_enumeration_bound_is_inclusive(s, monkeypatch):
     # a limit of 10**12 passes the guard and reaches the loop; one more does not
     monkeypatch.setattr(arithsets, "range", _unreachable, raising=False)
