@@ -15,9 +15,13 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
 - Bitsets, for dense sets (and always in the greedy search). The members
   up to N are one bitset (the codec of `primes`). `fits` starts at
   members >> a0, adding step a sets fits &= fits >> a, and the admissible
-  steps are the set bits of `fits >> low`, read by
-  `set_bits(fits >> low, low)`. Each state costs O(N) bits, however few
-  offsets it keeps.
+  steps are the set bits of `fits >> low`. A listing masks them to the
+  steps under the step cap, which narrows every later operation, and reads
+  them one at a time, lowest set bit first (x & -x, then x ^= that bit),
+  until the index cut or the step cap stops it: a dense state has only a
+  few candidates, so this costs a few big-int operations, not a string of
+  one character per bit. Each state costs O(N) bits, however few offsets
+  it keeps.
 - Pair lists, for sparse sets. A state is the ascending list of the sums
   y = a0 + x, kept only from a0 + low on, since low never decreases. The
   step-a child keeps the v in the list from a0 + a + gap on (gap = 1 under
@@ -90,8 +94,9 @@ since the progression repeats its step.
 
 The greedy search draws each next step uniformly among the set bits of
 `fits >> low` by index (rng.randrange of their count, then the i-th set bit
-by bisection), which consumes the same random stream as rng.choice over the
-listed candidates, so its results match the list-based search it replaced.
+by halving: `_nth_bit`), which consumes the same random stream as
+rng.choice over the listed candidates, so its results match the list-based
+search it replaced.
 
 `verify` walks the distinct sums, {a0} grown by S |= S + a per step, not
 the 2^d sums with multiplicity that `sums()` lists (and refuses past
@@ -112,7 +117,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
-from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table, set_bits
+from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
 
 _SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
@@ -340,16 +345,23 @@ def _low(steps: list[int], distinct: bool) -> int:
 
 def _nth_bit(x: int, i: int) -> int:
     """The position of the i-th set bit of x, counting from bit 0 and i from
-    0: the least k with more than i set bits in x mod 2^(k+1), found by
-    bisection in O(log x) big-int operations."""
-    lo, hi = 0, x.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (x & ((2 << mid) - 1)).bit_count() > i:
-            hi = mid
+    0, for 0 <= i < x.bit_count(). Each step halves x: it keeps the low half
+    when that holds more than i set bits, else drops it and counts its bits
+    off i. The halves shrink geometrically, so an n-bit x costs O(n) digit
+    work, where a bisection with a full-width mask at each of its log n
+    steps costs O(n log n)."""
+    pos = 0
+    while (width := x.bit_length()) > 1:
+        half = width >> 1
+        low = x & ((1 << half) - 1)
+        count = low.bit_count()
+        if count > i:
+            x = low
         else:
-            lo = mid + 1
-    return lo
+            x >>= half
+            pos += half
+            i -= count
+    return pos
 
 
 def _result(limit: int, best, nodes: int, exact: bool, distinct: bool) -> CubeSearchResult:
@@ -410,9 +422,14 @@ def max_dimension_exact(
 
     def bit_children(a0, smax, fits, depth, avail, low):
         cap = (limit - smax) // (best_d + 1 - depth)
-        for i, a in enumerate(set_bits((fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), low)):
+        rest, i = (fits >> low) & ((1 << max(cap - low + 1, 0)) - 1), 0
+        while rest:
+            bit = rest & -rest  # primes.low_bits inlined; as a generator it is slower
+            rest ^= bit
+            a = low + bit.bit_length() - 1
             if depth + avail - i <= best_d or smax + (best_d + 1 - depth) * a > limit:
                 return
+            i += 1
             sub = fits & (fits >> a)
             sub_avail = (sub >> (a + gap)).bit_count()
             if depth + 1 + sub_avail > best_d:  # else the popcount bound cuts it
@@ -536,8 +553,8 @@ def max_dimension_greedy(
     Deterministic for a fixed seed. The best cube over all restarts is
     returned (first achiever wins ties). Each next step is drawn uniformly
     from the admissible ones, the set bits of `fits >> low`, by index: the
-    popcount n, then i = rng.randrange(n), then the i-th set bit by
-    bisection, without listing the candidates. CPython's rng.choice(seq)
+    popcount n, then i = rng.randrange(n), then the i-th set bit by halving
+    (`_nth_bit`), without listing the candidates. CPython's rng.choice(seq)
     is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
     rng._randbelow(n), so this draws the same random stream and picks the
     same steps as choosing from the ascending candidate list. `members` is

@@ -4,7 +4,7 @@ share: one int with bit v set for each value v of a set. `bitset` builds it
 through a bytearray and `int.from_bytes`; `set_bits` reads it back from its
 binary string (whose last character is bit 0) with `str.rfind`, not one
 big-int operation per bit; `iter_set_bits` reads a wide one 2^16 bits at a
-time."""
+time, and `low_bits` reads a few bits of a wide one, lowest set bit first."""
 
 from __future__ import annotations
 
@@ -50,6 +50,16 @@ def set_bits(x: int, offset: int = 0) -> list[int]:
         out.append(top - k)
         k = bits.rfind("1", 0, k)
     return out
+
+
+def low_bits(x: int) -> Iterator[int]:
+    """set_bits(x) one value at a time, each read as the lowest set bit of
+    what is left: O(size of x) per bit and no string, so for a few bits of
+    a wide x."""
+    while x:
+        bit = x & -x
+        x ^= bit
+        yield bit.bit_length() - 1
 
 
 def iter_set_bits(x: int) -> Iterator[int]:

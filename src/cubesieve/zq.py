@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .primes import bitset, ceil_two_sqrt, is_prime, iter_set_bits, set_bits
+from .primes import bitset, ceil_two_sqrt, is_prime, iter_set_bits, low_bits
 
 _MAX_Q = 10**7  # largest modulus the reachability DP accepts
 _WALK_MAX = 4  # candidates whose chains are walked one by one
@@ -203,7 +203,7 @@ def _least_witness(
     if not cands:
         return None
     if cands.bit_count() <= _WALK_MAX:
-        return min((_walk(steps, first, s, q), s) for s in set_bits(cands))
+        return min((_walk(steps, first, s, q), s) for s in low_bits(cands))
     return _descend(steps, first, reached ^ untabled if first else 0, cands, q, full)
 
 

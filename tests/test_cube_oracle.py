@@ -25,7 +25,10 @@ the list-based reference above.
 The exact search starts from a floor, the longest homogeneous progression.
 The scan that finds it is held to the step loop over every integer that it
 replaced, and a complete search must return the same witness with the floor
-as without it, in no more nodes."""
+as without it, in no more nodes.
+
+The greedy search finds the i-th set bit by halving; the bisection it
+replaced is kept below, and the two must agree on every i."""
 
 import dataclasses
 import itertools
@@ -448,6 +451,20 @@ def test_exact_routes_stop_at_the_same_state(text, n, subset_sum, budget):
     assert res.witness is not None and res.best_dimension >= 2
 
 
+@pytest.mark.parametrize("text", ["rfull:2,inert:1,1,1", "semigroup:class:1,4"])
+@pytest.mark.parametrize("n", [1000, 10000])
+@pytest.mark.parametrize("budget", [1, 10, 10**3, 10**5, 3 * 10**5])
+def test_exact_matches_recursive_reference_on_dense_budgets(text, n, budget):
+    # the benchmark's dense rows on the bitset route, where a budget runs out
+    # while a listing is part way through its lowest-bit walk
+    s = parse_set_descriptor(text)
+    members = _members(s, n)
+    assert _pair_table(members, 0, n) is None
+    res = cube.max_dimension_exact(s, n, budget=budget, members=members)
+    assert res == recursive_exact(s, n, budget=budget, members=members)
+    assert (res.exact, res.nodes_expanded) == (False, budget + 1)
+
+
 def _pairs_by_definition(members: list[int], gap: int, top: int) -> dict[int, list[int]]:
     present = set(members)
     table: dict[int, list[int]] = {}
@@ -661,3 +678,52 @@ def test_verify_matches_reference(case):
 def test_verify_edge_cases_match_reference(a0, steps, values, limit):
     cube_, s = HilbertCube(a0, steps), Listed(frozenset(values))
     assert cube.verify(cube_, s, limit) == verify(cube_, s, limit)
+
+
+# ---------------------------------------------------------------------------
+# the greedy search's i-th set bit: `cube._nth_bit` halves its int at each
+# step; the bisection with a full-width mask that it replaced is kept below
+
+
+def _nth_bit(x: int, i: int) -> int:
+    lo, hi = 0, x.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (x & ((2 << mid) - 1)).bit_count() > i:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@st.composite
+def wide_ints(draw):
+    """An int of up to 2^16 bits with its top bit set and up to 8 runs of
+    ones below it, so every i can be asked of it."""
+    width = draw(st.sampled_from((1, 2, 63, 64, 65, 1 << 16)) | st.integers(1, 1 << 16))
+    x = 1 << (width - 1)
+    for start, length in draw(st.lists(st.tuples(st.integers(0, width - 1),
+                                                 st.integers(1, 32)), max_size=8)):
+        x |= ((1 << length) - 1) << start
+    return x & ((1 << width) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_ints())
+def test_nth_bit_matches_bisection(x):
+    assert [cube._nth_bit(x, i) for i in range(x.bit_count())] == \
+        [_nth_bit(x, i) for i in range(x.bit_count())]
+
+
+_EDGE_INTS = {
+    "top-bit-2^16": 1 << ((1 << 16) - 1),
+    **{f"ones-{w}": (1 << w) - 1 for w in (1, 2, 3, 64, 65, 1000, 1 << 16)},
+    "hole-2^16": ((1 << (1 << 16)) - 1) ^ ((1 << 40000) - (1 << 20000)),
+}
+
+
+@pytest.mark.parametrize("x", _EDGE_INTS.values(), ids=_EDGE_INTS.keys())
+def test_nth_bit_matches_bisection_at_the_ends(x):
+    count = x.bit_count()
+    for i in {0, 1, count // 2, count - 2, count - 1, *range(0, count, 97)} - {-1, count}:
+        assert cube._nth_bit(x, i) == _nth_bit(x, i)

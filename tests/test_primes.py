@@ -10,6 +10,7 @@ from cubesieve.primes import (
     PrimeSet,
     bitset,
     is_prime,
+    low_bits,
     parse_prime_set,
     primes_up_to,
     set_bits,
@@ -229,3 +230,10 @@ def test_bitset_codec_round_trip(data):
     x = bitset(vals, top)
     assert x.bit_length() <= top + 1
     assert set_bits(x, off) == [v + off for v in sorted(set(vals))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 5000), max_size=6), st.integers(0, 5000))
+def test_low_bits_lists_the_set_bits(vals, top):
+    x = bitset(vals, max(vals + [top]))
+    assert list(low_bits(x)) == set_bits(x)
