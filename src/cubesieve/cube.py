@@ -32,9 +32,12 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
   search runs from every member as a base, and only for the steps
   a <= limit // d that the step cap lets a base child take once the floor
   below has dimension d. Its entries are counted first, one bisection per
-  member, and past _MAX_PAIRS the search keeps bitsets instead. A
-  subset-sum search has the one base 0, so it builds each child when it
-  needs it, as it does deeper down.
+  member, and past _MAX_PAIRS the search keeps bitsets instead. Once built,
+  it keeps only the steps a with at least d - 1 entries, the floor's best
+  depth: the step-a base child keeps at most len(P[a]) sums, it needs the
+  best depth of them, and the best depth only rises. A subset-sum search
+  has the one base 0, so it builds each child when it needs it, as it does
+  deeper down.
 
 Both ways list the same steps in the same order and charge the same nodes,
 so they return equal results. Three things keep the states that lead
@@ -47,9 +50,9 @@ nowhere cheap:
   the slice of sums the step-a child could keep is shorter than the
   popcount that child needs, since the slice only shrinks as a grows.
   A base listing drops up front, in one comprehension, each candidate
-  a0 + a past P[a][-d] - gap for the best depth d so far, which the child
-  could not pass (fewer than d entries of P[a] from a0 + a + gap on); the
-  table of these limits is rebuilt only when d rises.
+  a0 + a whose child could not pass for the best depth d so far: P[a] has
+  fewer than d entries, or P[a][-d] < a0 + a + gap, both read directly
+  from the table.
 - (b) The search charges a state it enters one node for every member from
   smax + low upward (its largest sum plus its least admissible step), and
   nothing for a state the popcount bound cuts. On the pair-list route a
@@ -414,10 +417,11 @@ def max_dimension_exact(
     # a base child a can beat best_d, which is >= 0 once a base is entered,
     # only if a0 + (best_d + 1) * a <= limit
     pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
+    # a step-a base child keeps at most len(P[a]) sums and needs best_d, which only rises
+    if pairs and best_d > 0:
+        pairs = {a: ys for a, ys in pairs.items() if len(ys) >= best_d}
     bits = _bits(members) if pairs is None else 0
     member_set = set(members) if pairs is not None else None
-    # (best_d, a -> the largest a0 + a whose step-a base child keeps best_d sums)
-    tops: tuple[int, dict[int, int]] = (-1, {})
     nodes = 0
 
     def bit_children(a0, smax, fits, depth, avail, low):
@@ -463,18 +467,15 @@ def max_dimension_exact(
         return False
 
     def list_children(a0, smax, state, depth, avail, low):
-        nonlocal nodes, tops
+        nonlocal nodes
         values, k = state
         stop = bisect_right(values, a0 + (limit - smax) // (best_d + 1 - depth), k)
         have = None
         listed = range(k, stop)
         if depth == 0 and pairs and best_d > 0:
             # drop up front the base children the loop would skip as too short
-            if tops[0] != best_d:
-                tops = best_d, {a: sub[-best_d] - gap for a, sub in pairs.items()
-                                if len(sub) >= best_d}
-            top = tops[1]
-            listed = [i for i in listed if values[i] <= top.get(values[i] - a0, -1)]
+            listed = [i for i in listed if len(ys := pairs.get(values[i] - a0, ())) >= best_d
+                      and ys[-best_d] >= values[i] + gap]
         for i in listed:
             a = values[i] - a0
             if depth + avail - (i - k) <= best_d or smax + (best_d + 1 - depth) * a > limit:

@@ -91,11 +91,10 @@ _FOLD_DENSITY = 512  # fold a measured set into a bitset when span <= this * |A|
 _SPLIT_SPAN = 1 << 18  # split a folded set this wide or wider into 16 chunks
 
 
-def _occupancy(vals: list[int], modulus: int) -> tuple[int, int]:
-    """(nu, sumsq): the occupied classes of `vals` mod `modulus` and the
-    sum of their squared occupancies."""
-    counts = Counter([v % modulus for v in vals]).values()
-    return len(counts), sum(c * c for c in counts)
+def _occupancy(vals: list[int], modulus: int) -> int:
+    """The sum over the classes mod `modulus` of their squared occupancies
+    by `vals`."""
+    return sum(c * c for c in Counter([v % modulus for v in vals]).values())
 
 
 def _planes(vals: list[int]) -> tuple[list[int], int] | None:
@@ -213,7 +212,7 @@ def _sumsq_counter(vals: list[int]) -> Callable[[int], int]:
     """p -> sum_h Z(h)^2 over the classes h mod p (see the module docstring)."""
     dense = _planes(vals)
     if dense is None:
-        return lambda p: _occupancy(vals, p)[1]
+        return lambda p: _occupancy(vals, p)
     initial, span = dense
     width, split = _split(initial, span)
     whole = _moments(initial)[1]

@@ -438,6 +438,28 @@ def test_exact_matches_recursive_reference_on_large_sets(text, n, kw, exact):
     assert res == recursive_exact(s, n, **kw)
 
 
+@pytest.mark.parametrize("text, n", [
+    ("purepowers", 3000),  # floor H(4;4), dimension 1; optimum 3
+    ("purepowers", 10**4),
+    ("rfull:4,all", 3000),  # floor H(16;16), dimension 1; optimum 2
+    ("semigroup:list:3,5,7,11", 1000),  # floor H(1;), dimension 0; optimum 5
+    ("semigroup:list:3,5,7,11", 10**4),
+])
+@pytest.mark.parametrize("kw", [{}, dict(subset_sum_mode=True), dict(distinct=True)],
+                         ids=["plain", "subset_sum", "distinct"])
+@pytest.mark.parametrize("budget", [50, 2000, 10**8])
+def test_exact_matches_recursive_reference_as_the_best_depth_rises(text, n, kw, budget):
+    # pair-list searches whose best depth rises past the floor's, so the
+    # base prefilter reads the trimmed pair table at several depths
+    s = parse_set_descriptor(text)
+    members = _members(s, n)
+    assert _pair_table(members, 0, n) is not None
+    res = cube.max_dimension_exact(s, n, budget=budget, members=members, **kw)
+    assert res == recursive_exact(s, n, budget=budget, members=members, **kw)
+    if not kw and budget == 10**8:
+        assert res.exact and res.best_dimension > _homogeneous_ap(members, n)[0] - 1
+
+
 @pytest.mark.parametrize("text, n, subset_sum, budget", [
     ("squareful", 10**4, False, 5000),
     ("squareful", 10**4, False, 100000),

@@ -231,6 +231,11 @@ def sumsq_counter(vals: list[int]) -> Callable[[int], int]:
     return sumsq
 
 
+def _nu_sumsq(vals: list[int], p: int) -> tuple[int, int]:
+    # (nu, sumsq) by the class count's definition and the sparse route's sum
+    return len({v % p for v in vals}), sieve._occupancy(vals, p)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -386,7 +391,7 @@ def test_sumsq_fold_at_benchmark_size():
     assert sieve._planes(vals) is not None
     nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
     for p in primes_up_to(10**4):
-        assert (nu(p), sumsq(p)) == sieve._occupancy(vals, p)
+        assert (nu(p), sumsq(p)) == _nu_sumsq(vals, p)
 
 
 _PRIMES = primes_up_to(10**4)
@@ -422,7 +427,7 @@ def test_split_counters_match_reference(vals, drawn):
         nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
     old_nu, old_sumsq = class_counter(vals), sumsq_counter(vals)
     for p in primes:
-        assert (nu(p), sumsq(p)) == (old_nu(p), old_sumsq(p)) == sieve._occupancy(vals, p)
+        assert (nu(p), sumsq(p)) == (old_nu(p), old_sumsq(p)) == _nu_sumsq(vals, p)
 
 
 @pytest.mark.parametrize("counter", [sieve._class_counter, sieve._sumsq_counter])
@@ -449,7 +454,7 @@ def test_split_route_at_benchmark_sizes(counter, monkeypatch):
     tops.clear()
     values, summed = _sums_at(count, band + [above], monkeypatch)
     assert tops == [(width + p - 2, p) for p in band] + [(span, above)]
-    assert values == [sieve._occupancy(vals, p)[field] for p in band + [above]]
+    assert values == [_nu_sumsq(vals, p)[field] for p in band + [above]]
     assert summed == ([band[0]] if field else [])
     # a narrower set, the squares up to 10^4 and 10^5, folds the whole set
     for n in (10**4, 10**5):
@@ -491,7 +496,7 @@ def _check_sumsq(vals: list[int], primes: list[int], monkeypatch) -> list[int]:
     values, summed = _sums_at(sumsq, primes, monkeypatch)
     reference = sumsq_counter(vals)
     assert values == [reference(p) for p in primes]
-    assert values == [sieve._occupancy(vals, p)[1] for p in primes]
+    assert values == [sieve._occupancy(vals, p) for p in primes]
     return summed
 
 
@@ -541,7 +546,7 @@ def test_counters_skip_the_fold_above_the_span(vals, monkeypatch):
     nu, sumsq = sieve._class_counter(vals), sieve._sumsq_counter(vals)
     for p in (137, 139, 7919):
         assert p > max(vals) - min(vals)
-        assert (nu(p), sumsq(p)) == sieve._occupancy(vals, p)
+        assert (nu(p), sumsq(p)) == _nu_sumsq(vals, p)
 
 
 def test_parity_split_sums_only_failed_primes_at_benchmark_size(monkeypatch):
