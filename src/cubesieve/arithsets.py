@@ -3,8 +3,9 @@ an enumerator: r-full numbers relative to a prime set T (squareful is r = 2
 over all primes), pure powers a^e (e >= 2), values of positive definite
 binary quadratic forms, and the products of primes of T (semigroups). Up to
 N = 10**12, r-full numbers over all primes walk the products of p^e (e >= r,
-p <= N^(1/r)), pure powers list a^e, and a semigroup over a prime list walks
-its products (uncapped). The rest fill a byte per integer up to N = 10**8:
+p <= N^(1/r)), and pure powers list a^e. A semigroup over a prime list walks
+its products at any N, and a product walk refuses once it holds more than
+_MAX_PRODUCTS members. The rest fill a byte per integer up to N = 10**8:
 r-full numbers over another T and semigroups over an infinite T strike
 multiples in a sieve, and form values are marked over an (x, y) box."""
 
@@ -25,6 +26,9 @@ _SPLIT_FROM = 1 << 16
 # largest limit of the walked member lists (about 2*10**6 squareful numbers
 # at 10**12); past it the list alone grows until memory runs out
 _MAX_SPARSE = 10**12
+# largest member list a product walk may hold (squareful at 10**12 holds
+# 2,158,391); an explicit-list semigroup has no limit of its own to refuse
+_MAX_PRODUCTS = 1 << 22
 _ALL_PRIMES = PrimeSet.all_primes()
 
 
@@ -157,9 +161,10 @@ class SetDescriptor:
         raise NotImplementedError
 
 
-def _products(ps: list[int], limit: int, low: int) -> list[int]:
+def _products(ps: list[int], limit: int, low: int, name: str) -> list[int]:
     """The products <= limit of p^e, e >= low, over distinct p in the
-    ascending list ps (1 included), ascending: one step per product."""
+    ascending list ps (1 included), ascending: one step per product. Past
+    _MAX_PRODUCTS products the walk stops and refuses the set, named `name`."""
     out = [1]
 
     def walk(val: int, i: int):
@@ -169,6 +174,9 @@ def _products(ps: list[int], limit: int, low: int) -> list[int]:
                 break
             while v <= limit:
                 out.append(v)
+                if len(out) > _MAX_PRODUCTS:
+                    raise ValueError(f"limit N = {limit} is too large for the {name} "
+                                     f"enumeration (past {_MAX_PRODUCTS} members)")
                 walk(v, j + 1)
                 v *= ps[j]
 
@@ -232,7 +240,7 @@ class RFull(SetDescriptor):
         if self.primes.spec != "all":
             return _sieve(limit, self.primes, self.r)
         _check_sparse(limit, self.describe())
-        return _products(primes_up_to(iroot(limit, self.r)), limit, self.r)
+        return _products(primes_up_to(iroot(limit, self.r)), limit, self.r, self.describe())
 
     def describe(self) -> str:
         return f"rfull:{self.r},{self.primes.describe()}"
@@ -335,7 +343,7 @@ class Semigroup(SetDescriptor):
         if limit < 1:
             return []
         if self.primes.listed:
-            return _products(self.primes.primes_up_to(limit), limit, 1)
+            return _products(self.primes.primes_up_to(limit), limit, 1, self.describe())
         return _sieve(limit, PrimeSet.complement(self.primes), None)
 
     def describe(self) -> str:

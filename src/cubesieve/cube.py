@@ -21,7 +21,7 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
   until the index cut or the step cap stops it: a dense state has only a
   few candidates, so this costs a few big-int operations, not a string of
   one character per bit. Each state costs O(N) bits, however few offsets
-  it keeps.
+  it keeps, so this way refuses N past 10**8 before it builds the bitset.
 - Pair lists, for sparse sets. A state is the ascending list of the sums
   y = a0 + x, kept only from a0 + low on, since low never decreases. The
   step-a child keeps the v in the list from a0 + a + gap on (gap = 1 under
@@ -281,14 +281,6 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"node budget must be >= 0, got {budget}")
 
 
-def _members(s: SetDescriptor, limit: int) -> list[int]:
-    """The members of s up to the limit. A search may hold them as a bitset
-    of limit/8 bytes, so a limit past 10**8 is refused before anything is
-    enumerated."""
-    check_table(limit, "the cube search bitset")
-    return enumerate_members(s, limit)
-
-
 def _bits(members: list[int]) -> int:
     return bitset(members, members[-1] if members else 0)
 
@@ -400,11 +392,11 @@ def max_dimension_exact(
     (values, k), standing for the sums values[k:]. `frames` is the stack of
     the states entered on the current path, `steps` their steps.
 
-    `members` is `_members(s, limit)` when the caller has listed it already;
-    the search only reads it."""
+    `members` is `enumerate_members(s, limit)` when the caller has listed it
+    already; the search only reads it."""
     _check_budget(budget)
     if members is None:
-        members = _members(s, limit)
+        members = enumerate_members(s, limit)
     gap = 1 if distinct else 0
     length, step = (0, None) if distinct else _homogeneous_ap(members, limit)
     if not length:
@@ -420,8 +412,11 @@ def max_dimension_exact(
     # a step-a base child keeps at most len(P[a]) sums and needs best_d, which only rises
     if pairs and best_d > 0:
         pairs = {a: ys for a, ys in pairs.items() if len(ys) >= best_d}
-    bits = _bits(members) if pairs is None else 0
-    member_set = set(members) if pairs is not None else None
+    if pairs is None:
+        check_table(limit, "the cube search bitset")
+        bits, member_set = _bits(members), None
+    else:
+        bits, member_set = 0, set(members)
     nodes = 0
 
     def bit_children(a0, smax, fits, depth, avail, low):
@@ -559,9 +554,11 @@ def max_dimension_greedy(
     is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
     rng._randbelow(n), so this draws the same random stream and picks the
     same steps as choosing from the ascending candidate list. `members` is
-    read as in `max_dimension_exact`."""
+    read as in `max_dimension_exact`. It always holds the bitset, so a limit
+    past 10**8 is refused before anything is enumerated."""
+    check_table(limit, "the cube search bitset")
     if members is None:
-        members = _members(s, limit)
+        members = enumerate_members(s, limit)
     bits = _bits(members)
     rng = random.Random(seed)
     best, nodes = None, 0

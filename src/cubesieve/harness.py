@@ -2,8 +2,9 @@
 `cubesieve` command line interface.
 
 Reruns with identical flags and seed produce byte-identical CSV output.
-Exit codes: 0 success, 1 usage error, 2 counterexample found, 3 node budget
-exhausted on a run that required exactness.
+Exit codes: 0 success, 1 usage error, refused input or memory exhausted,
+2 counterexample found, 3 node budget exhausted on a run that required
+exactness.
 
 Each command is one row of `_COMMANDS`: its handler, help text and flags.
 `main` builds the parser of the one command its first argument names, so
@@ -35,7 +36,6 @@ from .cube import (
     DEFAULT_BUDGET,
     HilbertCube,
     _check_budget,
-    _members,
     max_dimension_exact,
     max_dimension_greedy,
     max_homogeneous_ap,
@@ -151,7 +151,7 @@ def run_dimension_scan(descriptor, cfg: ExperimentConfig):
     _check_budget(cfg.budget)  # before the first enumeration, as the exact search checks it
     rows = []
     for n in cfg.n_grid:
-        members = _members(descriptor, n)
+        members = enumerate_members(descriptor, n)
         res = max_dimension_exact(descriptor, n, budget=cfg.budget, members=members)
         if not res.exact:
             probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}", members=members)
@@ -858,6 +858,9 @@ def main(argv=None) -> int:
         return EXIT_COUNTEREXAMPLE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return EXIT_USAGE
 
 

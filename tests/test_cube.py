@@ -273,14 +273,25 @@ def test_exact_squareful_1e5_starts_from_its_floor():
 
 
 def test_searches_refuse_huge_limit_before_enumerating(monkeypatch):
-    def unreachable(s, n):
-        raise AssertionError("enumerated past the size guard")
+    # each search refuses just before it builds a bitset of limit bits: the
+    # exact one once squareful's pair count past 10**8 sends it to bitsets,
+    # with or without the members passed in, and greedy, which always builds
+    # one, before it enumerates
+    def unreachable(*args):
+        raise AssertionError("ran past the size guard")
 
+    def refused():
+        return pytest.raises(ValueError, match=r"cube search bitset \(max 10\*\*8\)$")
+
+    members = enumerate_members(Squareful(), 10**8 + 1)
+    monkeypatch.setattr(cube, "bitset", unreachable)
+    for kw in ({}, dict(members=members)):
+        with refused():
+            max_dimension_exact(Squareful(), 10**8 + 1, **kw)
     monkeypatch.setattr(cube, "enumerate_members", unreachable)
-    for search in (max_dimension_exact, max_dimension_greedy):
-        for limit in (10**8 + 1, 10**11):
-            with pytest.raises(ValueError, match=r"cube search bitset \(max 10\*\*8\)"):
-                search(Squareful(), limit)
+    for limit in (10**8 + 1, 10**11):
+        with refused():
+            max_dimension_greedy(Squareful(), limit)
 
 
 def test_greedy_always_below_exact():

@@ -56,7 +56,6 @@ from cubesieve.cube import (
     _check_budget,
     _homogeneous_ap,
     _low,
-    _members,
     _pair_table,
     _result,
 )
@@ -193,7 +192,7 @@ def recursive_exact(
 ) -> CubeSearchResult:
     _check_budget(budget)
     if members is None:
-        members = _members(s, limit)
+        members = enumerate_members(s, limit)
     gap = 1 if distinct else 0
     length, step = (0, None) if distinct else _homogeneous_ap(members, limit)
     if not length:
@@ -206,6 +205,8 @@ def recursive_exact(
     # a base child a can beat best_d, which is >= 0 once a base is entered,
     # only if a0 + (best_d + 1) * a <= limit
     pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
+    if pairs is None:
+        check_table(limit, "the cube search bitset")
     bits = _bits(members) if pairs is None else 0
     nodes, exhausted = 0, False
 
@@ -452,12 +453,29 @@ def test_exact_matches_recursive_reference_as_the_best_depth_rises(text, n, kw, 
     # pair-list searches whose best depth rises past the floor's, so the
     # base prefilter reads the trimmed pair table at several depths
     s = parse_set_descriptor(text)
-    members = _members(s, n)
+    members = enumerate_members(s, n)
     assert _pair_table(members, 0, n) is not None
     res = cube.max_dimension_exact(s, n, budget=budget, members=members, **kw)
     assert res == recursive_exact(s, n, budget=budget, members=members, **kw)
     if not kw and budget == 10**8:
         assert res.exact and res.best_dimension > _homogeneous_ap(members, n)[0] - 1
+
+
+@pytest.mark.parametrize("text, n, kw", [
+    ("rfull:4,all", 10**9, {}),  # H(810000; 810000 x 5), 784,553 nodes
+    ("semigroup:list:2,3", 10**12, dict(subset_sum_mode=True)),  # H(0; 1 x 4)
+])
+def test_pair_route_matches_recursive_reference_past_the_bitset_cap(text, n, kw, monkeypatch):
+    # the pair-list route builds no bitset, so it searches past 10**8
+    s = parse_set_descriptor(text)
+    members = enumerate_members(s, n)
+
+    def no_bitset(*args):
+        raise AssertionError("the pair-list route built a bitset")
+
+    monkeypatch.setattr(cube, "bitset", no_bitset)
+    res = cube.max_dimension_exact(s, n, **kw)
+    assert res.exact and res == recursive_exact(s, n, members=members, **kw)
 
 
 @pytest.mark.parametrize("text, n, subset_sum, budget", [
@@ -480,7 +498,7 @@ def test_exact_matches_recursive_reference_on_dense_budgets(text, n, budget):
     # the benchmark's dense rows on the bitset route, where a budget runs out
     # while a listing is part way through its lowest-bit walk
     s = parse_set_descriptor(text)
-    members = _members(s, n)
+    members = enumerate_members(s, n)
     assert _pair_table(members, 0, n) is None
     res = cube.max_dimension_exact(s, n, budget=budget, members=members)
     assert res == recursive_exact(s, n, budget=budget, members=members)

@@ -69,7 +69,7 @@ def test_scan_enumerates_each_grid_point_once(monkeypatch):
         calls.append(limit)
         return arithsets.enumerate_members(s, limit)
 
-    monkeypatch.setattr(cube, "enumerate_members", spy)
+    monkeypatch.setattr(harness, "enumerate_members", spy)
     cfg = ExperimentConfig((100, 1000), budget=50)
     _, rows = run_dimension_scan(arithsets.parse_set_descriptor("semigroup:class:1,4"), cfg)
     assert [row[2] for row in rows] == ["greedy", "greedy"]
@@ -824,9 +824,11 @@ def test_cli_sieve_csv_matches_golden(name, argv, capsys):
     ("experiment_f4_class",
      ["experiment", "f4", "--primes", "class:1,4", "--grid", "100,1000",
       "--budget", "10000", "--seed", "0"]),
+    ("cube_search_rfull4_1e9", ["cube-search", "--set", "rfull:4,all", "--limit", "1000000000"]),
 ])
 def test_cli_scan_csv_matches_golden(name, argv, capsys):
-    # exact rows, and rows where the budget ran out and the greedy probe won
+    # exact rows, and rows where the budget ran out and the greedy probe won;
+    # the pair-list route holds no bitset, so rfull:4,all searches past 10**8
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_OK and err == ""
     assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
@@ -1036,15 +1038,27 @@ def test_cli_repcount_bytes(elements, limit, expected, capsys):
 @pytest.mark.parametrize("limit", [10**8 + 1, 10**11])
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
 def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
-    # refused before any member is enumerated; the bitset alone needs limit/8 bytes
-    def unreachable(s, n):
-        raise AssertionError("enumerated past the size guard")
-
-    monkeypatch.setattr(cube, "enumerate_members", unreachable)
+    # refused before the bitset of limit/8 bytes is built: by greedy before
+    # any member is enumerated, by the exact search once squareful's pair
+    # count sends it to bitsets
+    if mode == "greedy":
+        monkeypatch.setattr(cube, "enumerate_members", _unreachable)
+    monkeypatch.setattr(cube, "bitset", _unreachable)
     argv = ["cube-search", "--set", "squareful", "--limit", str(limit), "--mode", mode]
     assert run_cli(argv, capsys) == (
         EXIT_USAGE, "",
         f"error: limit N = {limit} is too large for the cube search bitset (max 10**8)\n",
+    )
+
+
+def test_cli_scan_past_the_bitset_cap_refuses_when_its_budget_runs_out(capsys):
+    # the exact search runs on pair lists past 10**8; once its budget runs
+    # out, the greedy probe refuses the bitset it would build
+    argv = ["experiment", "f1", "--r", "4", "--primes", "all", "--grid", "1000000000",
+            "--budget", "1000"]
+    assert run_cli(argv, capsys) == (
+        EXIT_USAGE, "",
+        "error: limit N = 1000000000 is too large for the cube search bitset (max 10**8)\n",
     )
 
 
@@ -1057,6 +1071,10 @@ def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
      "limit N = 100000001 is too large for the prime sieve table (max 10**8)"),
     (["ap-max", "--set", "rfull:2,inert:1,1,1", "--limit", "100000001"],
      "limit N = 100000001 is too large for the r-full sieve table (max 10**8)"),
+    # the exact search enumerates before it picks a route, so a dense set's
+    # own table guard refuses it
+    (["cube-search", "--set", "semigroup:class:1,4", "--limit", "200000000"],
+     "limit N = 200000000 is too large for the prime sieve table (max 10**8)"),
     # 2 * 10^9 + 1 values of x, one isqrt each, would take many minutes
     (["membership", "--set", "quadform:1,0,1", "--n", str(10**18 + 7)],
      "limit N = 2000000001 is too large for the form's scan over x (max 10**8)"),
@@ -1117,6 +1135,33 @@ def test_sparse_enumeration_bound_is_inclusive(s, monkeypatch):
         s.members_up_to(10**12)
     with pytest.raises(ValueError, match=r"\(max 10\*\*12\)$"):
         s.members_up_to(10**12 + 1)
+
+
+@pytest.mark.parametrize("command", [
+    ["enumerate"], ["ap-max"],
+    ["cube-search", "--mode", "exact"], ["cube-search", "--mode", "greedy"],
+], ids=["enumerate", "ap-max", "cube-search-exact", "cube-search-greedy"])
+def test_product_walk_bound_is_inclusive(command, capsys, monkeypatch):
+    # semigroup:list:2,3 has 20 members up to 100 and a 21st, 108: a walk of
+    # exactly the cap answers, one more member is refused in one line
+    monkeypatch.setattr(arithsets, "_MAX_PRODUCTS", 20)
+    argv = [*command, "--set", "semigroup:list:2,3", "--limit"]
+    code, out, err = run_cli(argv + ["107"], capsys)
+    assert (code, err) == (EXIT_OK, "") and out
+    assert run_cli(argv + ["108"], capsys) == (
+        EXIT_USAGE, "",
+        "error: limit N = 108 is too large for the semigroup:list:2,3 enumeration "
+        "(past 20 members)\n",
+    )
+
+
+def test_cli_out_of_memory_is_one_line(capsys, monkeypatch):
+    def exhausted(s, limit):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "enumerate_members", exhausted)
+    assert run_cli(["enumerate", "--set", "squareful", "--limit", "100"], capsys) == (
+        EXIT_USAGE, "", "error: out of memory running enumerate\n")
 
 
 def test_cli_cube_verify_past_the_sums_cap(capsys):
