@@ -32,12 +32,14 @@ rule span > _PAIR_DENSITY * |A| (span = largest - least member):
   search runs from every member as a base, and only for the steps
   a <= limit // d that the step cap lets a base child take once the floor
   below has dimension d. Its entries are counted first, one bisection per
-  member, and past _MAX_PAIRS the search keeps bitsets instead. Once built,
-  it keeps only the steps a with at least d - 1 entries, the floor's best
-  depth: the step-a base child keeps at most len(P[a]) sums, it needs the
-  best depth of them, and the best depth only rises. A subset-sum search
-  has the one base 0, so it builds each child when it needs it, as it does
-  deeper down.
+  member, and past _MAX_PAIRS the search builds no table and lists each
+  base's children from the member set, as it does deeper down; without the
+  table a base listing does O(|A|) uncharged work per candidate step, so
+  this refuses N past 10**8. Once built, the table keeps only the steps a
+  with at least d - 1 entries, the floor's best depth: the step-a base
+  child keeps at most len(P[a]) sums, it needs the best depth of them, and
+  the best depth only rises. A subset-sum search has the one base 0, so it
+  builds each child when it needs it, as it does deeper down.
 
 Both ways list the same steps in the same order and charge the same nodes,
 so they return equal results. Three things keep the states that lead
@@ -127,7 +129,7 @@ _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and
 _RESTARTS = 40  # greedy restarts per search
 DEFAULT_BUDGET = 10**8  # exact-search nodes when no budget is given
 _PAIR_DENSITY = 16  # exact search by pair lists when the member span > this * |A|
-_MAX_PAIRS = 1 << 20  # pair-table entries, at 65-110 bytes each; past it, bitsets
+_MAX_PAIRS = 1 << 20  # pair-table entries, at 65-110 bytes each; past it, no table
 
 
 @dataclass(frozen=True)
@@ -264,10 +266,9 @@ class CubeSearchResult:
     so `greedy` also marks a result the floor won. `nodes_expanded` counts
     members scanned as candidate sums, charged as item (b) of the module
     docstring sets out. The search's two routes (bitsets, or pair lists when
-    span > _PAIR_DENSITY * |A| and the pair table holds at most _MAX_PAIRS
-    entries; module docstring) start from the same floor and charge the
-    same nodes, so every field is the same on both, also when the budget
-    runs out."""
+    span > _PAIR_DENSITY * |A|, with or without the pair table; module
+    docstring) start from the same floor and charge the same nodes, so every
+    field is the same on both, also when the budget runs out."""
     limit: int
     mode: str
     best_dimension: int
@@ -285,20 +286,23 @@ def _bits(members: list[int]) -> int:
     return bitset(members, members[-1] if members else 0)
 
 
-def _pair_table(members: list[int], gap: int, top: int) -> dict[int, list[int]] | None:
+def _pair_table(members: list[int], gap: int, top: int,
+                limit: int) -> dict[int, list[int]] | None:
     """The exact search's route (module docstring): None for bitsets, else
     the pair table. P[a] lists, ascending, the members y with y + a a member
     and y >= a + gap, for the steps a <= top that a base child can take; a
     search from one base passes top = 0 and keeps the table empty. A member
     z pairs with the members y < z from max((z + gap + 1) // 2, z - top) on,
     so the entries are counted with one bisection per member before any is
-    built."""
+    built. Past _MAX_PAIRS entries the table is empty, and a limit past
+    10**8 is refused."""
     if not members or members[-1] - members[0] <= _PAIR_DENSITY * len(members):
         return None
     firsts = [bisect_left(members, max((z + gap + 1) // 2, z - top), 0, j)
               for j, z in enumerate(members)]
     if sum(j - f for j, f in enumerate(firsts)) > _MAX_PAIRS:
-        return None
+        check_table(limit, "the cube search without its pair table")
+        return {}
     table = defaultdict(list)
     for j, z in enumerate(members):
         for y in members[firsts[j]:j]:
@@ -408,7 +412,8 @@ def max_dimension_exact(
     best_d = len(best[1]) - 1 if best else -1
     # a base child a can beat best_d, which is >= 0 once a base is entered,
     # only if a0 + (best_d + 1) * a <= limit
-    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
+    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1),
+                        limit)
     # a step-a base child keeps at most len(P[a]) sums and needs best_d, which only rises
     if pairs and best_d > 0:
         pairs = {a: ys for a, ys in pairs.items() if len(ys) >= best_d}

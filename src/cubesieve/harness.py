@@ -145,15 +145,16 @@ def _recheck(cube: HilbertCube, s, limit: int, what: str) -> None:
 def run_dimension_scan(descriptor, cfg: ExperimentConfig):
     """Maximal cube dimension in a set, one row per grid point: exact search,
     degrading to the better of the truncated search and a seeded greedy
-    probe when the budget runs out. Both searches at a grid point read the
-    one list of its members. Every witness is re-verified in a post-pass
-    before the row is emitted."""
+    probe when the budget runs out. The probe runs only where its bitset
+    fits (N <= MAX_TABLE); past it the truncated search's row stands. Both
+    searches at a grid point read the one list of its members. Every
+    witness is re-verified in a post-pass before the row is emitted."""
     _check_budget(cfg.budget)  # before the first enumeration, as the exact search checks it
     rows = []
     for n in cfg.n_grid:
         members = enumerate_members(descriptor, n)
         res = max_dimension_exact(descriptor, n, budget=cfg.budget, members=members)
-        if not res.exact:
+        if not res.exact and n <= MAX_TABLE:
             probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}", members=members)
             if probe.best_dimension > res.best_dimension:
                 res = probe

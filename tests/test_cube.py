@@ -273,24 +273,26 @@ def test_exact_squareful_1e5_starts_from_its_floor():
 
 
 def test_searches_refuse_huge_limit_before_enumerating(monkeypatch):
-    # each search refuses just before it builds a bitset of limit bits: the
-    # exact one once squareful's pair count past 10**8 sends it to bitsets,
-    # with or without the members passed in, and greedy, which always builds
-    # one, before it enumerates
+    # the exact search refuses squareful past 10**8 once its pair count
+    # passes the cap, with or without the members passed in, and a dense
+    # set just before it builds a bitset of limit bits; greedy, which always
+    # builds one, refuses before it enumerates
     def unreachable(*args):
         raise AssertionError("ran past the size guard")
 
-    def refused():
-        return pytest.raises(ValueError, match=r"cube search bitset \(max 10\*\*8\)$")
+    def refused(table):
+        return pytest.raises(ValueError, match=rf"{table} \(max 10\*\*8\)$")
 
     members = enumerate_members(Squareful(), 10**8 + 1)
     monkeypatch.setattr(cube, "bitset", unreachable)
     for kw in ({}, dict(members=members)):
-        with refused():
+        with refused("cube search without its pair table"):
             max_dimension_exact(Squareful(), 10**8 + 1, **kw)
+    with refused("cube search bitset"):
+        max_dimension_exact(Squareful(), 10**8 + 1, members=list(range(10**8 - 40, 10**8 + 2)))
     monkeypatch.setattr(cube, "enumerate_members", unreachable)
     for limit in (10**8 + 1, 10**11):
-        with refused():
+        with refused("cube search bitset"):
             max_dimension_greedy(Squareful(), limit)
 
 

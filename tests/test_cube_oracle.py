@@ -20,7 +20,8 @@ on every check here that runs an exact search against a reference.
 The exact search has two routes, bitsets and pair lists. Each is forced in
 turn, and the two must return equal results field by field, including the
 node count and where a budget runs out; the pair-list route is also held to
-the list-based reference above.
+the list-based reference above. Past the pair cap the pair-list route runs
+without its table, and must return the tabled search's results.
 
 The exact search starts from a floor, the longest homogeneous progression.
 The scan that finds it is held to the step loop over every integer that it
@@ -59,7 +60,7 @@ from cubesieve.cube import (
     _pair_table,
     _result,
 )
-from cubesieve.primes import bitset, check_table, set_bits
+from cubesieve.primes import check_table, set_bits
 
 # ---------------------------------------------------------------------------
 # reference implementation (list-based candidate loop)
@@ -204,7 +205,8 @@ def recursive_exact(
     best_d = len(best[1]) - 1 if best else -1
     # a base child a can beat best_d, which is >= 0 once a base is entered,
     # only if a0 + (best_d + 1) * a <= limit
-    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1))
+    pairs = _pair_table(members, gap, 0 if subset_sum_mode else limit // max(best_d + 1, 1),
+                        limit)
     if pairs is None:
         check_table(limit, "the cube search bitset")
     bits = _bits(members) if pairs is None else 0
@@ -364,20 +366,24 @@ def test_fixed_grid_matches_reference(text, n, subset_sum, distinct, budget):
 
 # ---------------------------------------------------------------------------
 # the exact search's two routes, bitsets and pair lists, each forced through
-# the density rule's constant (span > _PAIR_DENSITY * |A| takes pair lists)
+# the density rule's constant (span > _PAIR_DENSITY * |A| takes pair lists),
+# and pair lists without their table, forced through the pair cap
 
 _LISTS, _BITS = -1, 10**9
 
 
 def _both_routes(s: SetDescriptor, limit: int, **kw) -> CubeSearchResult:
-    """The exact search under the density rule and with each route forced:
-    the three results are equal field by field."""
+    """The exact search under the density rule, with each route forced, and
+    on pair lists with the pair cap at 0, so that no table is ever built:
+    the four results are equal field by field."""
     results = []
-    for density in (cube._PAIR_DENSITY, _LISTS, _BITS):
-        with mock.patch.object(cube, "_PAIR_DENSITY", density):
+    for density, cap in ((cube._PAIR_DENSITY, cube._MAX_PAIRS), (_LISTS, cube._MAX_PAIRS),
+                         (_BITS, cube._MAX_PAIRS), (_LISTS, 0)):
+        with mock.patch.object(cube, "_PAIR_DENSITY", density), \
+                mock.patch.object(cube, "_MAX_PAIRS", cap):
             results.append(cube.max_dimension_exact(s, limit, **kw))
             assert results[-1] == recursive_exact(s, limit, **kw)
-    assert results[1] == results[2] == results[0]
+    assert results[1] == results[2] == results[3] == results[0]
     return results[0]
 
 
@@ -454,11 +460,15 @@ def test_exact_matches_recursive_reference_as_the_best_depth_rises(text, n, kw, 
     # base prefilter reads the trimmed pair table at several depths
     s = parse_set_descriptor(text)
     members = enumerate_members(s, n)
-    assert _pair_table(members, 0, n) is not None
+    assert _pair_table(members, 0, n, n)
     res = cube.max_dimension_exact(s, n, budget=budget, members=members, **kw)
     assert res == recursive_exact(s, n, budget=budget, members=members, **kw)
     if not kw and budget == 10**8:
         assert res.exact and res.best_dimension > _homogeneous_ap(members, n)[0] - 1
+
+
+def _no_bitset(*args):
+    raise AssertionError("the pair-list route built a bitset")
 
 
 @pytest.mark.parametrize("text, n, kw", [
@@ -469,11 +479,7 @@ def test_pair_route_matches_recursive_reference_past_the_bitset_cap(text, n, kw,
     # the pair-list route builds no bitset, so it searches past 10**8
     s = parse_set_descriptor(text)
     members = enumerate_members(s, n)
-
-    def no_bitset(*args):
-        raise AssertionError("the pair-list route built a bitset")
-
-    monkeypatch.setattr(cube, "bitset", no_bitset)
+    monkeypatch.setattr(cube, "bitset", _no_bitset)
     res = cube.max_dimension_exact(s, n, **kw)
     assert res.exact and res == recursive_exact(s, n, members=members, **kw)
 
@@ -499,7 +505,7 @@ def test_exact_matches_recursive_reference_on_dense_budgets(text, n, budget):
     # while a listing is part way through its lowest-bit walk
     s = parse_set_descriptor(text)
     members = enumerate_members(s, n)
-    assert _pair_table(members, 0, n) is None
+    assert _pair_table(members, 0, n, n) is None
     res = cube.max_dimension_exact(s, n, budget=budget, members=members)
     assert res == recursive_exact(s, n, budget=budget, members=members)
     assert (res.exact, res.nodes_expanded) == (False, budget + 1)
@@ -524,8 +530,8 @@ def test_pair_table_matches_its_definition(case, distinct, d):
     members = enumerate_members(s, limit)
     gap = 1 if distinct else 0
     with mock.patch.object(cube, "_PAIR_DENSITY", _LISTS):
-        table = cube._pair_table(members, gap, limit // d)
-        one_base = cube._pair_table(members, gap, 0)
+        table = cube._pair_table(members, gap, limit // d, limit)
+        one_base = cube._pair_table(members, gap, 0, limit)
     if not members:  # nothing to search: the bitset route's empty sentinel
         assert table is one_base is None
         return
@@ -542,28 +548,50 @@ def test_search_trims_its_pair_table_to_the_floor(subset_sum, distinct, top, mon
     tops = []
     build = cube._pair_table
     monkeypatch.setattr(cube, "_pair_table",
-                        lambda members, gap, top: tops.append(top) or build(members, gap, top))
+                        lambda members, gap, top, limit:
+                        tops.append(top) or build(members, gap, top, limit))
     cube.max_dimension_exact(parse_set_descriptor("squareful"), 10**4,
                              subset_sum_mode=subset_sum, distinct=distinct)
     assert tops == [top]
 
 
+def _record_tables(monkeypatch) -> list:
+    """The pair tables the searches build from here on, None for bitsets."""
+    tables, build = [], cube._pair_table
+    monkeypatch.setattr(cube, "_pair_table",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
+    return tables
+
+
 @pytest.mark.parametrize("distinct", [False, True])
-def test_pair_cap_falls_back_to_bitsets(distinct, monkeypatch):
+def test_pair_cap_keeps_pair_lists_without_the_table(distinct, monkeypatch):
     s = parse_set_descriptor("squareful")
     members = enumerate_members(s, 1000)  # span 18.5 |A|: pair lists
     # the floor H(36;36x3) lets base steps up to 1000 // 3 through; a
     # distinct search has no floor
     top = 1000 if distinct else 1000 // 3
     count = sum(map(len, _pairs_by_definition(members, 1 if distinct else 0, top).values()))
-    built = []
-    monkeypatch.setattr(cube, "bitset", lambda vals, top: built.append(top) or bitset(vals, top))
+    tables = _record_tables(monkeypatch)
+    monkeypatch.setattr(cube, "bitset", _no_bitset)
     monkeypatch.setattr(cube, "_MAX_PAIRS", count)
     at_cap = cube.max_dimension_exact(s, 1000, distinct=distinct)
-    assert built == []
+    assert sum(map(len, tables[-1].values())) == count
     monkeypatch.setattr(cube, "_MAX_PAIRS", count - 1)
     assert cube.max_dimension_exact(s, 1000, distinct=distinct) == at_cap
-    assert built == [members[-1]]
+    assert tables[-1] == {}
+
+
+def test_pair_lists_past_the_cap_build_no_bitset(monkeypatch):
+    # squareful at 5 * 10**6 counts 1,662,408 pair entries, past the cap,
+    # and stays on pair lists
+    s = parse_set_descriptor("squareful")
+    members = enumerate_members(s, 5 * 10**6)
+    tables = _record_tables(monkeypatch)
+    monkeypatch.setattr(cube, "bitset", _no_bitset)
+    res = cube.max_dimension_exact(s, 5 * 10**6, budget=20000, members=members)
+    assert tables == [{}]
+    assert (res.exact, res.nodes_expanded) == (False, 20001)
+    assert res == recursive_exact(s, 5 * 10**6, budget=20000, members=members)
 
 
 # ---------------------------------------------------------------------------

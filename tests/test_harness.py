@@ -825,10 +825,14 @@ def test_cli_sieve_csv_matches_golden(name, argv, capsys):
      ["experiment", "f4", "--primes", "class:1,4", "--grid", "100,1000",
       "--budget", "10000", "--seed", "0"]),
     ("cube_search_rfull4_1e9", ["cube-search", "--set", "rfull:4,all", "--limit", "1000000000"]),
+    ("experiment_f1_rfull4_1e9_budget",
+     ["experiment", "f1", "--r", "4", "--primes", "all", "--grid", "1000000000",
+      "--budget", "1000"]),
 ])
 def test_cli_scan_csv_matches_golden(name, argv, capsys):
     # exact rows, and rows where the budget ran out and the greedy probe won;
-    # the pair-list route holds no bitset, so rfull:4,all searches past 10**8
+    # the pair-list route holds no bitset, so rfull:4,all searches past 10**8,
+    # and a scan there keeps its truncated row without the probe
     code, out, err = run_cli(argv, capsys)
     assert code == EXIT_OK and err == ""
     assert out == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
@@ -1038,27 +1042,31 @@ def test_cli_repcount_bytes(elements, limit, expected, capsys):
 @pytest.mark.parametrize("limit", [10**8 + 1, 10**11])
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
 def test_cli_cube_search_refuses_huge_limit(limit, mode, capsys, monkeypatch):
-    # refused before the bitset of limit/8 bytes is built: by greedy before
-    # any member is enumerated, by the exact search once squareful's pair
-    # count sends it to bitsets
+    # refused by greedy before it enumerates a member or builds the bitset
+    # of limit/8 bytes, and by the exact search once squareful's pair count
+    # passes the cap, since a base listing without the table does O(|A|)
+    # work per candidate
+    table = "the cube search bitset"
     if mode == "greedy":
         monkeypatch.setattr(cube, "enumerate_members", _unreachable)
+    else:
+        table = "the cube search without its pair table"
     monkeypatch.setattr(cube, "bitset", _unreachable)
     argv = ["cube-search", "--set", "squareful", "--limit", str(limit), "--mode", mode]
     assert run_cli(argv, capsys) == (
-        EXIT_USAGE, "",
-        f"error: limit N = {limit} is too large for the cube search bitset (max 10**8)\n",
+        EXIT_USAGE, "", f"error: limit N = {limit} is too large for {table} (max 10**8)\n",
     )
 
 
-def test_cli_scan_past_the_bitset_cap_refuses_when_its_budget_runs_out(capsys):
+def test_cli_scan_past_the_bitset_cap_keeps_its_truncated_row(capsys, monkeypatch):
     # the exact search runs on pair lists past 10**8; once its budget runs
-    # out, the greedy probe refuses the bitset it would build
+    # out, the row is its floor, since the greedy probe's bitset would not fit
+    monkeypatch.setattr(cube, "bitset", _unreachable)
     argv = ["experiment", "f1", "--r", "4", "--primes", "all", "--grid", "1000000000",
             "--budget", "1000"]
     assert run_cli(argv, capsys) == (
-        EXIT_USAGE, "",
-        "error: limit N = 1000000000 is too large for the cube search bitset (max 10**8)\n",
+        EXIT_OK,
+        (GOLDEN / "experiment_f1_rfull4_1e9_budget.csv").read_text(encoding="utf-8"), "",
     )
 
 
