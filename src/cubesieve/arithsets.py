@@ -323,7 +323,7 @@ class QuadForm(SetDescriptor):
                 v = a * x * x + by * x + cy2
                 if 1 <= v <= limit:
                     mark[v] = 1
-        return [n for n in range(1, limit + 1) if mark[n]]
+        return list(compress(range(limit + 1), mark))
 
     def describe(self) -> str:
         return f"quadform:{self.a},{self.b},{self.c}"

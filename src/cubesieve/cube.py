@@ -122,7 +122,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .arithsets import SetDescriptor, enumerate_members, is_member
-from .primes import PrimeSet, bitset, ceil_two_sqrt, check_table
+from .primes import MAX_TABLE, PrimeSet, bitset, ceil_two_sqrt, check_table
 
 _SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
@@ -286,6 +286,20 @@ def _bits(members: list[int]) -> int:
     return bitset(members, members[-1] if members else 0)
 
 
+def _dense(members: list[int]) -> bool:
+    """The exact search's route rule (module docstring): bitsets unless the
+    member span passes _PAIR_DENSITY * |A|."""
+    return not members or members[-1] - members[0] <= _PAIR_DENSITY * len(members)
+
+
+def dense_bits(members: list[int], limit: int) -> int | None:
+    """The bitset of the ascending members up to the limit, for both
+    searches to read, when the exact search takes the bitset route and the
+    limit is within the bitset's cap of 10**8; otherwise None, and nothing
+    is built."""
+    return _bits(members) if _dense(members) and limit <= MAX_TABLE else None
+
+
 def _pair_table(members: list[int], gap: int, top: int,
                 limit: int) -> dict[int, list[int]] | None:
     """The exact search's route (module docstring): None for bitsets, else
@@ -296,7 +310,7 @@ def _pair_table(members: list[int], gap: int, top: int,
     so the entries are counted with one bisection per member before any is
     built. Past _MAX_PAIRS entries the table is empty, and a limit past
     10**8 is refused."""
-    if not members or members[-1] - members[0] <= _PAIR_DENSITY * len(members):
+    if _dense(members):
         return None
     firsts = [bisect_left(members, max((z + gap + 1) // 2, z - top), 0, j)
               for j, z in enumerate(members)]
@@ -376,6 +390,7 @@ def max_dimension_exact(
     distinct: bool = False,
     budget: int = DEFAULT_BUDGET,
     members: list[int] | None = None,
+    bits: int | None = None,
 ) -> CubeSearchResult:
     """Exhaustive depth-first branch and bound for the largest cube dimension.
 
@@ -397,7 +412,9 @@ def max_dimension_exact(
     the states entered on the current path, `steps` their steps.
 
     `members` is `enumerate_members(s, limit)` when the caller has listed it
-    already; the search only reads it."""
+    already; the search only reads it. `bits` is `dense_bits(members, limit)`
+    when the caller has built it already; the search only reads it, and
+    only on the bitset route."""
     _check_budget(budget)
     if members is None:
         members = enumerate_members(s, limit)
@@ -419,7 +436,9 @@ def max_dimension_exact(
         pairs = {a: ys for a, ys in pairs.items() if len(ys) >= best_d}
     if pairs is None:
         check_table(limit, "the cube search bitset")
-        bits, member_set = _bits(members), None
+        member_set = None
+        if bits is None:
+            bits = _bits(members)
     else:
         bits, member_set = 0, set(members)
     nodes = 0
@@ -548,6 +567,7 @@ def max_dimension_greedy(
     seed: int = 0,
     distinct: bool = False,
     members: list[int] | None = None,
+    bits: int | None = None,
 ) -> CubeSearchResult:
     """Randomized greedy extension with restarts; a certified lower bound.
 
@@ -559,12 +579,15 @@ def max_dimension_greedy(
     is seq[rng._randbelow(len(seq))] and rng.randrange(n) is
     rng._randbelow(n), so this draws the same random stream and picks the
     same steps as choosing from the ascending candidate list. `members` is
-    read as in `max_dimension_exact`. It always holds the bitset, so a limit
-    past 10**8 is refused before anything is enumerated."""
+    read as in `max_dimension_exact`, and so is `bits`, the members' bitset
+    (`dense_bits`), which it builds itself when it is None. It always holds
+    the bitset, so a limit past 10**8 is refused before anything is
+    enumerated."""
     check_table(limit, "the cube search bitset")
     if members is None:
         members = enumerate_members(s, limit)
-    bits = _bits(members)
+    if bits is None:
+        bits = _bits(members)
     rng = random.Random(seed)
     best, nodes = None, 0
     bases = [0] if subset_sum_mode else members

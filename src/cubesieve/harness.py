@@ -36,6 +36,7 @@ from .cube import (
     DEFAULT_BUDGET,
     HilbertCube,
     _check_budget,
+    dense_bits,
     max_dimension_exact,
     max_dimension_greedy,
     max_homogeneous_ap,
@@ -147,15 +148,20 @@ def run_dimension_scan(descriptor, cfg: ExperimentConfig):
     degrading to the better of the truncated search and a seeded greedy
     probe when the budget runs out. The probe runs only where its bitset
     fits (N <= MAX_TABLE); past it the truncated search's row stands. Both
-    searches at a grid point read the one list of its members. Every
-    witness is re-verified in a post-pass before the row is emitted."""
+    searches at a grid point read the one list of its members and, on a
+    row whose members are dense (`dense_bits`), the one bitset of them,
+    built before the exact search; a sparse row's probe builds its own.
+    Every witness is re-verified in a post-pass before the row is
+    emitted."""
     _check_budget(cfg.budget)  # before the first enumeration, as the exact search checks it
     rows = []
     for n in cfg.n_grid:
         members = enumerate_members(descriptor, n)
-        res = max_dimension_exact(descriptor, n, budget=cfg.budget, members=members)
+        bits = dense_bits(members, n)
+        res = max_dimension_exact(descriptor, n, budget=cfg.budget, members=members, bits=bits)
         if not res.exact and n <= MAX_TABLE:
-            probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}", members=members)
+            probe = max_dimension_greedy(descriptor, n, seed=f"{cfg.seed}:{n}",
+                                         members=members, bits=bits)
             if probe.best_dimension > res.best_dimension:
                 res = probe
         if res.witness is not None:

@@ -71,18 +71,24 @@ def iter_set_bits(x: int) -> Iterator[int]:
         yield from set_bits(int.from_bytes(data[j:j + 8192], "little"), 8 * j)
 
 
-def primes_up_to(y: int) -> list[int]:
-    """All primes <= y, ascending (sieve of Eratosthenes)."""
+def _prime_table(y: int) -> bytearray:
+    """One byte per n in [0, y], 1 where n is prime (sieve of Eratosthenes),
+    for y >= 1."""
     check_table(y)
-    if y < 2:
-        return []
     sieve = bytearray(b"\x01") * (y + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(y) + 1):
         if sieve[i]:
             start = i * i
             sieve[start::i] = b"\x00" * ((y - start) // i + 1)
-    return list(itertools.compress(range(y + 1), sieve))
+    return sieve
+
+
+def primes_up_to(y: int) -> list[int]:
+    """All primes <= y, ascending."""
+    if y < 2:
+        return []
+    return list(itertools.compress(range(y + 1), _prime_table(y)))
 
 
 def is_prime(n: int) -> bool:
@@ -154,14 +160,20 @@ class PrimeSet:
     Each constructor builds one kind: all primes; primes p = a (mod q); an
     explicit finite list, which is enumerated without sieving; the inert
     primes of a positive definite form; or the complement of another prime
-    set. Every other kind enumerates by filtering one sieve up to y per
-    call; nothing is cached."""
+    set. `all` is the sieve's own list. A kind whose membership depends
+    only on p mod its period (a residue class, an inert set, the complement
+    of either) sieves once up to y, asks `contains_prime` once per residue
+    class, of the class's least prime, and zeroes the classes outside the
+    set with strided slices of the sieve table; a period past sqrt(y), and
+    every other kind, filters the sieve's list through `contains_prime`.
+    Each call sieves anew; nothing is cached."""
 
     def __init__(self, spec: str, contains_prime: Callable[[int], bool],
-                 members: tuple[int, ...] | None = None):
+                 members: tuple[int, ...] | None = None, period: int | None = None):
         self.spec = spec
         self.contains_prime = contains_prime
         self._members = members  # an explicit list, its own enumeration
+        self._period = period  # membership depends only on p mod this
 
     @classmethod
     def all_primes(cls) -> "PrimeSet":
@@ -174,7 +186,7 @@ class PrimeSet:
         a %= q
         if math.gcd(a, q) != 1:
             raise ValueError(f"residue class {a} mod {q} is not reduced: gcd != 1")
-        return cls(f"class:{a},{q}", lambda p: p % q == a)
+        return cls(f"class:{a},{q}", lambda p: p % q == a, period=q)
 
     @classmethod
     def explicit(cls, primes) -> "PrimeSet":
@@ -195,7 +207,11 @@ class PrimeSet:
         has period |disc| in n; for odd p it is the Legendre symbol. So the
         answer depends only on p mod |disc|, and Euler's criterion runs once
         per residue class. A class that shares a factor with disc holds only
-        primes dividing disc, which are all set aside alike."""
+        primes dividing disc, which are all set aside alike.
+
+        The set's period is |disc| when disc is even. An odd disc has 2 in
+        the class 2 mod |disc| beside odd primes, so its period is 2|disc|,
+        where the class 2 holds 2 alone."""
         disc = validate_definite_form(a, b, c)
         by_class: dict[int, bool] = {}
 
@@ -208,11 +224,12 @@ class PrimeSet:
                 hit = by_class[r] = disc % p != 0 and pow(disc, (p - 1) // 2, p) == p - 1
             return hit
 
-        return cls(f"inert:{a},{b},{c}", inert)
+        return cls(f"inert:{a},{b},{c}", inert, period=-disc * (1 + disc % 2))
 
     @classmethod
     def complement(cls, inner: "PrimeSet") -> "PrimeSet":
-        return cls("complement:" + inner.spec, lambda p: not inner.contains_prime(p))
+        return cls("complement:" + inner.spec, lambda p: not inner.contains_prime(p),
+                   period=inner._period)
 
     @property
     def listed(self) -> bool:
@@ -223,7 +240,18 @@ class PrimeSet:
         """Members of the set that are <= y, ascending."""
         if self._members is not None:
             return list(self._members[: bisect_right(self._members, y)])
-        return list(filter(self.contains_prime, primes_up_to(y)))
+        if self.spec == "all":
+            return primes_up_to(y)
+        q = self._period
+        if q is None or q * q > y:
+            return list(filter(self.contains_prime, primes_up_to(y)))
+        table = _prime_table(y)
+        for r in range(q):
+            row = table[r::q]
+            first = row.find(1)
+            if first >= 0 and not self.contains_prime(r + first * q):
+                table[r::q] = bytes(len(row))
+        return list(itertools.compress(range(y + 1), table))
 
     def describe(self) -> str:
         return self.spec

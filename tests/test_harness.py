@@ -581,7 +581,14 @@ _REMOVED_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message", _REMOVED_FLAGS)
+def _argv_id(argv: list[str]) -> str:
+    # a test id from the argv text, so that it names the same argv whatever
+    # cases are added before it
+    return "_".join(argv)
+
+
+@pytest.mark.parametrize("argv, message", _REMOVED_FLAGS,
+                         ids=[_argv_id(argv) for argv, _ in _REMOVED_FLAGS])
 def test_cli_removed_flags_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -609,7 +616,7 @@ def _exit_outcome(parse, argv, capsys):
     ["-h"],
     ["--version"],
     *([name, flag] for name in _CLI_SURFACE for flag in ("-h", "--version")),
-])
+], ids=_argv_id)
 def test_cli_one_command_parse_matches_full_parser(argv, capsys):
     # stdout, stderr and exit code are those of the parser with every command
     full = _exit_outcome(lambda a: build_parser().parse_args(a), argv, capsys)
@@ -828,6 +835,10 @@ def test_cli_sieve_csv_matches_golden(name, argv, capsys):
     ("experiment_f1_rfull4_1e9_budget",
      ["experiment", "f1", "--r", "4", "--primes", "all", "--grid", "1000000000",
       "--budget", "1000"]),
+    # a row the greedy probe wins, with its witness and its own nodes
+    ("experiment_f4_class_greedy",
+     ["experiment", "f4", "--primes", "class:1,4", "--grid", "3000000", "--budget", "300000",
+      "--seed", "1"]),
 ])
 def test_cli_scan_csv_matches_golden(name, argv, capsys):
     # exact rows, and rows where the budget ran out and the greedy probe won;
@@ -858,6 +869,47 @@ def test_cli_dense_csv_matches_golden(name, argvs, capsys):
         assert code == EXIT_OK and err == ""
         outs.append(out)
     assert "".join(outs) == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+
+
+def _spy_builds(monkeypatch) -> list[str]:
+    # records each bitset build and each greedy search, in order
+    events, real_bitset, real_greedy = [], cube.bitset, harness.max_dimension_greedy
+    monkeypatch.setattr(cube, "bitset",
+                        lambda vals, top: events.append("bitset") or real_bitset(vals, top))
+    monkeypatch.setattr(harness, "max_dimension_greedy",
+                        lambda *a, **k: events.append("greedy") or real_greedy(*a, **k))
+    return events
+
+
+@pytest.mark.parametrize("text, budget, events", [
+    # dense rows: one bitset for both searches, built before the exact one
+    ("semigroup:class:1,4", 10000, ["bitset", "greedy"]),
+    ("rfull:2,inert:1,1,1", 10000, ["bitset", "greedy"]),
+    ("semigroup:class:1,4", 10**8, ["bitset"]),
+    # sparse rows: the exact search runs on pair lists, and only the probe
+    # builds a bitset
+    ("squareful", 100, ["greedy", "bitset"]),
+    ("squareful", 10**8, []),
+])
+def test_scan_row_builds_its_bitset_once(text, budget, events, monkeypatch):
+    spied = _spy_builds(monkeypatch)
+    s = arithsets.parse_set_descriptor(text)
+    _, rows = run_dimension_scan(s, ExperimentConfig((1000,), budget=budget))
+    assert spied == events
+    assert rows[0][5] == int("greedy" not in events)  # the exact column
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_cli_cube_search_builds_its_own_bitset(mode, capsys, monkeypatch):
+    # outside a scan each search builds the one bitset it reads, the greedy
+    # search after it is called
+    spied = _spy_builds(monkeypatch)
+    argv = ["cube-search", "--set", "rfull:2,inert:1,1,1", "--limit", "1000", "--mode", mode,
+            "--budget", "10000"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == (EXIT_BUDGET if mode == "exact" else EXIT_OK)
+    assert spied == (["bitset"] if mode == "exact" else ["greedy", "bitset"])
+    assert out.count("\n") == 2
 
 
 # the scan goldens' rows before every exact search started from its floor

@@ -187,6 +187,41 @@ def test_complement_partition():
     assert got == primes_up_to(200)
 
 
+# each periodic kind with its period: q for a class, |disc| for an inert set
+# of even disc and 2|disc| for odd disc (where 2 needs a class of its own),
+# the inner period for a complement
+_PERIODIC = {"class:0,1": 1, "class:1,4": 4, "class:3,7": 7,
+             "inert:1,1,1": 6, "inert:2,1,3": 46, "inert:1,1,7": 54,
+             "inert:1,0,1": 4, "inert:1,0,5": 20, "inert:3,2,5": 56}
+
+
+@pytest.mark.parametrize("spec", [*_PERIODIC, *(f"complement:{s}" for s in _PERIODIC),
+                                  "list:2,3,5,97", "complement:list:2,3,5,97"])
+def test_prime_set_enumeration_matches_the_filtered_sieve(spec):
+    # the periodic kinds read their members off the sieve table class by
+    # class; every kind must list what filtering the sieve would
+    ps = parse_prime_set(spec)
+    for y in (0, 1, 2, 3, 10, 97, 10**4):
+        assert ps.primes_up_to(y) == [p for p in primes_up_to(y) if ps.contains_prime(p)], y
+
+
+def test_inert_set_with_odd_disc_keeps_its_odd_primes_beside_2():
+    # disc -3 is odd: 2 and 5, 11, 17, ... share the class 2 mod 3, so a
+    # period of 3 would decide that class by 2 alone and drop them all
+    assert PrimeSet.inert_of_form(1, 1, 1).primes_up_to(100) == [
+        5, 11, 17, 23, 29, 41, 47, 53, 59, 71, 83, 89]
+
+
+@pytest.mark.parametrize("spec", [*_PERIODIC, *(f"complement:{s}" for s in _PERIODIC)])
+def test_periodic_prime_set_asks_once_per_class(spec):
+    ps = parse_prime_set(spec)
+    inner, calls = ps.contains_prime, []
+    ps.contains_prime = lambda p: calls.append(p) or inner(p)
+    members = ps.primes_up_to(10**4)
+    assert len(calls) <= _PERIODIC[spec.removeprefix("complement:")]
+    assert members == [p for p in primes_up_to(10**4) if inner(p)]
+
+
 def test_cache_regrow():
     t = PrimeSet.all_primes()
     assert t.primes_up_to(10) == [2, 3, 5, 7]
