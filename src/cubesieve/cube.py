@@ -105,7 +105,7 @@ search it replaced.
 
 `verify` walks the distinct sums, {a0} grown by S |= S + a per step, not
 the 2^d sums with multiplicity that `sums()` lists (and refuses past
-d = 30). Sums above the limit are dropped as they appear, keeping only the
+d = 22). Sums above the limit are dropped as they appear, keeping only the
 least of them, and the rest are tested for membership in ascending order,
 so the offender is still the least offending sum. Before building anything
 it bounds the sums its walk visits, with at most min(prod (m_i + 1),
@@ -124,7 +124,6 @@ from dataclasses import dataclass
 from .arithsets import SetDescriptor, enumerate_members, is_member
 from .primes import MAX_TABLE, PrimeSet, bitset, ceil_two_sqrt, check_table
 
-_SUMS_CAP = 30
 _MAX_WALK = 1 << 22  # sums a verify walk may visit; at the cap about 230 MB and 5 s
 _RESTARTS = 40  # greedy restarts per search
 DEFAULT_BUDGET = 10**8  # exact-search nodes when no budget is given
@@ -156,9 +155,10 @@ class HilbertCube:
         return len(self.steps)
 
     def sums(self) -> list[int]:
-        """All 2^d subset sums, ascending, with multiplicity."""
-        if self.dimension > _SUMS_CAP:
-            raise ValueError(f"refusing to enumerate 2^{self.dimension} sums (cap {_SUMS_CAP})")
+        """All 2^d subset sums, ascending, with multiplicity; refused past
+        _MAX_WALK sums, the verify walk's cap."""
+        if 1 << self.dimension > _MAX_WALK:
+            raise ValueError(f"refusing to enumerate 2^{self.dimension} sums (cap {_MAX_WALK})")
         out = [self.a0]
         for a in self.steps:
             out += [s + a for s in out]
@@ -261,16 +261,13 @@ class CubeSearchResult:
     """best_dimension is -1 with witness None when the set has no member in
     [1, limit] (no admissible base point). `exact` is False when the node
     budget ran out, in which case the result is a certified lower bound and
-    mode degrades to `greedy`. The witness is then the search's floor
-    (module docstring) unless the search reached a cube at least as large,
-    so `greedy` also marks a result the floor won. `nodes_expanded` counts
-    members scanned as candidate sums, charged as item (b) of the module
-    docstring sets out. The search's two routes (bitsets, or pair lists when
-    span > _PAIR_DENSITY * |A|, with or without the pair table; module
-    docstring) start from the same floor and charge the same nodes, so every
-    field is the same on both, also when the budget runs out."""
-    limit: int
-    mode: str
+    the witness is the search's floor (module docstring) unless the search
+    reached a cube at least as large. `nodes_expanded` counts members
+    scanned as candidate sums, charged as item (b) of the module docstring
+    sets out. The search's two routes (bitsets, or pair lists when span >
+    _PAIR_DENSITY * |A|, with or without the pair table; module docstring)
+    start from the same floor and charge the same nodes, so every field is
+    the same on both, also when the budget runs out."""
     best_dimension: int
     witness: HilbertCube | None
     nodes_expanded: int
@@ -377,10 +374,9 @@ def _nth_bit(x: int, i: int) -> int:
     return pos
 
 
-def _result(limit: int, best, nodes: int, exact: bool, distinct: bool) -> CubeSearchResult:
+def _result(best, nodes: int, exact: bool, distinct: bool) -> CubeSearchResult:
     witness = HilbertCube(best[0], best[1], distinct) if best else None
-    return CubeSearchResult(limit, "exact" if exact else "greedy",
-                            witness.dimension if witness else -1, witness, nodes, exact)
+    return CubeSearchResult(witness.dimension if witness else -1, witness, nodes, exact)
 
 
 def max_dimension_exact(
@@ -557,7 +553,7 @@ def max_dimension_exact(
             steps.append(a)
         if nodes > budget:
             break
-    return _result(limit, best, min(nodes, budget + 1), nodes <= budget, distinct)
+    return _result(best, min(nodes, budget + 1), nodes <= budget, distinct)
 
 
 def max_dimension_greedy(
@@ -606,7 +602,7 @@ def max_dimension_greedy(
             steps.append(a)
         if best is None or len(steps) > len(best[1]):
             best = (a0, tuple(steps))
-    return _result(limit, best, nodes, False, distinct)
+    return _result(best, nodes, False, distinct)
 
 
 def max_homogeneous_ap(s: SetDescriptor, limit: int) -> tuple[int, int | None]:

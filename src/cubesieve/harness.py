@@ -21,7 +21,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .arithsets import (
@@ -136,6 +136,11 @@ _SCAN_HEADER = [
 ]
 
 
+def _mode(exact: bool) -> str:
+    """The `mode` column: `greedy` unless an exact search completed."""
+    return "exact" if exact else "greedy"
+
+
 def _recheck(cube: HilbertCube, s, limit: int, what: str) -> None:
     """Re-verify a cube certificate against the set before it is written."""
     ok, offender = verify(cube, s, limit)
@@ -170,7 +175,7 @@ def run_dimension_scan(descriptor, cfg: ExperimentConfig):
         log_n = math.log(n)
         ratios_defined = d >= 0 and log_n > 0
         rows.append([
-            n, d, res.mode,
+            n, d, _mode(res.exact),
             res.witness.describe() if res.witness else "-",
             res.nodes_expanded, int(res.exact),
             log_n,
@@ -244,18 +249,6 @@ class CheckOutcome:
     detail: str
 
 
-@dataclass
-class VerifyAllReport:
-    checks: list[CheckOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def lines(self) -> list[str]:
-        return [f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}" for c in self.checks]
-
-
 def flip_first_index(w: SubsetWitness) -> SubsetWitness:
     """Self-test fault: corrupt a witness by bumping its first index."""
     return SubsetWitness(w.q, (w.indices[0] + 1,) + w.indices[1:], w.sum_mod_q, w.facts)
@@ -286,22 +279,21 @@ def random_shift_instance(rng: random.Random, p: int, ell: int,
     return ResidueMultiset(Modulus(p, p ** (ell - 1)), tuple(elems)), rng.randrange(q)
 
 
-def _check(report: VerifyAllReport, name: str, fn) -> None:
+def _check(name: str, fn) -> CheckOutcome:
     try:
         ok, detail = fn()
     except CounterexampleError as exc:
         ok, detail = False, f"counterexample: {exc}"
-    report.checks.append(CheckOutcome(name, ok, detail))
+    return CheckOutcome(name, ok, detail)
 
 
-def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
+def run_verify_all(witness_fault_hook=None) -> list[CheckOutcome]:
     """Run every module's verification suite at caps small enough for an
     interactive run; the acceptance tests run the full-size versions.
 
     `witness_fault_hook` corrupts witnesses before re-validation and exists
     so the harness can prove it detects invalid witnesses."""
     rng = random.Random(0)
-    rep = VerifyAllReport()
 
     def olson_exhaustive():
         counts = {p: len(verify_olson_exhaustive(p).counterexamples) for p in (5, 7, 11)}
@@ -395,8 +387,8 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
         r32 = max_dimension_exact(Squareful(), 32)
         if (r10.best_dimension, r32.best_dimension) != (1, 2):
             return False, f"dimensions ({r10.best_dimension}, {r32.best_dimension}), expected (1, 2)"
-        for res in (r10, r32):
-            ok, off = verify(res.witness, Squareful(), res.limit)
+        for limit, res in ((10, r10), (32, r32)):
+            ok, off = verify(res.witness, Squareful(), limit)
             if not ok:
                 return False, f"witness {res.witness.describe()} fails at {off}"
         bad = tuple(r for r in residue_constraint_check(r32.witness, PrimeSet.all_primes(), 100)
@@ -444,17 +436,16 @@ def run_verify_all(witness_fault_hook=None) -> VerifyAllReport:
         return not missing, f"step {s}; progression realized inside the cube" if not missing \
             else f"progression misses {missing}"
 
-    _check(rep, "olson-exhaustive", olson_exhaustive)
-    _check(rep, "witness-revalidation", witness_revalidation)
-    _check(rep, "minimal-cover", minimal_cover)
-    _check(rep, "lift-zero", lift_zero)
-    _check(rep, "shifted-lift-zero", shifted_finder)
-    _check(rep, "cauchy-davenport", cauchy_davenport)
-    _check(rep, "sieve-soundness", sieve_soundness)
-    _check(rep, "cube-ground-truth", cube_ground_truth)
-    _check(rep, "sunflower", sunflower_suite)
-    _check(rep, "ap-extraction", ap_extraction)
-    return rep
+    return [_check("olson-exhaustive", olson_exhaustive),
+            _check("witness-revalidation", witness_revalidation),
+            _check("minimal-cover", minimal_cover),
+            _check("lift-zero", lift_zero),
+            _check("shifted-lift-zero", shifted_finder),
+            _check("cauchy-davenport", cauchy_davenport),
+            _check("sieve-soundness", sieve_soundness),
+            _check("cube-ground-truth", cube_ground_truth),
+            _check("sunflower", sunflower_suite),
+            _check("ap-extraction", ap_extraction)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +604,7 @@ def cmd_cube_search(args) -> int:
                                    seed=args.seed, distinct=args.distinct)
     if res.witness is not None:
         _recheck(res.witness, s, args.limit, f"cube-search witness {res.witness.describe()}")
-    row = [res.limit, res.mode, res.best_dimension,
+    row = [args.limit, _mode(res.exact), res.best_dimension,
            res.witness.describe() if res.witness else "-",
            res.nodes_expanded, int(res.exact)]
     _emit_csv(["N", "mode", "dimension", "witness", "nodes", "exact"], [row], args.out)
@@ -710,16 +701,17 @@ def cmd_verify(args) -> int:
     if args.suite == "olson":
         if args.inject_fault:
             raise ValueError("verify olson does not read --inject-fault")
-        rep = verify_olson_exhaustive(args.p if args.p is not None else 7)
-        _write(f"p={rep.p} subsets={rep.subsets_checked} cases={rep.cases_checked} "
+        p = args.p if args.p is not None else 7
+        rep = verify_olson_exhaustive(p)
+        _write(f"p={p} subsets={rep.subsets_checked} cases={rep.cases_checked} "
                f"counterexamples={len(rep.counterexamples)}\n", None)
         return EXIT_OK if not rep.counterexamples else EXIT_COUNTEREXAMPLE
     if args.p is not None:
         raise ValueError("verify all does not read --p")
     hook = flip_first_index if args.inject_fault else None
-    report = run_verify_all(witness_fault_hook=hook)
-    _write("\n".join(report.lines()) + "\n", None)
-    return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+    checks = run_verify_all(witness_fault_hook=hook)
+    _write("".join(f"{'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}\n" for c in checks), None)
+    return EXIT_OK if all(c.ok for c in checks) else EXIT_COUNTEREXAMPLE
 
 
 def _arg(*names, **kwargs):

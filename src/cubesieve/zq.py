@@ -468,7 +468,6 @@ def sumset_mod_p(a: set[int], b: set[int], p: int) -> set[int]:
 class OlsonReport:
     """Outcome of exhaustively checking that every large-enough subset of
     Z_p reaches every target through nonempty subset sums."""
-    p: int
     subsets_checked: int
     cases_checked: int
     counterexamples: tuple
@@ -496,4 +495,4 @@ def verify_olson_exhaustive(p: int) -> OlsonReport:
                 if w is None or not w.validate(b):
                     counters.append((b, a))
     counters.sort()
-    return OlsonReport(p, subsets, cases, tuple(counters))
+    return OlsonReport(subsets, cases, tuple(counters))

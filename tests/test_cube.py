@@ -79,6 +79,14 @@ def test_sums_cap():
         HilbertCube(0, tuple(range(1, 32))).sums()
 
 
+def test_sums_refuses_past_the_walk_cap(monkeypatch):
+    # sums() lists 2^d sums, so it refuses where the verify walk would
+    monkeypatch.setattr(cube, "_MAX_WALK", 1 << 4)
+    assert len(HilbertCube(0, (1, 2, 3, 4)).sums()) == 16
+    with pytest.raises(ValueError):
+        HilbertCube(0, (1, 2, 3, 4, 5)).sums()
+
+
 def test_verify_examples():
     sq = Squareful()
     assert verify(HilbertCube(1, (7, 24)), sq, 32) == (True, None)
@@ -204,7 +212,7 @@ def test_residue_constraint_semigroup_rule():
 def test_exact_ground_truth():
     sq = Squareful()
     r10 = max_dimension_exact(sq, 10)
-    assert r10.best_dimension == 1 and r10.exact and r10.mode == "exact"
+    assert r10.best_dimension == 1 and r10.exact
     assert verify(r10.witness, sq, 10) == (True, None)
 
     r32 = max_dimension_exact(sq, 32)
@@ -243,7 +251,7 @@ def test_exact_monotone_in_limit():
 
 def test_exact_budget_exhaustion_flagged():
     res = max_dimension_exact(Squareful(), 1000, budget=10)
-    assert not res.exact and res.mode == "greedy"
+    assert not res.exact
     assert res.nodes_expanded == 11
     if res.witness is not None:
         assert verify(res.witness, Squareful(), 1000) == (True, None)

@@ -119,8 +119,6 @@ def max_dimension_exact(
     if best["cube"] is not None:
         witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
     return CubeSearchResult(
-        limit=limit,
-        mode="greedy" if exhausted else "exact",
         best_dimension=best["d"],
         witness=witness,
         nodes_expanded=nodes,
@@ -168,8 +166,6 @@ def max_dimension_greedy(
     if best["cube"] is not None:
         witness = HilbertCube(best["cube"][0], best["cube"][1], distinct)
     return CubeSearchResult(
-        limit=limit,
-        mode="greedy",
         best_dimension=best["d"],
         witness=witness,
         nodes_expanded=nodes,
@@ -265,7 +261,7 @@ def recursive_exact(
         k = bisect_right(members, a0)
         extend(a0, a0, bits >> a0 if pairs is None else (members, k), len(members) - k, [])
     del extend  # it refers to itself: drop that cycle so the table is freed now
-    return _result(limit, best, nodes, not exhausted, distinct)
+    return _result(best, nodes, not exhausted, distinct)
 
 
 
@@ -282,7 +278,7 @@ def _check_exact(s: SetDescriptor, limit: int, **kw) -> None:
     if new.exact:
         assert new.best_dimension >= ref.best_dimension
     else:
-        assert (new.mode, new.nodes_expanded) == ("greedy", kw["budget"] + 1)
+        assert (new.exact, new.nodes_expanded) == (False, kw["budget"] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ def test_exact_routes_agree_on_every_descriptor(text, subset_sum, distinct):
     for n, budget in ((60, 10**8), (1000, 37), (1000, 4000), (3000, 20000)):
         res = _both_routes(s, n, budget=budget, **kw)
         if not res.exact:
-            assert (res.mode, res.nodes_expanded) == ("greedy", budget + 1)
+            assert (res.exact, res.nodes_expanded) == (False, budget + 1)
 
 
 @pytest.mark.parametrize("text, n, kw, exact", [

@@ -30,6 +30,9 @@ from cubesieve.sieve import NU_MODELS, prescribed_cutoff
 from cubesieve.sunflower import SunflowerWitness
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def _unreachable(*args):
     raise AssertionError("allocated past the size guard")
 
@@ -108,15 +111,15 @@ def test_sieve_compare_rows():
 
 
 def test_verify_all_passes():
-    rep = run_verify_all()
-    assert rep.ok, "\n".join(rep.lines())
-    assert len(rep.checks) == 10
+    checks = run_verify_all()
+    assert all(c.ok for c in checks), checks
+    assert len(checks) == 10
 
 
 def test_verify_all_detects_injected_fault():
-    rep = run_verify_all(witness_fault_hook=flip_first_index)
-    assert not rep.ok
-    bad = [c.name for c in rep.checks if not c.ok]
+    checks = run_verify_all(witness_fault_hook=flip_first_index)
+    assert not all(c.ok for c in checks)
+    bad = [c.name for c in checks if not c.ok]
     assert bad == ["witness-revalidation"]
 
 
@@ -479,8 +482,9 @@ def test_y_grid_row_cap_boundary(monkeypatch):
 
 
 def test_cli_verify_olson(capsys):
-    code, out, _ = run_cli(["verify", "olson", "--p", "5"], capsys)
+    code, out, err = run_cli(["verify", "olson", "--p", "5"], capsys)
     assert code == EXIT_OK and "counterexamples=0" in out
+    assert (out, err) == ("p=5 subsets=1 cases=5 counterexamples=0\n", "")
 
 
 def test_cli_verify_runs_the_suite(capsys):
@@ -489,6 +493,7 @@ def test_cli_verify_runs_the_suite(capsys):
     lines = out.split("\n")
     assert lines[-1] == "" and len(lines[:-1]) == 10
     assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert out == (GOLDEN / "verify_all.txt").read_text(encoding="utf-8")
 
 
 def test_cli_experiment_has_no_verify_route(capsys):
@@ -500,9 +505,10 @@ def test_cli_experiment_has_no_verify_route(capsys):
 
 
 def test_cli_verify_fault_injection(capsys):
-    code, out, _ = run_cli(["verify", "--inject-fault"], capsys)
-    assert code == EXIT_COUNTEREXAMPLE
-    assert "FAIL witness-revalidation" in out
+    code, out, err = run_cli(["verify", "--inject-fault"], capsys)
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+    assert "FAIL witness-revalidation: 24 witnesses re-validated, 24 invalid\n" in out
+    assert out == (GOLDEN / "verify_inject_fault.txt").read_text(encoding="utf-8")
 
 
 def test_cli_verify_reads_the_fold_counter(capsys, monkeypatch):
@@ -797,9 +803,6 @@ def test_cli_version(capsys):
         assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "cubesieve 0.1.0" in out
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name, argv", [

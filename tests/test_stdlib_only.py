@@ -36,7 +36,7 @@ _LAYERS = {
     "primes": set(),
     "arithsets": {"primes"},
     "zq": {"primes"},
-    "sieve": {"primes", "arithsets"},
+    "sieve": {"primes"},
     "cube": {"primes", "arithsets"},
     "sunflower": set(),
 }

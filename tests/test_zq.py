@@ -491,7 +491,7 @@ def test_cauchy_davenport_exhaustive():
 
 def test_verify_olson_p5():
     rep = verify_olson_exhaustive(5)
-    assert rep == OlsonReport(5, 1, 5, ())  # only B = Z_5 itself
+    assert rep == OlsonReport(1, 5, ())  # only B = Z_5 itself
 
 
 def test_verify_olson_p7():
